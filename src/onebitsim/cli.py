@@ -16,6 +16,7 @@ import csv
 import dataclasses
 import datetime
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -25,12 +26,13 @@ from . import __version__
 from .harness import (
     ExperimentConfig,
     RiskReport,
+    check_compatible,
     default_impossibility_config,
     impossibility_demo,
     run_sweep,
 )
 from .protocols import COIN_MODES, PROTOCOLS, Schedule
-from .scenarios import SCENARIO_IDS
+from .scenarios import SCENARIO_IDS, make_scenario, scenario_parameters
 from .verify import run_verify_suites
 
 CSV_COLUMNS = (
@@ -132,6 +134,13 @@ def _parse_scalar(key: str, raw: str, kind, what: str):
         raise ConfigError(f"{key}: expected {what}, got {raw!r}") from None
 
 
+def _parse_number(key: str, raw) -> float:
+    value = _parse_scalar(key, raw, float, "a number")
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {raw!r}")
+    return value
+
+
 def _parse_param_value(raw: str):
     parts = [p.strip() for p in raw.split(",")]
     values = []
@@ -149,6 +158,44 @@ def _parse_param_value(raw: str):
     if len(values) == 1:
         return values[0]
     return tuple(values)
+
+
+def _check_scenario(protocol: str, scenario_id: str, params: dict) -> None:
+    """Build the scenario once so bad parameters and a protocol/scenario
+    mismatch surface as config errors that name the key."""
+    known = scenario_parameters(scenario_id)
+    for name, value in params.items():
+        key = f"scenario.{name}"
+        if name not in known:
+            raise ConfigError(
+                f"{key}: unknown parameter for {scenario_id}; "
+                f"known: {', '.join(known)}"
+            )
+        for part in value if isinstance(value, tuple) else (value,):
+            if isinstance(part, str) or not math.isfinite(part):
+                raise ConfigError(f"{key}: expected finite numbers, got {part!r}")
+    try:
+        scenario = make_scenario(scenario_id, **params)
+    except ValueError as exc:
+        # name the first parameter that fails on its own
+        culprit = next(
+            (name for name in params if not _builds(scenario_id, name, params[name])),
+            None,
+        )
+        key = "scenario" if culprit is None else f"scenario.{culprit}"
+        raise ConfigError(f"{key}: {exc}") from None
+    try:
+        check_compatible(protocol, scenario)
+    except ValueError as exc:
+        raise ConfigError(f"scenario: {scenario_id} does not fit: {exc}") from None
+
+
+def _builds(scenario_id: str, name: str, value) -> bool:
+    try:
+        make_scenario(scenario_id, **{name: value})
+    except ValueError:
+        return False
+    return True
 
 
 def load_config_section(path: str, command: str) -> dict:
@@ -199,6 +246,7 @@ def build_experiment_config(
     params = dict(defaults.scenario_params) if defaults else {}
     for key in [k for k in section if k.startswith("scenario.")]:
         params[key.split(".", 1)[1]] = _parse_param_value(section.pop(key))
+    _check_scenario(protocol, scenario, params)
 
     if single_n:
         raw_n = take("n")
@@ -223,16 +271,14 @@ def build_experiment_config(
     sched_defaults = defaults.schedule if defaults else Schedule(0.5, 0.3)
     clamp_raw = take("clamp")
     schedule_kwargs = {
-        "r0": _parse_scalar("r0", take("r0", sched_defaults.r0), float, "a number"),
-        "beta": _parse_scalar("beta", take("beta", sched_defaults.beta), float, "a number"),
-        "c0": _parse_scalar("c0", take("c0", sched_defaults.c0), float, "a number"),
-        "gamma": _parse_scalar("gamma", take("gamma", sched_defaults.gamma), float, "a number"),
-        "clamp": (
-            _parse_scalar("clamp", clamp_raw, float, "a number")
-            if clamp_raw is not None
-            else sched_defaults.clamp
-        ),
+        key: _parse_number(key, take(key, getattr(sched_defaults, key)))
+        for key in ("r0", "beta", "c0", "gamma")
     }
+    schedule_kwargs["clamp"] = (
+        _parse_number("clamp", clamp_raw)
+        if clamp_raw is not None
+        else sched_defaults.clamp
+    )
     try:
         schedule = Schedule(**schedule_kwargs)
     except ValueError as exc:
@@ -251,9 +297,8 @@ def build_experiment_config(
         raise ConfigError(
             f"coin_mode: unknown {coin_mode!r}; known: {', '.join(COIN_MODES)}"
         )
-    family_c = _parse_scalar(
-        "family_c", take("family_c", defaults.family_c if defaults else 2.0),
-        float, "a number",
+    family_c = _parse_number(
+        "family_c", take("family_c", defaults.family_c if defaults else 2.0)
     )
     if seed_override is not None:
         seed = seed_override
@@ -306,7 +351,13 @@ def _print_table(reports: list[RiskReport]) -> None:
         )
 
 
+def _check_jobs(args) -> None:
+    if args.jobs < 1:
+        raise ConfigError(f"jobs: must be >= 1, got {args.jobs}")
+
+
 def _run_experiment(args, command: str, single_n: bool) -> int:
+    _check_jobs(args)
     if args.config is None:
         raise ConfigError("config: required (--config PATH)")
     section = load_config_section(args.config, command)
@@ -334,6 +385,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_demo(args) -> int:
+    _check_jobs(args)
     defaults = default_impossibility_config()
     if args.config is not None:
         section = load_config_section(args.config, "demo-impossibility")
@@ -392,10 +444,13 @@ def cmd_report(args) -> int:
     out = _out_dir(args)
     by_protocol: dict[str, list[tuple[int, str]]] = {}
     with open(src, newline="") as fh:
-        for row in csv.DictReader(fh):
-            by_protocol.setdefault(row["protocol"], []).append(
-                (int(row["n"]), row["excess_risk"])
-            )
+        reader = csv.DictReader(fh)
+        for column in ("protocol", "n", "excess_risk"):
+            if column not in (reader.fieldnames or ()):
+                raise ConfigError(f"in: {args.infile!r} has no {column!r} column")
+        for row in reader:
+            n = _parse_scalar("n", row["n"], int, "an integer")
+            by_protocol.setdefault(row["protocol"], []).append((n, row["excess_risk"]))
     for protocol, rows in sorted(by_protocol.items()):
         path = out / f"convergence_{protocol}.dat"
         with open(path, "w") as fh:
@@ -421,7 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument(
             "--jobs", type=int, default=1,
-            help="worker processes (hint only; never changes results)",
+            help="worker processes, at least 1; clamped to the replications "
+            "per cell and the CPU count (never changes results)",
         )
 
     p = sub.add_parser("simulate", help="run a single (protocol, scenario, n) cell")

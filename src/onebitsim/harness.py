@@ -11,6 +11,7 @@ matter how many workers execute it.
 from __future__ import annotations
 
 import math
+import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -130,7 +131,8 @@ class NetworkState:
 _CLASSIFICATION_PROTOCOLS = ("cls_abstain", "cls_noabstain", "specialists")
 
 
-def _check_compatible(protocol: str, scenario: Scenario) -> None:
+def check_compatible(protocol: str, scenario: Scenario) -> None:
+    """Raise ValueError when ``protocol`` cannot run on ``scenario``."""
     if protocol in _CLASSIFICATION_PROTOCOLS and scenario.task != "classification":
         raise ValueError(f"{protocol} needs a classification scenario")
     if protocol in ("reg_abstain", "reg_noabstain") and scenario.task != "regression":
@@ -165,7 +167,7 @@ def train_network(
         raise ValueError(f"unknown protocol {protocol!r}")
     if coin_mode not in COIN_MODES:
         raise ValueError(f"unknown coin_mode {coin_mode!r}")
-    _check_compatible(protocol, scenario)
+    check_compatible(protocol, scenario)
     d = scenario.dimension
     if n == 0:
         return NetworkState(
@@ -329,6 +331,17 @@ def _replication_worker(args) -> RiskSample:
     return _replication_sample(*args)
 
 
+def pool_workers(jobs: int, tasks: int, cpus: Optional[int] = None) -> int:
+    """Worker processes for ``tasks`` replications: ``jobs`` clamped to the
+    task count and the CPU count (``os.cpu_count()`` unless given). One
+    means the replications run serially in this process."""
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    if cpus is None:
+        cpus = os.cpu_count() or 1
+    return max(1, min(jobs, tasks, cpus))
+
+
 def estimate_expected_risk(
     config: ExperimentConfig, n: int, jobs: int = 1
 ) -> RiskReport:
@@ -341,8 +354,9 @@ def estimate_expected_risk(
         raise ValueError(f"n={n} is not in the configured grid {config.n_grid}")
     start = time.perf_counter()
     tasks = [(config, n, rep) for rep in range(config.replications)]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = pool_workers(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             samples = list(pool.map(_replication_worker, tasks))
     else:
         samples = [_replication_sample(*t) for t in tasks]

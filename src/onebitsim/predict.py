@@ -11,7 +11,15 @@ exactly the right distribution and keeps million-sensor demos tractable.
 
 Ball search is a sorted-array bisection in one dimension and a KD-tree
 above it; work is chunked so peak memory stays bounded regardless of how
-many (sensor, query) pairs a batch touches.
+many (sensor, query) pairs a batch touches. Pairs are enumerated in the
+lookup's storage order: sorted by coordinate in one dimension, so a
+query's in-ball sensors are one contiguous run, and original order above
+it. Engines permute their per-sensor tables (coin keys, biases, labels)
+into that order once per call.
+
+Coins are hashed with the key/counter split of ``seeding``: one sensor key
+per sensor and one query key per query per call, then one mix per pair,
+bit for bit the scalar ``CoinSource.uniform`` at the pair's address.
 """
 
 from __future__ import annotations
@@ -23,12 +31,13 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.stats import binom
 
-from .seeding import CoinSource
+from .seeding import CoinSource, pair_bits, query_keys, to_unit
 
 if TYPE_CHECKING:  # pragma: no cover
     from .harness import NetworkState
 
 _PAIR_BUDGET = 4_000_000
+_COIN_BLOCK = 1 << 15
 _TINY = np.finfo(float).tiny
 
 
@@ -61,12 +70,18 @@ class PredictionBatch:
 
 
 class _BallLookup:
-    """Closed-ball neighbor counting/enumeration over a fixed point set."""
+    """Closed-ball neighbor counting/enumeration over a fixed point set.
+
+    Points are addressed by their position in storage order: sorted by
+    coordinate in one dimension (``order`` maps position to original
+    index), original order above it (``order`` is None).
+    """
 
     def __init__(self, points: np.ndarray, radius: float):
         self.points = points
         self.radius = radius
         self.d = points.shape[1] if points.ndim == 2 else 1
+        self.order = None
         if self.d == 1:
             flat = points[:, 0]
             self.order = np.argsort(flat, kind="stable")
@@ -74,6 +89,14 @@ class _BallLookup:
             self.tree = None
         else:
             self.tree = cKDTree(points) if len(points) else None
+
+    def stored(self, table: np.ndarray) -> np.ndarray:
+        """A per-point table permuted into storage order."""
+        return table if self.order is None else table[self.order]
+
+    def stored_ids(self) -> np.ndarray:
+        """Original point index at each storage position."""
+        return np.arange(len(self.points)) if self.order is None else self.order
 
     def counts_and_bounds(self, queries: np.ndarray):
         if self.d == 1:
@@ -93,7 +116,7 @@ class _BallLookup:
             lo, hi = bounds
             sums = []
             for w in weights:
-                pref = np.concatenate([[0.0], np.cumsum(w[self.order])])
+                pref = np.concatenate([[0.0], np.cumsum(self.stored(w))])
                 sums.append(pref[hi] - pref[lo])
             return counts, sums
         sums = [np.zeros(len(queries)) for _ in weights]
@@ -105,28 +128,27 @@ class _BallLookup:
         return counts, sums
 
     def iter_pairs(
-        self, queries: np.ndarray, counts: np.ndarray, bounds=None
+        self, queries: np.ndarray, counts: np.ndarray, bounds=None, budget=None
     ) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
-        """Yield (query slice, original point indices, per-query counts),
-        chunked so each chunk holds at most ~_PAIR_BUDGET pairs."""
+        """Yield (query slice, storage positions, per-query counts),
+        chunked so each chunk holds at most ~``budget`` pairs (default
+        ``_PAIR_BUDGET``; a single query may exceed it)."""
+        budget = _PAIR_BUDGET if budget is None else budget
         t = len(queries)
         start = 0
         while start < t:
             end = start + 1
             total = int(counts[start])
-            while end < t and total + counts[end] <= _PAIR_BUDGET:
+            while end < t and total + counts[end] <= budget:
                 total += int(counts[end])
                 end += 1
             sl = slice(start, end)
             chunk_counts = counts[sl]
             if self.d == 1:
                 lo, _ = bounds
-                starts = lo[sl]
-                bnd = np.concatenate([[0], np.cumsum(chunk_counts)])
-                pos = np.repeat(starts, chunk_counts) + (
-                    np.arange(int(bnd[-1])) - np.repeat(bnd[:-1], chunk_counts)
-                )
-                idx = self.order[pos]
+                offsets = lo[sl] - (np.cumsum(chunk_counts) - chunk_counts)
+                idx = np.repeat(offsets, chunk_counts)
+                idx += np.arange(len(idx))
             elif self.tree is None:
                 idx = np.empty(0, dtype=np.int64)
             else:
@@ -140,10 +162,29 @@ class _BallLookup:
             start = end
 
 
-def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    pref = np.concatenate([[0.0], np.cumsum(values)])
-    bnd = np.concatenate([[0], np.cumsum(counts)])
-    return pref[bnd[1:]] - pref[bnd[:-1]]
+def _segment_counts(flags: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """True flags in each consecutive run of ``counts`` entries."""
+    out = np.zeros(len(counts), dtype=np.int64)
+    nonempty = counts > 0
+    if nonempty.any():
+        starts = (np.cumsum(counts) - counts)[nonempty]
+        out[nonempty] = np.add.reduceat(flags, starts, dtype=np.int64)
+    return out
+
+
+def _in_ball_votes(lookup, coin, biases, queries, counts, bounds) -> np.ndarray:
+    """Per-query count of in-ball sensors whose coin at (sensor, query)
+    falls below the sensor's bias."""
+    keys = coin.sensor_keys(lookup.stored_ids())
+    thresholds = lookup.stored(biases)
+    qkeys = query_keys(np.arange(len(queries)))
+    votes = np.zeros(len(queries), dtype=np.int64)
+    # chunks of ~_COIN_BLOCK pairs keep every per-pair array in cache
+    budget = min(_PAIR_BUDGET, _COIN_BLOCK)
+    for sl, pos, chunk_counts in lookup.iter_pairs(queries, counts, bounds, budget):
+        bits = pair_bits(keys[pos], np.repeat(qkeys[sl], chunk_counts))
+        votes[sl] = _segment_counts(to_unit(bits) < thresholds[pos], chunk_counts)
+    return votes
 
 
 def predict_batch(
@@ -210,58 +251,39 @@ def _cls_noabstain_fresh(network, queries, coin_seed):
     # Every sensor answers every query, so evaluate the full sensor-by-query
     # grid in bounded slabs; out-of-ball sensors guess with the uniform at
     # their (sensor, query) address.
-    coin = CoinSource(coin_seed)
     n = network.n
     t = len(queries)
     lookup = _BallLookup(network.xs, network.r_n)
     counts, bounds = lookup.counts_and_bounds(queries)
+    keys = CoinSource(coin_seed).sensor_keys(lookup.stored_ids())[None, :]
+    ys = lookup.stored(network.ys.astype(float))[None, :]
     preds = np.empty(t, dtype=np.int64)
-    ys = network.ys.astype(float)
     slab = max(1, _PAIR_BUDGET // max(n, 1))
-    sensor_ids = np.arange(n, dtype=np.uint64)[None, :]
-    start = 0
-    while start < t:
-        end = min(t, start + slab)
-        sl = slice(start, end)
-        rows = end - start
-        inside = np.zeros((rows, n), dtype=bool)
-        for qsl, idx, chunk_counts in lookup.iter_pairs(
-            queries[sl], counts[sl], bounds if lookup.d > 1 else
-            (bounds[0][sl], bounds[1][sl])
+    for start in range(0, t, slab):
+        sl = slice(start, min(t, start + slab))
+        inside = np.zeros((sl.stop - start, n), dtype=bool)
+        slab_bounds = None if bounds is None else (bounds[0][sl], bounds[1][sl])
+        for qsl, pos, chunk_counts in lookup.iter_pairs(
+            queries[sl], counts[sl], slab_bounds
         ):
-            qrows = np.repeat(
-                np.arange(qsl.start, qsl.stop, dtype=np.int64), chunk_counts
-            )
-            inside[qrows, idx] = True
-        u = coin.uniform_array(
-            sensor_ids, np.arange(start, end, dtype=np.uint64)[:, None]
-        )
-        votes = np.where(inside, ys[None, :], (u < 0.5).astype(float))
-        total = votes.sum(axis=1)
-        preds[sl] = (2.0 * total > n).astype(np.int64)
-        start = end
+            rows = np.repeat(np.arange(qsl.start, qsl.stop), chunk_counts)
+            inside[rows, pos] = True
+        bits = pair_bits(keys, query_keys(np.arange(sl.start, sl.stop))[:, None])
+        votes = np.where(inside, ys, to_unit(bits) < 0.5)
+        preds[sl] = (2.0 * votes.sum(axis=1) > n).astype(np.int64)
     return PredictionBatch(preds, np.full(t, n), n)
 
 
 def _reg_abstain(network, queries, coin_seed):
-    coin = CoinSource(coin_seed)
     c = network.c_n
     ys = network.ys
     biases = np.where(np.abs(ys) <= c, ys / (2.0 * c) + 0.5, 0.5)
     lookup = _BallLookup(network.xs, network.r_n)
     counts, bounds = lookup.counts_and_bounds(queries)
-    estimates = np.zeros(len(queries))
-    for sl, idx, chunk_counts in lookup.iter_pairs(queries, counts, bounds):
-        qidx = np.repeat(
-            np.arange(sl.start, sl.stop, dtype=np.uint64), chunk_counts
-        )
-        u = coin.uniform_array(idx.astype(np.uint64), qidx)
-        votes = (u < biases[idx]).astype(float)
-        v = _segment_sums(votes, chunk_counts)
-        m = np.asarray(chunk_counts, dtype=float)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            est = 2.0 * c * (v / m - 0.5)
-        estimates[sl] = np.where(chunk_counts > 0, est, 0.0)
+    v = _in_ball_votes(lookup, CoinSource(coin_seed), biases, queries, counts, bounds)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        est = 2.0 * c * (v / counts - 0.5)
+    estimates = np.where(counts > 0, est, 0.0)
     return PredictionBatch(estimates, counts, network.n)
 
 
@@ -273,13 +295,7 @@ def _reg_noabstain(network, queries, coin_seed):
     biases = np.clip(network.ys / (2.0 * c) + 0.5, 0.0, 1.0)
     lookup = _BallLookup(network.xs, network.r_n)
     counts, bounds = lookup.counts_and_bounds(queries)
-    votes_in = np.zeros(t)
-    for sl, idx, chunk_counts in lookup.iter_pairs(queries, counts, bounds):
-        qidx = np.repeat(
-            np.arange(sl.start, sl.stop, dtype=np.uint64), chunk_counts
-        )
-        u = coin.uniform_array(idx.astype(np.uint64), qidx)
-        votes_in[sl] = _segment_sums((u < biases[idx]).astype(float), chunk_counts)
+    votes_in = _in_ball_votes(lookup, coin, biases, queries, counts, bounds)
     # fair-coin guessers, aggregated: one Binomial(n - m, 1/2) draw per query
     # via inverse CDF on the uniform addressed by (sentinel n, query)
     m_out = (n - counts).astype(np.int64)

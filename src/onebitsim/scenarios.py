@@ -19,6 +19,7 @@ Catalog (ids accepted by :func:`make_scenario`):
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -423,6 +424,11 @@ _CATALOG = {
 }
 
 SCENARIO_IDS = tuple(sorted(_CATALOG))
+
+
+def scenario_parameters(scenario_id: str) -> tuple[str, ...]:
+    """Keyword parameters ``make_scenario`` accepts for ``scenario_id``."""
+    return tuple(inspect.signature(_CATALOG[scenario_id]).parameters)
 
 
 def make_scenario(scenario_id: str, **params) -> Scenario:

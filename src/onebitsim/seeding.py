@@ -12,6 +12,14 @@ Two mechanisms:
 * ``CoinSource`` is a counter-based stream: the uniform at address
   ``(sensor, query)`` is a hash of ``(seed, sensor, query)``, computable
   scalar-wise or for whole index arrays with identical results.
+
+The coin hash ``_fold(seed, (s, q))`` is ``_mix(K[s] ^ Q[q])`` with a
+per-sensor key ``K[s] = _mix(_mix(seed) ^ _mix(s))`` and a per-query key
+``Q[q] = _mix(q)``: the key/counter split of counter-based generators
+(Salmon et al., SC'11) over the splitmix64 finalizer (Steele et al.,
+OOPSLA'14). Batch engines compute ``K`` once per sensor and ``Q`` once per
+query and pay one ``_mix`` per pair (``pair_bits``), bit for bit equal to
+the scalar ``uniform``, which folds the full path and stays the reference.
 """
 
 from __future__ import annotations
@@ -62,8 +70,35 @@ def derived_rng(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(derive_seed(seed, *path))
 
 
-def _to_unit(bits: np.ndarray) -> np.ndarray:
+def to_unit(bits: np.ndarray) -> np.ndarray:
+    """The top 53 bits of each uint64 as a uniform in [0, 1)."""
     return (bits >> _U64(11)).astype(np.float64) * 2.0**-53
+
+
+def query_keys(queries) -> np.ndarray:
+    """Per-query keys ``Q[q] = _mix(q)``."""
+    return _mix(np.asarray(queries, dtype=np.uint64))
+
+
+def pair_bits(skeys: np.ndarray, qkeys: np.ndarray) -> np.ndarray:
+    """Coin bits ``_mix(K ^ Q)`` of broadcast sensor and query key arrays;
+    ``to_unit`` of them is the uniform at each (sensor, query) address.
+
+    Runs ``_mix``'s steps in place, so a pair costs its output plus one
+    scratch array. ``_mix`` itself stays the plain expression the scalar
+    ``CoinSource.uniform`` uses, which keeps the reference independent of
+    this copy.
+    """
+    z = np.asarray(np.bitwise_xor(skeys, qkeys))
+    tmp = np.empty_like(z)
+    np.add(z, _GOLDEN, out=z)
+    for shift, mult in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(z, _U64(shift), out=tmp)
+        np.bitwise_xor(z, tmp, out=z)
+        np.multiply(z, mult, out=z)
+    np.right_shift(z, _U64(31), out=tmp)
+    np.bitwise_xor(z, tmp, out=z)
+    return z
 
 
 @dataclass(frozen=True)
@@ -78,11 +113,12 @@ class CoinSource:
     seed: int
 
     def uniform(self, sensor: int, query: int) -> float:
-        return float(_to_unit(_fold(self.seed, (sensor, query))))
+        return float(to_unit(_fold(self.seed, (sensor, query))))
+
+    def sensor_keys(self, sensors) -> np.ndarray:
+        """Per-sensor keys ``K[s] = _mix(_mix(seed) ^ _mix(s))``."""
+        return _fold(self.seed, (np.asarray(sensors, dtype=np.uint64),))
 
     def uniform_array(self, sensors, queries) -> np.ndarray:
         """Vectorized lookup; ``sensors`` and ``queries`` broadcast together."""
-        sensors = np.asarray(sensors, dtype=np.uint64)
-        queries = np.asarray(queries, dtype=np.uint64)
-        sensors, queries = np.broadcast_arrays(sensors, queries)
-        return _to_unit(_fold(self.seed, (sensors, queries)))
+        return to_unit(pair_bits(self.sensor_keys(sensors), query_keys(queries)))

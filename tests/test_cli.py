@@ -117,11 +117,69 @@ def test_bad_keys_and_values(tmp_path, capsys):
             "[simulate]\nprotocol = cls_abstain\nscenario = gauss_mix_1d\nn = 10\n",
             "section [sweep] is required",
         ),
+        (
+            "[sweep]\nprotocol = cls_abstain\nscenario = gauss_mix_1d\n"
+            "n_grid = 5, 10\nscenario.sigma = abc\n",
+            "scenario.sigma: expected finite numbers",
+        ),
+        (
+            "[sweep]\nprotocol = cls_abstain\nscenario = gauss_mix_1d\n"
+            "n_grid = 5, 10\nscenario.sigma = -1\n",
+            "scenario.sigma: sigma must be positive",
+        ),
+        (
+            "[sweep]\nprotocol = cls_abstain\nscenario = gauss_mix_1d\n"
+            "n_grid = 5, 10\nscenario.bogus = 1\n",
+            "scenario.bogus: unknown parameter",
+        ),
+        (
+            "[sweep]\nprotocol = cls_abstain\nscenario = gauss_mix_1d\n"
+            "n_grid = 5, 10\nscenario.sigma = nan\n",
+            "scenario.sigma: expected finite numbers",
+        ),
+        (
+            "[sweep]\nprotocol = cls_abstain\nscenario = sine_1d\nn_grid = 5, 10\n",
+            "scenario: sine_1d does not fit: cls_abstain needs a classification",
+        ),
+    ] + [
+        (
+            "[sweep]\nprotocol = reg_abstain\nscenario = sine_1d\n"
+            f"n_grid = 5, 10\n{key} = {value}\n",
+            f"{key}: expected a finite number",
+        )
+        for key in ("r0", "beta", "c0", "gamma", "clamp", "family_c")
+        for value in ("nan", "inf", "-inf")
     ]
     for text, message in cases:
         cfg = write(tmp_path, text)
         assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
+
+
+def test_jobs_below_one_is_rejected(tmp_path, capsys):
+    cfg = write(tmp_path, SWEEP_INI)
+    for jobs in ("0", "-3"):
+        argv = ["sweep", "--config", cfg, "--out", str(tmp_path), "--jobs", jobs]
+        assert cli.main(argv) == 2
+        assert "jobs: must be >= 1" in capsys.readouterr().err
+    assert cli.main(["demo-impossibility", "--out", str(tmp_path), "--jobs", "0"]) == 2
+    assert "jobs: must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_report_names_missing_column(tmp_path, capsys):
+    header = list(cli.CSV_COLUMNS)
+    for column in ("protocol", "n", "excess_risk"):
+        src = tmp_path / f"no_{column}.csv"
+        kept = [c for c in header if c != column]
+        src.write_text(",".join(kept) + "\n" + ",".join("1" for _ in kept) + "\n")
+        argv = ["report", "--in", str(src), "--out", str(tmp_path / "figs")]
+        assert cli.main(argv) == 2
+        assert f"no '{column}' column" in capsys.readouterr().err
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    assert cli.main(["report", "--in", str(empty), "--out", str(tmp_path)]) == 2
+    assert "no 'protocol' column" in capsys.readouterr().err
 
 
 def test_missing_config_file(capsys):

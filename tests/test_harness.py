@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -238,3 +239,15 @@ def test_abstention_telemetry_flows_into_report():
     report = hn.estimate_expected_risk(small_config(schedule=Schedule(0.05, 0.3)), 50)
     assert report.abstain_rate > 0.9
     assert report.all_abstain_frac > 0.0
+
+
+def test_pool_workers_clamps_to_tasks_and_cpus():
+    assert hn.pool_workers(1, 20, cpus=8) == 1
+    assert hn.pool_workers(2, 4, cpus=2) == 2
+    assert hn.pool_workers(10**9, 4, cpus=2) == 2
+    assert hn.pool_workers(10**9, 3, cpus=64) == 3
+    assert hn.pool_workers(4, 1, cpus=8) == 1
+    assert hn.pool_workers(10**9, 10**9) <= (os.cpu_count() or 1)
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            hn.pool_workers(jobs, 4, cpus=2)

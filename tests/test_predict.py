@@ -1,6 +1,7 @@
 """Batch engines must reproduce the per-sensor protocol semantics."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -73,15 +74,26 @@ def test_batch_matches_sensor_by_sensor(protocol, sid, mode):
     )
 
 
+@pytest.mark.filterwarnings("ignore::onebitsim.protocols.ScheduleViolationWarning")
 def test_batch_results_independent_of_chunking(monkeypatch):
-    scen = make_scenario("sine_1d")
-    net = train_network("reg_abstain", scen, 200, Schedule(0.4, 0.2, 1.0, 0.1), seed=9)
-    queries, _ = scen.sample(np.random.default_rng(2), 64)
-    full = pd.predict_batch(net, queries, coin_seed=7)
+    cases = []
+    for protocol, sid, mode in [
+        ("reg_abstain", "sine_1d", "per_sensor"),
+        ("reg_noabstain", "sine_1d", "per_sensor"),
+        ("cls_noabstain", "gauss_mix_1d", "per_query"),
+        ("cls_noabstain", "checkerboard_2d", "per_query"),
+    ]:
+        scen = make_scenario(sid)
+        net = train_network(
+            protocol, scen, 200, Schedule(0.4, 0.2, 1.0, 0.1), seed=9, coin_mode=mode
+        )
+        queries, _ = scen.sample(np.random.default_rng(2), 64)
+        cases.append((net, queries, pd.predict_batch(net, queries, coin_seed=7)))
     monkeypatch.setattr(pd, "_PAIR_BUDGET", 17)
-    tiny = pd.predict_batch(net, queries, coin_seed=7)
-    np.testing.assert_array_equal(full.values, tiny.values)
-    np.testing.assert_array_equal(full.responders, tiny.responders)
+    for net, queries, full in cases:
+        tiny = pd.predict_batch(net, queries, coin_seed=7)
+        np.testing.assert_array_equal(full.values, tiny.values)
+        np.testing.assert_array_equal(full.responders, tiny.responders)
 
 
 def test_untrainable_specialists_are_silent():
@@ -157,3 +169,46 @@ def test_reg_noabstain_mse_matches_exact_oracle():
     ys = scen.sample_y_given_x(queries, rng)
     mc = np.mean((batch.values - ys) ** 2)
     assert abs(mc - exact) <= 0.02
+
+
+# sha256 of predict_batch(...).values as float64 bytes, pinned from the
+# engine that folded every (sensor, query) pair through the full seed path;
+# a changed coin, or a sensor paired with the wrong query, moves a digest
+GOLDEN_DIGESTS = {
+    ("reg_abstain", "sine_1d"):
+        "552f20088a451472c20e01892701cafdf74263b73f759f83fa0b44c0139eb918",
+    ("reg_abstain", "checkerboard_2d"):
+        "2bbdf5ed3cc757c253e5e98f256f429f1223a3442757df566f8fd510ee6641b5",
+    ("reg_noabstain", "sine_1d"):
+        "23a890151255089e6c97c0da4e2887e1b9b45f82199c489f7fb847ce1d8b6118",
+    ("reg_noabstain", "checkerboard_2d"):
+        "bddea740008407fbbcdd9a69b1f5b9391ca3613e0b72765c39973baf8417925c",
+    ("cls_noabstain", "gauss_mix_1d"):
+        "b662e7fb9aef1d86acd006ec1e9b0c774e12239d0479b044089d26b5c31e6fb8",
+    ("cls_noabstain", "checkerboard_2d"):
+        "213b6d52437f607340370b924b287edc9b975e1521bbeca84b6952ba56e5ce58",
+}
+
+
+def _golden_network(protocol, sid):
+    sched = Schedule(0.4, 0.2, 1.0, 0.1)
+    scen = make_scenario(sid)
+    if protocol == "cls_noabstain":
+        net = train_network(protocol, scen, 300, sched, seed=5, coin_mode="per_query")
+        return net, scen
+    if scen.task == "regression":
+        return train_network(protocol, scen, 300, sched, seed=5), scen
+    # no 2-d regression scenario exists: relabel a 2-d network so the
+    # regression engines run their KD-tree path on {0, 1} labels
+    base = train_network("cls_abstain", scen, 300, sched, seed=5)
+    return dataclasses.replace(base, protocol=protocol), scen
+
+
+@pytest.mark.filterwarnings("ignore::onebitsim.protocols.ScheduleViolationWarning")
+@pytest.mark.parametrize("protocol,sid", sorted(GOLDEN_DIGESTS))
+def test_batch_values_match_golden_digest(protocol, sid):
+    net, scen = _golden_network(protocol, sid)
+    queries, _ = scen.sample(np.random.default_rng(21), 50)
+    values = pd.predict_batch(net, queries, coin_seed=2**63 + 11).values
+    digest = hashlib.sha256(np.asarray(values, dtype=np.float64).tobytes()).hexdigest()
+    assert digest == GOLDEN_DIGESTS[protocol, sid]

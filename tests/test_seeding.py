@@ -2,7 +2,14 @@
 
 import numpy as np
 
-from onebitsim.seeding import CoinSource, derive_seed, derived_rng
+from onebitsim.seeding import (
+    CoinSource,
+    derive_seed,
+    derived_rng,
+    pair_bits,
+    query_keys,
+    to_unit,
+)
 
 
 def test_same_address_same_value():
@@ -61,3 +68,34 @@ def test_derived_rng_reproducible():
     a = derived_rng(9, 4, 2).standard_normal(5)
     b = derived_rng(9, 4, 2).standard_normal(5)
     np.testing.assert_array_equal(a, b)
+
+
+# (seed, sensor, query) -> CoinSource(seed).uniform(sensor, query).hex(),
+# recorded from the scalar path: a 2**40 sensor id, the sentinel sensor n
+# of a 300-sensor network, and seeds at and above 2**63
+GOLDEN_UNIFORMS = [
+    (7, 2**40, 3, "0x1.213af5f215480p-4"),
+    (7, 300, 5, "0x1.6b4d4a38b9938p-1"),
+    (2**63 + 12345, 4, 9, "0x1.90139ce119676p-2"),
+    (2**64 - 1, 0, 2**33, "0x1.4293bbd5322c0p-3"),
+]
+
+
+def test_golden_uniforms():
+    for seed, sensor, query, expected in GOLDEN_UNIFORMS:
+        cs = CoinSource(seed)
+        assert cs.uniform(sensor, query) == float.fromhex(expected)
+        arr = cs.uniform_array(np.array([sensor]), np.array([query]))
+        assert arr[0] == float.fromhex(expected)
+
+
+def test_key_split_matches_scalar_on_random_addresses():
+    rng = np.random.default_rng(2024)
+    for seed in (0, 7, 2**63 - 1, 2**63, 2**64 - 1, int(rng.integers(2**63))):
+        cs = CoinSource(seed)
+        sensors = rng.integers(0, 2**63, size=200, dtype=np.uint64)
+        sensors[:3] = (0, 2**40, 2**64 - 1)
+        queries = rng.integers(0, 2**63, size=200, dtype=np.uint64)
+        u = to_unit(pair_bits(cs.sensor_keys(sensors), query_keys(queries)))
+        for s, q, value in zip(sensors, queries, u):
+            assert value == cs.uniform(int(s), int(q))
