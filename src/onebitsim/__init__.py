@@ -15,7 +15,6 @@ from .harness import (
     NetworkState,
     RiskReport,
     RiskSample,
-    bits_accounting,
     estimate_expected_risk,
     evaluate_conditional_risk,
     impossibility_demo,
@@ -42,17 +41,11 @@ from .protocols import (
 )
 from .scenarios import (
     SCENARIO_IDS,
-    UNTRAINABLE,
     Example,
-    Region,
     Scenario,
     bayes_classifier,
     bayes_risk,
     make_scenario,
     regression_function,
-    sample_conditional_example,
-    sample_example,
 )
 from .seeding import CoinSource, derive_seed, derived_rng
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -291,7 +291,6 @@ def build_experiment_config(
     test_points = int_key("test_points", defaults.test_points if defaults else 2000)
     seed = int_key("seed", defaults.seed if defaults else 0)
     default_label = int_key("default_label", defaults.default_label if defaults else 0)
-    max_rejects = int_key("max_rejects", defaults.max_rejects if defaults else 10_000)
     coin_mode = take("coin_mode", defaults.coin_mode if defaults else "per_sensor")
     if coin_mode not in COIN_MODES:
         raise ConfigError(
@@ -316,7 +315,6 @@ def build_experiment_config(
             seed=seed,
             coin_mode=coin_mode,
             default_label=default_label,
-            max_rejects=max_rejects,
             family_c=family_c,
         )
     except ValueError as exc:

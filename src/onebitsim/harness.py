@@ -22,13 +22,12 @@ import numpy as np
 
 from .predict import predict_batch
 from .protocols import (
-    BITS_PER_QUERY,
     COIN_MODES,
-    PROTOCOLS,
     Schedule,
     ScheduleViolationWarning,
     SensorState,
     draw_specialist_centers,
+    protocol_spec,
     schedule_eval,
     validate_schedule,
 )
@@ -61,12 +60,10 @@ class ExperimentConfig:
     seed: int = 0
     coin_mode: str = "per_sensor"
     default_label: int = 0
-    max_rejects: int = 10_000
     family_c: float = 2.0
 
     def __post_init__(self):
-        if self.protocol not in PROTOCOLS:
-            raise ValueError(f"unknown protocol {self.protocol!r}")
+        protocol_spec(self.protocol)
         if self.coin_mode not in COIN_MODES:
             raise ValueError(f"unknown coin_mode {self.coin_mode!r}")
         if self.replications < 1:
@@ -80,8 +77,6 @@ class ExperimentConfig:
             raise ValueError("n_grid must be strictly increasing")
         if self.default_label not in (0, 1):
             raise ValueError("default_label must be 0 or 1")
-        if self.max_rejects < 1:
-            raise ValueError("max_rejects must be >= 1")
         if self.family_c <= 0:
             raise ValueError("family_c must be positive")
         object.__setattr__(self, "n_grid", grid)
@@ -128,16 +123,12 @@ class NetworkState:
         return SensorState(datum=datum, region_center=center, fixed_coin=coin)
 
 
-_CLASSIFICATION_PROTOCOLS = ("cls_abstain", "cls_noabstain", "specialists")
-
-
 def check_compatible(protocol: str, scenario: Scenario) -> None:
     """Raise ValueError when ``protocol`` cannot run on ``scenario``."""
-    if protocol in _CLASSIFICATION_PROTOCOLS and scenario.task != "classification":
-        raise ValueError(f"{protocol} needs a classification scenario")
-    if protocol in ("reg_abstain", "reg_noabstain") and scenario.task != "regression":
-        raise ValueError(f"{protocol} needs a regression scenario")
-    if protocol == "specialists":
+    spec = protocol_spec(protocol)
+    if scenario.task != spec.task:
+        raise ValueError(f"{protocol} needs a {spec.task} scenario")
+    if spec.regions:
         box = scenario.support_box
         if box is None or not (np.all(box[0] == 0.0) and np.all(box[1] == 1.0)):
             raise ValueError("specialists need X supported on the unit box")
@@ -151,20 +142,17 @@ def train_network(
     seed: int,
     *,
     coin_mode: str = "per_sensor",
-    max_rejects: int = 10_000,
     family_c: float = 2.0,
 ) -> NetworkState:
     """Distribute one training datum to each of n sensors.
 
     Specialist sensors first receive uniform random regions and then train
-    on data conditioned to fall inside them; a region that rejection
-    sampling cannot populate leaves its sensor untrainable (it will abstain
+    on data conditioned to fall inside them; a region that carries no
+    probability mass leaves its sensor untrainable (it will abstain
     forever), which is telemetry rather than an error. A schedule outside
     the sufficient consistency conditions warns but still trains --
     violating runs are legitimate experiment subjects.
     """
-    if protocol not in PROTOCOLS:
-        raise ValueError(f"unknown protocol {protocol!r}")
     if coin_mode not in COIN_MODES:
         raise ValueError(f"unknown coin_mode {coin_mode!r}")
     check_compatible(protocol, scenario)
@@ -195,9 +183,7 @@ def train_network(
     untrainable = np.zeros(n, dtype=bool)
     if protocol == "specialists":
         centers = draw_specialist_centers(n, d, derived_rng(seed, _STREAM_REGIONS))
-        xs, ys, untrainable = sample_conditional_batch(
-            scenario, centers, r_n, data_rng, max_rejects
-        )
+        xs, ys, untrainable = sample_conditional_batch(scenario, centers, r_n, data_rng)
         trained = ~untrainable
         if trained.any():
             gap = np.sum((xs[trained] - centers[trained]) ** 2, axis=1)
@@ -255,7 +241,6 @@ def evaluate_conditional_risk(
     coin_seed = int(rng.integers(2**63))
     if _predict is not None:
         values = np.asarray(_predict(xs))
-        responders = np.full(test_points, max(network.n, 1))
         batch = None
     else:
         batch = predict_batch(network, xs, coin_seed, default_label)
@@ -296,15 +281,6 @@ class RiskReport:
     wall_time_s: float
 
 
-def bits_accounting(protocol: str) -> float:
-    """Bits per sensor per query: log2(3) with abstention (3-symbol
-    alphabet), 1.0 without."""
-    try:
-        return BITS_PER_QUERY[protocol]
-    except KeyError:
-        raise ValueError(f"unknown protocol {protocol!r}") from None
-
-
 def _replication_sample(config: ExperimentConfig, n: int, rep: int) -> RiskSample:
     scenario = config.scenario()
     network = train_network(
@@ -314,7 +290,6 @@ def _replication_sample(config: ExperimentConfig, n: int, rep: int) -> RiskSampl
         config.schedule,
         derive_seed(config.seed, n, rep, _STREAM_TRAIN),
         coin_mode=config.coin_mode,
-        max_rejects=config.max_rejects,
         family_c=config.family_c,
     )
     rng = derived_rng(config.seed, n, rep, _STREAM_EVAL)
@@ -397,7 +372,7 @@ def estimate_expected_risk(
         ci_high=mean + 1.96 * se,
         bayes_risk=lstar,
         excess_risk=excess,
-        bits_per_query=bits_accounting(config.protocol),
+        bits_per_query=protocol_spec(config.protocol).bits_per_query,
         abstain_rate=math.fsum(s.abstain_rate for s in samples) / r,
         all_abstain_frac=math.fsum(s.all_abstain_frac for s in samples) / r,
         seed=config.seed,

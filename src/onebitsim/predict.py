@@ -84,7 +84,7 @@ class _BallLookup:
         self.order = None
         if self.d == 1:
             flat = points[:, 0]
-            self.order = np.argsort(flat, kind="stable")
+            self.order = np.argsort(flat)
             self.sorted_x = flat[self.order]
             self.tree = None
         else:
@@ -199,45 +199,43 @@ def predict_batch(
     (network, queries, coin_seed) triples give identical output no matter
     how the work is chunked or parallelized.
     """
+    from .protocols import protocol_spec  # the table names this module's engines
+
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
-    protocol = network.protocol
-    if protocol == "cls_abstain":
-        return _cls_abstain(network, queries, default_label)
-    if protocol == "specialists":
-        return _specialists(network, queries, default_label)
-    if protocol == "cls_noabstain":
-        if network.coin_mode == "per_sensor":
-            return _cls_noabstain_fixed(network, queries)
-        return _cls_noabstain_fresh(network, queries, coin_seed)
-    if protocol == "reg_abstain":
-        return _reg_abstain(network, queries, coin_seed)
-    if protocol == "reg_noabstain":
-        return _reg_noabstain(network, queries, coin_seed)
-    raise ValueError(f"unknown protocol {protocol!r}")
+    engine = protocol_spec(network.protocol).engine
+    return engine(network, queries, coin_seed, default_label)
 
 
-def _cls_abstain(network, queries, default_label):
-    lookup = _BallLookup(network.xs, network.r_n)
-    counts, (votes,) = lookup.weight_sums(queries, [network.ys.astype(float)])
+# The batch engines, one per protocol, all called as (network, queries,
+# coin_seed, default_label); the protocol table in ``protocols`` names them.
+
+
+def _responder_majority(network, points, labels, queries, default_label):
+    """Majority of the labels stored at ``points`` within r_n of each query
+    (ties to 1); a query with no responders gets the default label."""
+    lookup = _BallLookup(points, network.r_n)
+    counts, (votes,) = lookup.weight_sums(queries, [labels.astype(float)])
     preds = np.where(
         counts > 0, (2.0 * votes >= counts).astype(np.int64), default_label
     )
     return PredictionBatch(preds, counts, network.n)
 
 
-def _specialists(network, queries, default_label):
+def batch_cls_abstain(network, queries, coin_seed, default_label):
+    return _responder_majority(network, network.xs, network.ys, queries, default_label)
+
+
+def batch_specialists(network, queries, coin_seed, default_label):
     trained = ~network.untrainable
-    centers = network.centers[trained]
-    labels = network.ys[trained].astype(float)
-    lookup = _BallLookup(centers, network.r_n)
-    counts, (votes,) = lookup.weight_sums(queries, [labels])
-    preds = np.where(
-        counts > 0, (2.0 * votes >= counts).astype(np.int64), default_label
+    return _responder_majority(
+        network, network.centers[trained], network.ys[trained], queries, default_label
     )
-    return PredictionBatch(preds, counts, network.n)
 
 
-def _cls_noabstain_fixed(network, queries):
+def batch_cls_noabstain(network, queries, coin_seed, default_label):
+    if network.coin_mode == "per_query":
+        return _cls_noabstain_fresh(network, queries, coin_seed)
+    # fixed coins: out-of-ball votes are the coins outside the ball
     lookup = _BallLookup(network.xs, network.r_n)
     ys = network.ys.astype(float)
     coins = network.fixed_coins.astype(float)
@@ -274,7 +272,7 @@ def _cls_noabstain_fresh(network, queries, coin_seed):
     return PredictionBatch(preds, np.full(t, n), n)
 
 
-def _reg_abstain(network, queries, coin_seed):
+def batch_reg_abstain(network, queries, coin_seed, default_label):
     c = network.c_n
     ys = network.ys
     biases = np.where(np.abs(ys) <= c, ys / (2.0 * c) + 0.5, 0.5)
@@ -287,7 +285,7 @@ def _reg_abstain(network, queries, coin_seed):
     return PredictionBatch(estimates, counts, network.n)
 
 
-def _reg_noabstain(network, queries, coin_seed):
+def batch_reg_noabstain(network, queries, coin_seed, default_label):
     coin = CoinSource(coin_seed)
     c = network.family_c
     n = network.n

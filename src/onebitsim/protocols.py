@@ -11,14 +11,18 @@ Five protocols, identified by the strings in :data:`PROTOCOLS`:
 * ``reg_abstain``    -- in-ball sensors encode their real label in a coin
   bias (y / 2c + 1/2, censored to a fair coin when |y| > c); fusion shifts
   and scales the vote fraction back into label units.
-* ``reg_noabstain``  -- every sensor votes with a bias from a registered
-  response-probability family; the scaled-mean fusion rule is permutation
-  invariant and Lipschitz in the average Hamming distance.
+* ``reg_noabstain``  -- every sensor votes with a bias from the clip-ball
+  family; the scaled-mean fusion rule is permutation invariant and
+  Lipschitz in the average Hamming distance.
 * ``specialists``    -- sensors own a random region, train on data
   conditioned to that region, and vote only for queries inside it.
 
 The tie conventions differ on purpose between the >= 1/2 rules and the
 strict > 1/2 rule; tests pin them.
+
+:func:`protocol_spec` looks a protocol up in the one table that defines it:
+its task, whether it abstains, whether its sensors own regions, its
+schedule condition and its batch engine.
 """
 
 from __future__ import annotations
@@ -30,25 +34,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .scenarios import Example, Region
-
-PROTOCOLS = (
-    "cls_abstain",
-    "cls_noabstain",
-    "reg_abstain",
-    "reg_noabstain",
-    "specialists",
-)
-
-#: Response alphabet sizes: 3 symbols (log2(3) bits) when abstention is
-#: available, 2 symbols (1 bit) when every sensor must vote.
-BITS_PER_QUERY = {
-    "cls_abstain": math.log2(3.0),
-    "reg_abstain": math.log2(3.0),
-    "specialists": math.log2(3.0),
-    "cls_noabstain": 1.0,
-    "reg_noabstain": 1.0,
-}
+from . import predict
+from .scenarios import Example
 
 COIN_MODES = ("per_sensor", "per_query")
 
@@ -59,10 +46,6 @@ class ScheduleViolationWarning(UserWarning):
 
 class ProtocolViolationError(ValueError):
     """A fusion rule received responses its protocol cannot produce."""
-
-
-class FamilyValidationError(ValueError):
-    """A response-probability family produced a value outside [0,1]."""
 
 
 class Response(enum.Enum):
@@ -155,40 +138,96 @@ class ScheduleVerdict:
         return self.status == SATISFIES
 
 
+def _beta_d_below(limit: float, text: str):
+    """The condition beta*d < limit."""
+    return lambda schedule, bd: f"beta*d = {bd:g} >= {text}" if bd >= limit else None
+
+
+def _amplitude_condition(schedule: Schedule, bd: float) -> Optional[str]:
+    """c_n diverges (or is clamped) and 2*gamma + beta*d < 1."""
+    if schedule.clamp is None and schedule.gamma <= 0:
+        return "c_n must diverge (gamma > 0) unless clamp bounds |Y|"
+    eff_gamma = 0.0 if schedule.clamp is not None else schedule.gamma
+    total = 2 * eff_gamma + bd
+    if total >= 1:
+        return f"2*gamma + beta*d = {total:g} >= 1"
+    return None
+
+
+@dataclass(frozen=True)
+class ProtocolSpec:
+    """What the simulator knows about one protocol.
+
+    ``schedule_condition(schedule, beta*d)`` returns why a schedule with a
+    shrinking radius falls outside the protocol's sufficient consistency
+    conditions, or None when it meets them; a protocol that no schedule
+    makes consistent has none. ``engine(network, queries, coin_seed,
+    default_label)`` answers a batch of queries (see ``predict``).
+    ``regions`` marks the model in which sensors own random regions.
+    """
+
+    task: str
+    abstains: bool
+    schedule_condition: Optional[Callable[[Schedule, float], Optional[str]]]
+    engine: Callable
+    regions: bool = False
+
+    @property
+    def bits_per_query(self) -> float:
+        """log2(3) with abstention (3-symbol alphabet), 1.0 without."""
+        return math.log2(3.0) if self.abstains else 1.0
+
+
+# task, abstains, schedule condition, batch engine
+_SPECS = {
+    "cls_abstain": ProtocolSpec(
+        "classification", True, _beta_d_below(1, "1"), predict.batch_cls_abstain
+    ),
+    "cls_noabstain": ProtocolSpec(
+        "classification", False, _beta_d_below(0.5, "1/2"),
+        predict.batch_cls_noabstain,
+    ),
+    "reg_abstain": ProtocolSpec(
+        "regression", True, _amplitude_condition, predict.batch_reg_abstain
+    ),
+    "reg_noabstain": ProtocolSpec(
+        "regression", False, None, predict.batch_reg_noabstain
+    ),
+    "specialists": ProtocolSpec(
+        "classification", True, _beta_d_below(1, "1"), predict.batch_specialists,
+        regions=True,
+    ),
+}
+
+PROTOCOLS = tuple(_SPECS)
+
+
+def protocol_spec(protocol: str) -> ProtocolSpec:
+    """The table entry for ``protocol``; ValueError when there is none."""
+    try:
+        return _SPECS[protocol]
+    except KeyError:
+        raise ValueError(
+            f"unknown protocol {protocol!r}; known: {', '.join(PROTOCOLS)}"
+        ) from None
+
+
 def validate_schedule(schedule: Schedule, protocol: str, d: int) -> ScheduleVerdict:
     """Check the power-law exponents against a protocol's sufficient
     consistency conditions in dimension d."""
-    if protocol not in PROTOCOLS:
-        raise ValueError(f"unknown protocol {protocol!r}")
+    condition = protocol_spec(protocol).schedule_condition
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    if protocol == "reg_noabstain":
+    if condition is None:
         return ScheduleVerdict(
             ALWAYS_INCONSISTENT,
             "no permutation-invariant fusion rule that is Lipschitz in the "
             "average Hamming distance is universally consistent here",
         )
-    bd = schedule.beta * d
     if schedule.beta <= 0:
         return ScheduleVerdict(VIOLATES, "beta = 0: r_n does not shrink")
-    if protocol in ("cls_abstain", "specialists"):
-        if bd >= 1:
-            return ScheduleVerdict(VIOLATES, f"beta*d = {bd:g} >= 1")
-        return ScheduleVerdict(SATISFIES)
-    if protocol == "cls_noabstain":
-        if bd >= 0.5:
-            return ScheduleVerdict(VIOLATES, f"beta*d = {bd:g} >= 1/2")
-        return ScheduleVerdict(SATISFIES)
-    # reg_abstain
-    if schedule.clamp is None and schedule.gamma <= 0:
-        return ScheduleVerdict(
-            VIOLATES, "c_n must diverge (gamma > 0) unless clamp bounds |Y|"
-        )
-    eff_gamma = 0.0 if schedule.clamp is not None else schedule.gamma
-    total = 2 * eff_gamma + bd
-    if total >= 1:
-        return ScheduleVerdict(VIOLATES, f"2*gamma + beta*d = {total:g} >= 1")
-    return ScheduleVerdict(SATISFIES)
+    reason = condition(schedule, schedule.beta * d)
+    return ScheduleVerdict(SATISFIES if reason is None else VIOLATES, reason)
 
 
 @dataclass(frozen=True)
@@ -342,33 +381,6 @@ def make_clip_ball_spec(c: float, r: float) -> LipschitzFusionSpec:
     return LipschitzFusionSpec(lipschitz_c=2.0 * c, bias=ClipBallBias(c, r))
 
 
-FUSION_FAMILIES = {"clip_ball": make_clip_ball_spec}
-
-
-def make_fusion_spec(family: str, **params) -> LipschitzFusionSpec:
-    try:
-        factory = FUSION_FAMILIES[family]
-    except KeyError:
-        raise FamilyValidationError(
-            f"unknown fusion family {family!r}; known: {', '.join(FUSION_FAMILIES)}"
-        ) from None
-    return factory(**params)
-
-
-def validate_fusion_family(
-    spec: LipschitzFusionSpec, probes: Sequence[tuple]
-) -> None:
-    """Spot-check a family on probe triples (x, xi, yi); probabilities
-    outside [0,1] fail registration."""
-    for x, xi, yi in probes:
-        b = spec.bias(x, xi, yi)
-        if not (0.0 <= b <= 1.0):
-            raise FamilyValidationError(
-                f"response probability {b!r} outside [0,1] at probe "
-                f"(x={x!r}, xi={xi!r}, yi={yi!r})"
-            )
-
-
 def respond_reg_noabstain(
     sensor: SensorState, query_x, spec: LipschitzFusionSpec, coin: float
 ) -> Response:
@@ -376,7 +388,7 @@ def respond_reg_noabstain(
     datum = _require_datum(sensor)
     bias = spec.bias(query_x, datum.x, datum.y)
     if not (0.0 <= bias <= 1.0):
-        raise FamilyValidationError(f"response probability {bias!r} outside [0,1]")
+        raise ValueError(f"response probability {bias!r} outside [0,1]")
     return Response.VOTE1 if coin < bias else Response.VOTE0
 
 
@@ -403,14 +415,6 @@ def draw_specialist_centers(n: int, d: int, rng: np.random.Generator) -> np.ndar
     return rng.random((n, d))
 
 
-def assign_specialist_regions(
-    n: int, d: int, r_n: float, rng: np.random.Generator
-) -> list[Region]:
-    """Uniform random regions of common radius r_n over [0,1]^d."""
-    centers = draw_specialist_centers(n, d, rng)
-    return [Region(centers[i], r_n) for i in range(n)]
-
-
 def respond_specialist(sensor: SensorState, query_x, r_n: float) -> Response:
     """Vote the stored label iff the query falls in the sensor's own region
     (centered at its assigned point, not at its training point). Sensors
@@ -428,7 +432,3 @@ def fuse_specialist(responses: Sequence[Response], default_label: int = 0) -> in
     """Majority over the responders (ties to 1); no responders falls back
     to the default label."""
     return fuse_cls_abstain(responses, default_label)
-
-
-def is_all_abstain(responses: Sequence[Response]) -> bool:
-    return all(not r.is_vote for r in responses)

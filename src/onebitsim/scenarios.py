@@ -42,23 +42,6 @@ class IntegrationError(RuntimeError):
         self.achieved = achieved
 
 
-class _Untrainable:
-    """Marker value: a sensor's region carries (near-)zero probability mass."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "UNTRAINABLE"
-
-
-UNTRAINABLE = _Untrainable()
-
-
 @dataclass(frozen=True)
 class Example:
     """One labeled training pair; ``x`` has shape (d,), ``y`` is 0/1 or real."""
@@ -70,25 +53,6 @@ class Example:
         object.__setattr__(self, "x", np.atleast_1d(np.asarray(self.x, dtype=float)))
         if not np.all(np.isfinite(self.x)) or not math.isfinite(self.y):
             raise ValueError("example coordinates and label must be finite")
-
-
-@dataclass(frozen=True)
-class Region:
-    """Closed Euclidean ball: membership is ||x - center||_2 <= radius."""
-
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "center", np.atleast_1d(np.asarray(self.center, dtype=float))
-        )
-        if self.radius < 0:
-            raise ValueError("region radius must be nonnegative")
-
-    def contains(self, x) -> bool:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return math.dist(x, self.center) <= self.radius
 
 
 class Scenario:
@@ -359,11 +323,6 @@ class CityscapeScenario(UniformBoxScenario):
         }
         super().__init__()
 
-    def field(self, xs):
-        xs = _as_points(xs, 2)
-        d2 = np.sum((xs - self.center) ** 2, axis=1)
-        return np.exp(-0.5 * d2 / self.spread**2)
-
     def sample_y_given_x(self, xs, rng):
         xs = _as_points(xs, 2)
         return (rng.random(xs.shape[0]) < self.eta(xs)).astype(np.int64)
@@ -447,54 +406,6 @@ def make_scenario(scenario_id: str, **params) -> Scenario:
 
 # ---------------------------------------------------------------------------
 # operations
-
-
-def sample_example(scenario: Scenario, rng: np.random.Generator) -> Example:
-    """One i.i.d. draw from the scenario's joint distribution."""
-    xs, ys = scenario.sample(rng, 1)
-    return Example(xs[0], float(ys[0]))
-
-
-def rejection_conditional_example(
-    scenario: Scenario, region: Region, rng: np.random.Generator, max_rejects: int
-):
-    """Redraw joint samples until X lands in ``region``.
-
-    Returns UNTRAINABLE after ``max_rejects`` consecutive misses (the region
-    carries too little mass to train on).
-    """
-    if max_rejects < 1:
-        raise ValueError("max_rejects must be >= 1")
-    for _ in range(max_rejects):
-        xs, ys = scenario.sample(rng, 1)
-        if region.contains(xs[0]):
-            return Example(xs[0], float(ys[0]))
-    return UNTRAINABLE
-
-
-def sample_conditional_example(
-    scenario: Scenario,
-    region: Region,
-    rng: np.random.Generator,
-    max_rejects: int = 10_000,
-):
-    """Draw (X, Y) conditioned on X in ``region``.
-
-    Uses the scenario's direct conditional sampler when one is registered
-    (distributionally equivalent to rejection); otherwise falls back to
-    generic rejection. Returns UNTRAINABLE for (near-)zero-mass regions.
-    """
-    if region.radius <= 0:
-        raise ValueError("conditional sampling needs a region with radius > 0")
-    if scenario.has_direct_conditional:
-        xs, untrainable = scenario.direct_conditional_x(
-            region.center[None, :], region.radius, rng
-        )
-        if untrainable[0]:
-            return UNTRAINABLE
-        y = scenario.sample_y_given_x(xs, rng)[0]
-        return Example(xs[0], float(y))
-    return rejection_conditional_example(scenario, region, rng, max_rejects)
 
 
 def sample_conditional_batch(

@@ -2,21 +2,25 @@
 
 Each suite cross-checks one load-bearing equivalence with an independent
 oracle and reports pass/fail; the CLI exits nonzero if any suite fails.
-Suites resolve protocol functions through their modules at call time so a
-deliberately broken rule (a test fixture) is picked up.
+Suites resolve protocol functions and ``predict_batch`` through their
+modules at call time so a deliberately broken rule (a test fixture) is
+picked up.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import oracle, protocols
-from .protocols import Response, SensorState
-from .scenarios import Example
+from . import oracle, predict, protocols
+from .harness import check_compatible, train_network
+from .protocols import COIN_MODES, PROTOCOLS, Response, Schedule, SensorState
+from .scenarios import SCENARIO_IDS, Example, make_scenario
+from .seeding import CoinSource
 
 
 @dataclass(frozen=True)
@@ -132,10 +136,109 @@ def _suite_fusion_properties() -> SuiteResult:
     return SuiteResult("fusion_properties", True, "invariance, Lipschitz bound, tie-breaks hold")
 
 
+# protocol -> (response of a sensor to the query x given the uniform u at
+# its (sensor, query) address, fusion of the responses) for every protocol
+# whose engine is exact per pair; reg_noabstain's engine draws its fair
+# guessers in aggregate instead
+_SCALAR_RULES = {
+    "cls_abstain": (
+        lambda s, x, net, u: protocols.respond_cls_abstain(s, x, net.r_n),
+        lambda resp, net, default: protocols.fuse_cls_abstain(resp, default),
+    ),
+    "cls_noabstain": (
+        lambda s, x, net, u: protocols.respond_cls_noabstain(
+            s if net.coin_mode == "per_sensor" else replace(s, fixed_coin=int(u < 0.5)),
+            x,
+            net.r_n,
+        ),
+        lambda resp, net, default: protocols.fuse_cls_noabstain(resp),
+    ),
+    "reg_abstain": (
+        lambda s, x, net, u: protocols.respond_reg_abstain(s, x, net.r_n, net.c_n, u),
+        lambda resp, net, default: protocols.fuse_reg_abstain(resp, net.c_n),
+    ),
+    "specialists": (
+        lambda s, x, net, u: protocols.respond_specialist(s, x, net.r_n),
+        lambda resp, net, default: protocols.fuse_specialist(resp, default),
+    ),
+}
+
+
+def scalar_predict(net, queries, coin_seed, default_label=0) -> np.ndarray:
+    """Reference path: one scalar respond call per sensor per query, then
+    the scalar fusion rule."""
+    respond, fuse = _SCALAR_RULES[net.protocol]
+    coins = CoinSource(coin_seed)
+    out = []
+    for q, x in enumerate(queries):
+        responses = [
+            respond(net.sensor(i), x, net, coins.uniform(i, q)) for i in range(net.n)
+        ]
+        out.append(fuse(responses, net, default_label))
+    return np.asarray(out, dtype=float)
+
+
+def _reg_noabstain_mean_z(net, x, coin_seed: int, rounds: int = 4000) -> float:
+    """z-score of the engine's mean estimate at the query x against the
+    exact mean 2c (mean bias - 1/2) of the vote distribution."""
+    c = net.family_c
+    inside = np.linalg.norm(net.xs - x, axis=1) <= net.r_n
+    biases = np.where(inside, np.clip(net.ys / (2.0 * c) + 0.5, 0.0, 1.0), 0.5)
+    se = 2.0 * c / net.n * math.sqrt(np.sum(biases * (1.0 - biases)) / rounds)
+    batch = predict.predict_batch(net, np.tile(x, (rounds, 1)), coin_seed)
+    return abs(batch.values.mean() - 2.0 * c * (biases.mean() - 0.5)) / se
+
+
+def _suite_batch_engine() -> SuiteResult:
+    """``predict_batch`` must match the scalar rules bit for bit for every
+    protocol, scenario and coin mode, on small random networks with and
+    without tied coordinates; reg_noabstain's mean must lie within 4
+    standard errors of the exact one."""
+    rng = np.random.default_rng(31)
+    checked = 0
+    for protocol, sid, mode, ties in itertools.product(
+        PROTOCOLS, SCENARIO_IDS, COIN_MODES, (False, True)
+    ):
+        scenario = make_scenario(sid)
+        try:
+            check_compatible(protocol, scenario)
+        except ValueError:
+            continue
+        schedule = Schedule(float(rng.uniform(0.05, 0.8)), 0.2, 1.0, 0.1)
+        n = int(rng.integers(1, 40))
+        seed, coin_seed = (int(v) for v in rng.integers(2**32, size=2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # schedule verdicts are not checked here
+            net = train_network(protocol, scenario, n, schedule, seed, coin_mode=mode)
+        if ties:  # sensors on a 0.1 grid share coordinates
+            centers = None if net.centers is None else np.round(net.centers, 1)
+            net = replace(net, xs=np.round(net.xs, 1), centers=centers)
+        queries, _ = scenario.sample(rng, 8)
+        case = f"{protocol} on {sid}, {mode}, n={n}"
+        if protocol not in _SCALAR_RULES:
+            z = _reg_noabstain_mean_z(net, queries[0], coin_seed)
+            if not z <= 4.0:
+                return SuiteResult("batch_engine", False, f"{case}: mean off by z = {z:.2f}")
+        else:
+            default_label = int(rng.integers(2))
+            batch = predict.predict_batch(net, queries, coin_seed, default_label)
+            reference = scalar_predict(net, queries, coin_seed, default_label)
+            if not np.array_equal(batch.values, reference):
+                return SuiteResult("batch_engine", False, f"{case}: batch differs from scalar")
+        checked += 1
+    return SuiteResult(
+        "batch_engine",
+        True,
+        f"{checked} random networks agree with the scalar rules "
+        "(reg_noabstain: mean within 4 SE)",
+    )
+
+
 _SUITES = (
     _suite_theorem1_equivalence,
     _suite_poisson_binomial,
     _suite_fusion_properties,
+    _suite_batch_engine,
 )
 
 

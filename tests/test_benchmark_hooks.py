@@ -1,0 +1,40 @@
+"""The names the sweep benchmark wraps must exist, so a renamed helper
+fails here instead of silently dropping the benchmark's per-layer metrics."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from onebitsim import harness as hn
+from onebitsim.protocols import Schedule
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_benchmark_hook_installs_and_records():
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    hooks = spans.install(tracer)
+    try:
+        assert hooks.absent == []
+        config = hn.ExperimentConfig(
+            protocol="cls_abstain",
+            scenario_id="gauss_mix_1d",
+            schedule=Schedule(0.5, 0.3),
+            n_grid=(20, 40),
+            replications=2,
+            test_points=10,
+        )
+        hn.run_sweep(config)
+        recorded = {span.name for span in tracer.spans}
+        assert {"predict", "harness.train"} <= recorded
+    finally:
+        hooks.remove()

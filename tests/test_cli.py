@@ -1,11 +1,13 @@
 """Config parsing, command behavior, and output file stability."""
 
 import csv
+import dataclasses
 import json
 
 import pytest
 
 from onebitsim import cli
+from onebitsim import predict
 from onebitsim import protocols
 
 
@@ -141,6 +143,11 @@ def test_bad_keys_and_values(tmp_path, capsys):
             "[sweep]\nprotocol = cls_abstain\nscenario = sine_1d\nn_grid = 5, 10\n",
             "scenario: sine_1d does not fit: cls_abstain needs a classification",
         ),
+        (
+            "[sweep]\nprotocol = specialists\nscenario = cityscape_2d\n"
+            "n_grid = 5, 10\nmax_rejects = 5\n",
+            "max_rejects: unknown key",
+        ),
     ] + [
         (
             "[sweep]\nprotocol = reg_abstain\nscenario = sine_1d\n"
@@ -234,6 +241,7 @@ def test_verify_passes_and_names_suites(capsys):
     assert "PASS theorem1_equivalence" in out
     assert "PASS poisson_binomial_enumeration" in out
     assert "PASS fusion_properties" in out
+    assert "PASS batch_engine" in out
 
 
 def test_verify_catches_corrupted_tie_break(monkeypatch, capsys):
@@ -251,6 +259,23 @@ def test_verify_catches_corrupted_tie_break(monkeypatch, capsys):
     assert cli.main(["verify"]) == 1
     out = capsys.readouterr().out
     assert "FAIL theorem1_equivalence" in out
+
+
+def test_verify_catches_corrupted_batch_engine(monkeypatch, capsys):
+    # negative control: flip one output of the engine every sweep uses
+    healthy = predict.predict_batch
+
+    def corrupted(network, queries, coin_seed=0, default_label=0):
+        batch = healthy(network, queries, coin_seed, default_label)
+        values = batch.values.copy()
+        values[-1] = 1 - values[-1]
+        return dataclasses.replace(batch, values=values)
+
+    monkeypatch.setattr(predict, "predict_batch", corrupted)
+    assert cli.main(["verify"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL batch_engine" in out
+    assert "PASS theorem1_equivalence" in out
 
 
 def test_report_emits_gnuplot_columns(tmp_path):

@@ -7,47 +7,11 @@ import numpy as np
 import pytest
 
 from onebitsim import predict as pd
-from onebitsim import protocols as pr
 from onebitsim.harness import train_network
 from onebitsim.oracle import exact_conditional_error_at_x
 from onebitsim.protocols import Schedule
 from onebitsim.scenarios import make_scenario
-from onebitsim.seeding import CoinSource
-
-
-def scalar_predict(net, queries, coin_seed, default_label=0):
-    """Reference path: one respond/fuse call per sensor per query."""
-    cs = CoinSource(coin_seed)
-    out = []
-    for q, x in enumerate(queries):
-        responses = []
-        for i in range(net.n):
-            s = net.sensor(i)
-            if net.protocol == "cls_abstain":
-                responses.append(pr.respond_cls_abstain(s, x, net.r_n))
-            elif net.protocol == "specialists":
-                responses.append(pr.respond_specialist(s, x, net.r_n))
-            elif net.protocol == "cls_noabstain":
-                if net.coin_mode == "per_query":
-                    s = dataclasses.replace(
-                        s, fixed_coin=1 if cs.uniform(i, q) < 0.5 else 0
-                    )
-                responses.append(pr.respond_cls_noabstain(s, x, net.r_n))
-            elif net.protocol == "reg_abstain":
-                responses.append(
-                    pr.respond_reg_abstain(s, x, net.r_n, net.c_n, cs.uniform(i, q))
-                )
-            else:
-                raise AssertionError(net.protocol)
-        if net.protocol == "cls_abstain":
-            out.append(pr.fuse_cls_abstain(responses, default_label))
-        elif net.protocol == "specialists":
-            out.append(pr.fuse_specialist(responses, default_label))
-        elif net.protocol == "cls_noabstain":
-            out.append(pr.fuse_cls_noabstain(responses))
-        else:
-            out.append(pr.fuse_reg_abstain(responses, net.c_n))
-    return np.asarray(out, dtype=float)
+from onebitsim.verify import scalar_predict
 
 
 CASES = [
@@ -67,11 +31,15 @@ def test_batch_matches_sensor_by_sensor(protocol, sid, mode):
     net = train_network(
         protocol, scen, 60, Schedule(0.4, 0.2, 1.0, 0.1), seed=5, coin_mode=mode
     )
+    # the same network on a 0.1 grid, where sensors share coordinates
+    centers = None if net.centers is None else np.round(net.centers, 1)
+    tied = dataclasses.replace(net, xs=np.round(net.xs, 1), centers=centers)
     queries, _ = scen.sample(np.random.default_rng(21), 37)
-    batch = pd.predict_batch(net, queries, coin_seed=123)
-    np.testing.assert_array_equal(
-        batch.values.astype(float), scalar_predict(net, queries, 123)
-    )
+    for network in (net, tied):
+        batch = pd.predict_batch(network, queries, coin_seed=123)
+        np.testing.assert_array_equal(
+            batch.values.astype(float), scalar_predict(network, queries, 123)
+        )
 
 
 @pytest.mark.filterwarnings("ignore::onebitsim.protocols.ScheduleViolationWarning")

@@ -114,8 +114,6 @@ def test_fuse_cls_abstain_examples():
     assert pr.fuse_cls_abstain([R.VOTE1, R.VOTE0, R.ABSTAIN]) == 1  # tie -> 1
     assert pr.fuse_cls_abstain([R.VOTE0, R.VOTE0, R.VOTE1]) == 0
     assert pr.fuse_cls_abstain([R.ABSTAIN, R.ABSTAIN]) == 0
-    assert pr.is_all_abstain([R.ABSTAIN, R.ABSTAIN])
-    assert not pr.is_all_abstain([R.ABSTAIN, R.VOTE0])
     assert pr.fuse_cls_abstain([], default_label=1) == 1
 
 
@@ -209,7 +207,7 @@ def test_fuse_reg_abstain_values():
 
 
 def test_clip_ball_family():
-    spec = pr.make_fusion_spec("clip_ball", c=2.0, r=0.1)
+    spec = pr.make_clip_ball_spec(c=2.0, r=0.1)
     assert spec.lipschitz_c == 4.0
     assert spec.bias([0.5], [0.9], 1.0) == 0.5          # out of ball: guess
     assert spec.bias([0.5], [0.55], 5.0) == 1.0         # clipped high
@@ -218,7 +216,7 @@ def test_clip_ball_family():
 
 
 def test_respond_reg_noabstain_branches():
-    spec = pr.make_fusion_spec("clip_ball", c=2.0, r=0.1)
+    spec = pr.make_clip_ball_spec(c=2.0, r=0.1)
     hot = sensor(0.5, 2.0)
     for coin in (0.0, 0.5, 0.999):
         assert pr.respond_reg_noabstain(hot, [0.5], spec, coin) is R.VOTE1
@@ -228,15 +226,9 @@ def test_respond_reg_noabstain_branches():
 
 
 def test_family_validation():
-    with pytest.raises(pr.FamilyValidationError, match="unknown fusion family"):
-        pr.make_fusion_spec("nope")
     bad = pr.LipschitzFusionSpec(lipschitz_c=1.0, bias=lambda x, xi, yi: 1.5)
-    with pytest.raises(pr.FamilyValidationError, match="outside"):
-        pr.validate_fusion_family(bad, [([0.0], [0.0], 0.0)])
-    with pytest.raises(pr.FamilyValidationError, match="outside"):
+    with pytest.raises(ValueError, match="outside"):
         pr.respond_reg_noabstain(sensor(0.0, 0.0), [0.0], bad, 0.5)
-    good = pr.make_fusion_spec("clip_ball", c=1.0, r=0.5)
-    pr.validate_fusion_family(good, [([0.0], [0.1], y) for y in (-9.0, 0.0, 9.0)])
 
 
 def test_fuse_scaled_mean_values():
@@ -289,17 +281,13 @@ def test_fuse_specialist():
     assert pr.fuse_specialist([R.VOTE1, R.VOTE0]) == 1
     assert pr.fuse_specialist([R.VOTE0, R.VOTE0, R.VOTE1]) == 0
     assert pr.fuse_specialist([]) == 0
-    assert pr.is_all_abstain([])
 
 
-def test_assign_specialist_regions():
+def test_draw_specialist_centers():
     rng = np.random.default_rng(4)
-    assert pr.assign_specialist_regions(0, 2, 0.1, rng) == []
-    regions = pr.assign_specialist_regions(500, 2, 0.1, rng)
-    assert len(regions) == 500
-    centers = np.array([reg.center for reg in regions])
+    centers = pr.draw_specialist_centers(500, 2, rng)
+    assert centers.shape == (500, 2)
     assert np.all((centers >= 0) & (centers <= 1))
-    assert all(reg.radius == 0.1 for reg in regions)
     # center mean over 1e5 draws in d=1: 3 sigma = 3/(sqrt(12)*sqrt(1e5))
     big = pr.draw_specialist_centers(10**5, 1, rng)
     assert abs(big.mean() - 0.5) <= 0.003
@@ -373,13 +361,14 @@ def test_response_determinism_per_address():
 
 
 def test_bit_accounting():
-    from onebitsim.harness import bits_accounting
+    def bits(protocol):
+        return pr.protocol_spec(protocol).bits_per_query
 
-    assert bits_accounting("cls_abstain") == pytest.approx(math.log2(3), abs=0)
-    assert bits_accounting("cls_abstain") == pytest.approx(1.58496, abs=1e-5)
-    assert bits_accounting("reg_abstain") == pytest.approx(math.log2(3), abs=0)
-    assert bits_accounting("specialists") == pytest.approx(math.log2(3), abs=0)
-    assert bits_accounting("cls_noabstain") == 1.0
-    assert bits_accounting("reg_noabstain") == 1.0
+    assert bits("cls_abstain") == pytest.approx(math.log2(3), abs=0)
+    assert bits("cls_abstain") == pytest.approx(1.58496, abs=1e-5)
+    assert bits("reg_abstain") == pytest.approx(math.log2(3), abs=0)
+    assert bits("specialists") == pytest.approx(math.log2(3), abs=0)
+    assert bits("cls_noabstain") == 1.0
+    assert bits("reg_noabstain") == 1.0
     with pytest.raises(ValueError, match="unknown protocol"):
-        bits_accounting("smoke_signals")
+        bits("smoke_signals")

@@ -32,17 +32,14 @@ def test_catalog_ids():
 @pytest.mark.parametrize("sid", ALL_IDS)
 def test_sample_example_type_contract(sid):
     scen = sc.make_scenario(sid)
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        ex = sc.sample_example(scen, rng)
-        assert ex.x.shape == (scen.dimension,)
-        assert np.all(np.isfinite(ex.x))
-        assert math.isfinite(ex.y)
-        if scen.task == "classification":
-            assert ex.y in (0, 1)
-        if scen.support_box is not None:
-            lo, hi = scen.support_box
-            assert np.all(ex.x >= lo) and np.all(ex.x <= hi)
+    xs, ys = scen.sample(np.random.default_rng(1), 50)
+    assert xs.shape == (50, scen.dimension) and ys.shape == (50,)
+    assert np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))
+    if scen.task == "classification":
+        assert set(np.unique(ys)) <= {0, 1}
+    if scen.support_box is not None:
+        lo, hi = scen.support_box
+        assert np.all(xs >= lo) and np.all(xs <= hi)
 
 
 def test_sampling_deterministic_given_seed():
@@ -122,24 +119,33 @@ def test_sine_second_moment_quadrature_cross_check():
 # conditional sampling
 
 
+def _direct_and_rejection(sid):
+    """The scenario, and a copy forced onto the generic rejection path."""
+    forced = sc.make_scenario(sid)
+    forced.has_direct_conditional = False
+    return sc.make_scenario(sid), forced
+
+
 def test_conditional_sample_stays_in_region():
-    scen = sc.make_scenario("sine_1d")
-    region = sc.Region([0.5], 0.1)
     rng = np.random.default_rng(4)
-    for _ in range(200):
-        ex = sc.sample_conditional_example(scen, region, rng)
-        assert region.contains(ex.x)
-    for _ in range(50):
-        ex = sc.rejection_conditional_example(scen, region, rng, 10_000)
-        assert region.contains(ex.x)
+    centers = np.tile([0.5, 0.4], (200, 1))
+    for scen in _direct_and_rejection("checkerboard_2d"):
+        xs, ys, untrainable = sc.sample_conditional_batch(scen, centers, 0.1, rng)
+        assert not untrainable.any()
+        assert np.all(np.linalg.norm(xs - centers, axis=1) <= 0.1)
+        assert set(np.unique(ys)) <= {0, 1}
 
 
 def test_conditional_sample_zero_mass_region():
-    scen = sc.make_scenario("sine_1d")
-    far = sc.Region([5.0], 0.1)
     rng = np.random.default_rng(5)
-    assert sc.rejection_conditional_example(scen, far, rng, 1000) is sc.UNTRAINABLE
-    assert sc.sample_conditional_example(scen, far, rng) is sc.UNTRAINABLE
+    centers = np.array([[0.5], [5.0]])  # the far ball misses [0, 1]
+    for scen in _direct_and_rejection("sine_1d"):
+        xs, ys, untrainable = sc.sample_conditional_batch(
+            scen, centers, 0.1, rng, max_rejects=1000
+        )
+        np.testing.assert_array_equal(untrainable, [False, True])
+        assert np.isnan(xs[1]).all() and np.isnan(ys[1])
+        assert abs(xs[0, 0] - 0.5) <= 0.1
 
 
 def test_conditional_uniform_is_uniform_on_intersection():
@@ -152,12 +158,6 @@ def test_conditional_uniform_is_uniform_on_intersection():
     assert not untrainable.any()
     stat = kstest(xs[:, 0], "uniform", args=(0.4, 0.2))
     assert stat.pvalue > 0.01
-    # scalar route agrees
-    draws = np.array(
-        [sc.sample_conditional_example(scen, sc.Region([0.5], 0.1), rng).x[0]
-         for _ in range(2000)]
-    )
-    assert kstest(draws, "uniform", args=(0.4, 0.2)).pvalue > 0.01
 
 
 @pytest.mark.parametrize("sid,center,radius", [
@@ -188,14 +188,6 @@ def test_conditional_batch_labels_follow_posterior():
     center = np.array([0.5, 0.5])  # deep inside the positive zone
     xs, ys, _ = sc.sample_conditional_batch(scen, np.tile(center, (20_000, 1)), 0.05, rng)
     assert abs(ys.mean() - 0.9) < 0.01
-
-
-def test_region_validation():
-    with pytest.raises(ValueError, match="radius"):
-        sc.Region([0.0], -1.0)
-    region = sc.Region([0.0, 0.0], 0.5)
-    assert region.contains([0.3, 0.4])  # boundary point of the closed ball
-    assert not region.contains([0.4, 0.4])
 
 
 def test_example_validation():
