@@ -18,9 +18,13 @@ import datetime
 import json
 import math
 import os
+import platform
 import sys
 from pathlib import Path
 from typing import Optional
+
+import numpy as np
+import scipy
 
 from . import __version__
 from .harness import (
@@ -29,6 +33,7 @@ from .harness import (
     check_compatible,
     default_impossibility_config,
     impossibility_demo,
+    pool_workers,
     run_sweep,
 )
 from .protocols import COIN_MODES, PROTOCOLS, Schedule
@@ -100,7 +105,22 @@ def write_csv(path: Path, reports: list[RiskReport]) -> None:
             writer.writerow([_fmt(row[col]) for col in CSV_COLUMNS])
 
 
-def _manifest(command: str, config: ExperimentConfig, reports, started, finished, extra=None):
+def _environment(config: ExperimentConfig, jobs: int) -> dict:
+    """Interpreter, library and machine facts, plus the worker count each
+    sweep's pool gets for ``jobs``."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "cpu_count": os.cpu_count(),
+        "jobs": jobs,
+        "workers": pool_workers(jobs, len(config.n_grid) * config.replications),
+    }
+
+
+def _manifest(
+    command: str, config: ExperimentConfig, jobs: int, reports, started, finished, extra=None
+):
     body = {
         "tool": "onebit-sim",
         "version": __version__,
@@ -111,6 +131,7 @@ def _manifest(command: str, config: ExperimentConfig, reports, started, finished
         "config": dataclasses.asdict(config),
         "rows": [report_row(r) for r in reports],
         "wall_time_s": [r.wall_time_s for r in reports],
+        "environment": _environment(config, jobs),
     }
     if extra:
         body.update(extra)
@@ -368,7 +389,8 @@ def _run_experiment(args, command: str, single_n: bool) -> int:
     out = _out_dir(args)
     stem = command
     write_csv(out / f"{stem}.csv", reports)
-    write_json(out / f"{stem}.json", _manifest(command, config, reports, started, finished))
+    manifest = _manifest(command, config, args.jobs, reports, started, finished)
+    write_json(out / f"{stem}.json", manifest)
     _print_table(reports)
     print(f"wrote {out / (stem + '.csv')} and {out / (stem + '.json')}")
     return 0
@@ -411,7 +433,7 @@ def cmd_demo(args) -> int:
     }
     write_json(
         out / "demo_impossibility.json",
-        _manifest("demo-impossibility", config, reports, started, finished,
+        _manifest("demo-impossibility", config, args.jobs, reports, started, finished,
                   extra={"summary": summary}),
     )
     _print_table(reports)

@@ -302,8 +302,11 @@ def _replication_sample(config: ExperimentConfig, n: int, rep: int) -> RiskSampl
     )
 
 
-def _replication_worker(args) -> RiskSample:
-    return _replication_sample(*args)
+def _timed_replication(args) -> tuple[RiskSample, float]:
+    """One replication and its own duration, measured where it runs."""
+    start = time.perf_counter()
+    sample = _replication_sample(*args)
+    return sample, time.perf_counter() - start
 
 
 def pool_workers(jobs: int, tasks: int, cpus: Optional[int] = None) -> int:
@@ -317,24 +320,10 @@ def pool_workers(jobs: int, tasks: int, cpus: Optional[int] = None) -> int:
     return max(1, min(jobs, tasks, cpus))
 
 
-def estimate_expected_risk(
-    config: ExperimentConfig, n: int, jobs: int = 1
+def _cell_report(
+    config: ExperimentConfig, n: int, timed: list[tuple[RiskSample, float]]
 ) -> RiskReport:
-    """Average the conditional risk over fresh replications at size n.
-
-    Replication seeds derive from (master seed, n, replication index), so
-    the result is independent of execution order and of ``jobs``.
-    """
-    if n not in config.n_grid:
-        raise ValueError(f"n={n} is not in the configured grid {config.n_grid}")
-    start = time.perf_counter()
-    tasks = [(config, n, rep) for rep in range(config.replications)]
-    workers = pool_workers(jobs, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            samples = list(pool.map(_replication_worker, tasks))
-    else:
-        samples = [_replication_sample(*t) for t in tasks]
+    samples = [sample for sample, _ in timed]
     risks = [s.risk for s in samples]
     r = len(risks)
     mean = math.fsum(risks) / r
@@ -377,13 +366,47 @@ def estimate_expected_risk(
         all_abstain_frac=math.fsum(s.all_abstain_frac for s in samples) / r,
         seed=config.seed,
         se_degenerate=degenerate,
-        wall_time_s=time.perf_counter() - start,
+        wall_time_s=math.fsum(seconds for _, seconds in timed),
     )
 
 
+def _cell_reports(
+    config: ExperimentConfig, grid: tuple[int, ...], jobs: int
+) -> list[RiskReport]:
+    """Run every (n, replication) of ``grid`` through one worker pool (or
+    serially), then summarise each cell in grid order."""
+    tasks = [(config, n, rep) for n in grid for rep in range(config.replications)]
+    workers = pool_workers(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            timed = list(pool.map(_timed_replication, tasks))
+    else:
+        timed = [_timed_replication(t) for t in tasks]
+    reps = config.replications
+    return [
+        _cell_report(config, n, timed[i * reps:(i + 1) * reps])
+        for i, n in enumerate(grid)
+    ]
+
+
+def estimate_expected_risk(
+    config: ExperimentConfig, n: int, jobs: int = 1
+) -> RiskReport:
+    """Average the conditional risk over fresh replications at size n.
+
+    Replication seeds derive from (master seed, n, replication index), so
+    the result is independent of execution order and of ``jobs``. The
+    report's ``wall_time_s`` is the sum of the replications' own durations.
+    """
+    if n not in config.n_grid:
+        raise ValueError(f"n={n} is not in the configured grid {config.n_grid}")
+    return _cell_reports(config, (n,), jobs)[0]
+
+
 def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[RiskReport]:
-    """One RiskReport per grid size, independent across sizes."""
-    return [estimate_expected_risk(config, n, jobs) for n in config.n_grid]
+    """One RiskReport per grid size, as ``estimate_expected_risk`` gives it,
+    from one pool over all of the sweep's (n, replication) tasks."""
+    return _cell_reports(config, config.n_grid, jobs)
 
 
 @dataclass(frozen=True)

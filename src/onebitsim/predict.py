@@ -17,6 +17,13 @@ query's in-ball sensors are one contiguous run, and original order above
 it. Engines permute their per-sensor tables (coin keys, biases, labels)
 into that order once per call.
 
+The rules without coins (``cls_abstain``, ``specialists``, fixed-coin
+``cls_noabstain``) need only counts of in-ball 0/1 flags, so they
+enumerate no pairs. In one dimension they take integer prefix sums over
+the sorted layout; above it, the points are split by flag pattern into
+one KD-tree per class, and each tree answers one length query
+(``query_ball_point(..., return_length=True)``) for the whole batch.
+
 Coins are hashed with the key/counter split of ``seeding``: one sensor key
 per sensor and one query key per query per call, then one mix per pair,
 bit for bit the scalar ``CoinSource.uniform`` at the pair's address.
@@ -25,6 +32,7 @@ bit for bit the scalar ``CoinSource.uniform`` at the pair's address.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
@@ -86,9 +94,12 @@ class _BallLookup:
             flat = points[:, 0]
             self.order = np.argsort(flat)
             self.sorted_x = flat[self.order]
-            self.tree = None
-        else:
-            self.tree = cKDTree(points) if len(points) else None
+
+    @cached_property
+    def tree(self):
+        """KD-tree over all points (d >= 2), built on first use; None
+        when there are no points."""
+        return cKDTree(self.points) if len(self.points) else None
 
     def stored(self, table: np.ndarray) -> np.ndarray:
         """A per-point table permuted into storage order."""
@@ -109,22 +120,34 @@ class _BallLookup:
         counts = self.tree.query_ball_point(queries, self.radius, return_length=True)
         return counts.astype(np.int64), None
 
-    def weight_sums(self, queries: np.ndarray, weights: list[np.ndarray]):
-        """Per-query sums of each weight vector over the in-ball points."""
-        counts, bounds = self.counts_and_bounds(queries)
+    def flag_counts(self, queries: np.ndarray, flags: list[np.ndarray]):
+        """Per-query count of in-ball points and, for each 0/1 vector in
+        ``flags``, of in-ball points whose flag is set (all int64)."""
+        flags = [np.asarray(f) != 0 for f in flags]
         if self.d == 1:
-            lo, hi = bounds
+            counts, (lo, hi) = self.counts_and_bounds(queries)
             sums = []
-            for w in weights:
-                pref = np.concatenate([[0.0], np.cumsum(self.stored(w))])
+            for f in flags:
+                pref = np.zeros(len(f) + 1, dtype=np.int64)
+                np.cumsum(self.stored(f), out=pref[1:])
                 sums.append(pref[hi] - pref[lo])
             return counts, sums
-        sums = [np.zeros(len(queries)) for _ in weights]
-        for sl, idx, chunk_counts in self.iter_pairs(queries, counts, bounds):
-            bnd = np.concatenate([[0], np.cumsum(chunk_counts)])
-            for w, out in zip(weights, sums):
-                pref = np.concatenate([[0.0], np.cumsum(w[idx])])
-                out[sl] = pref[bnd[1:]] - pref[bnd[:-1]]
+        # one tree per flag pattern: every point is in exactly one class, so
+        # a query's count is the sum over classes and a flag's count the sum
+        # over the classes that set it
+        pattern = np.zeros(len(self.points), dtype=np.int64)
+        for bit, f in enumerate(flags):
+            pattern |= f.astype(np.int64) << bit
+        counts = np.zeros(len(queries), dtype=np.int64)
+        sums = [np.zeros(len(queries), dtype=np.int64) for _ in flags]
+        for cls in np.unique(pattern):
+            tree = cKDTree(self.points[pattern == cls])
+            got = tree.query_ball_point(queries, self.radius, return_length=True)
+            got = np.asarray(got, dtype=np.int64)
+            counts += got
+            for bit, out in enumerate(sums):
+                if cls >> bit & 1:
+                    out += got
         return counts, sums
 
     def iter_pairs(
@@ -214,10 +237,8 @@ def _responder_majority(network, points, labels, queries, default_label):
     """Majority of the labels stored at ``points`` within r_n of each query
     (ties to 1); a query with no responders gets the default label."""
     lookup = _BallLookup(points, network.r_n)
-    counts, (votes,) = lookup.weight_sums(queries, [labels.astype(float)])
-    preds = np.where(
-        counts > 0, (2.0 * votes >= counts).astype(np.int64), default_label
-    )
+    counts, (votes,) = lookup.flag_counts(queries, [labels])
+    preds = np.where(counts > 0, (2 * votes >= counts).astype(np.int64), default_label)
     return PredictionBatch(preds, counts, network.n)
 
 
@@ -237,11 +258,10 @@ def batch_cls_noabstain(network, queries, coin_seed, default_label):
         return _cls_noabstain_fresh(network, queries, coin_seed)
     # fixed coins: out-of-ball votes are the coins outside the ball
     lookup = _BallLookup(network.xs, network.r_n)
-    ys = network.ys.astype(float)
-    coins = network.fixed_coins.astype(float)
-    counts, (votes_in, coins_in) = lookup.weight_sums(queries, [ys, coins])
-    total = votes_in + coins.sum() - coins_in
-    preds = (2.0 * total > network.n).astype(np.int64)
+    coins = network.fixed_coins
+    counts, (votes_in, coins_in) = lookup.flag_counts(queries, [network.ys, coins])
+    total = votes_in + int(np.count_nonzero(coins)) - coins_in
+    preds = (2 * total > network.n).astype(np.int64)
     return PredictionBatch(preds, np.full(len(queries), network.n), network.n)
 
 

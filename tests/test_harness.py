@@ -194,6 +194,31 @@ def test_run_sweep_deterministic_and_jobs_independent():
     assert [r.n for r in a] == [50, 200]
 
 
+def test_run_sweep_runs_every_cell_through_one_pool(monkeypatch):
+    made = []
+
+    class CountingPool(hn.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(hn, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(hn.os, "cpu_count", lambda: 2)
+    cfg = small_config(n_grid=(50, 100, 200))
+    pooled = hn.run_sweep(cfg, jobs=2)
+    assert made == [2]
+    strip = lambda r: dataclasses.replace(r, wall_time_s=0.0)
+    serial = hn.run_sweep(cfg)
+    assert [strip(r) for r in pooled] == [strip(r) for r in serial]
+    assert all(r.wall_time_s > 0 for r in pooled)
+    # the guard still fires, for the first failing cell in grid order
+    monkeypatch.setattr(hn, "bayes_risk", lambda scenario: 0.9)
+    first = serial[0].risk_mean - 0.9
+    with pytest.raises(RuntimeError, match=f"excess risk {first:.6g} .*ground-truth"):
+        hn.run_sweep(cfg, jobs=2)
+    assert len(made) == 2
+
+
 def test_run_sweep_single_point_grid():
     reports = hn.run_sweep(small_config(n_grid=(80,)))
     assert len(reports) == 1 and reports[0].n == 80

@@ -42,6 +42,42 @@ def test_batch_matches_sensor_by_sensor(protocol, sid, mode):
         )
 
 
+# (grid step, radius): a binary grid where 3-4-5 offsets land exactly on
+# the sphere, a decimal grid at r = one step, and decimal 3-4-5 offsets
+BOUNDARY_GRIDS = [(1 / 16, 5 / 16), (0.1, 0.1), (0.1, 0.5)]
+
+
+@pytest.mark.parametrize(
+    "protocol,sid",
+    [
+        ("cls_abstain", "gauss_mix_2d"),
+        ("specialists", "cityscape_2d"),
+        ("cls_noabstain", "gauss_mix_2d"),  # per-sensor (fixed) coins
+    ],
+)
+def test_2d_label_counts_on_boundaries_and_ties(protocol, sid, monkeypatch):
+    def no_pairs(*args, **kwargs):
+        raise AssertionError("label-count engines must not enumerate pairs")
+
+    monkeypatch.setattr(pd._BallLookup, "iter_pairs", no_pairs)
+    scen = make_scenario(sid)
+    net = train_network(protocol, scen, 70, Schedule(0.4, 0.2, 1.0, 0.1), seed=13)
+    rng = np.random.default_rng(17)
+    for step, r in BOUNDARY_GRIDS:
+        cells = round(1 / step)
+        points = rng.integers(0, cells + 1, size=(net.n, 2)) * step
+        queries = rng.integers(0, cells + 1, size=(40, 2)) * step
+        if step == 1 / 16:  # some sensors lie exactly on a query's sphere
+            gap = np.linalg.norm(points[None, :, :] - queries[:, None, :], axis=2)
+            assert np.any(gap == r)
+        field = "centers" if protocol == "specialists" else "xs"
+        network = dataclasses.replace(net, r_n=r, **{field: points})
+        batch = pd.predict_batch(network, queries, coin_seed=5)
+        np.testing.assert_array_equal(
+            batch.values.astype(float), scalar_predict(network, queries, 5)
+        )
+
+
 @pytest.mark.filterwarnings("ignore::onebitsim.protocols.ScheduleViolationWarning")
 def test_batch_results_independent_of_chunking(monkeypatch):
     cases = []
