@@ -233,6 +233,13 @@ def load_config_section(path: str, command: str) -> dict:
     return dict(parser.items(command))
 
 
+# ExperimentConfig's field defaults; None for the fields a config must set
+_CONFIG_DEFAULTS = {
+    f.name: None if f.default is dataclasses.MISSING else f.default
+    for f in dataclasses.fields(ExperimentConfig)
+}
+
+
 def build_experiment_config(
     section: dict,
     *,
@@ -250,14 +257,17 @@ def build_experiment_config(
     def take(key, fallback=None):
         return section.pop(key, fallback)
 
-    protocol = take("protocol", defaults.protocol if defaults else None)
+    def default(field):
+        return getattr(defaults, field) if defaults else _CONFIG_DEFAULTS[field]
+
+    protocol = take("protocol", default("protocol"))
     if protocol is None:
         raise ConfigError("protocol: required")
     if protocol not in PROTOCOLS:
         raise ConfigError(
             f"protocol: unknown {protocol!r}; known: {', '.join(PROTOCOLS)}"
         )
-    scenario = take("scenario", defaults.scenario_id if defaults else None)
+    scenario = take("scenario", default("scenario_id"))
     if scenario is None:
         raise ConfigError("scenario: required")
     if scenario not in SCENARIO_IDS:
@@ -308,18 +318,16 @@ def build_experiment_config(
     def int_key(key, fallback):
         return _parse_scalar(key, take(key, fallback), int, "an integer")
 
-    replications = int_key("replications", defaults.replications if defaults else 20)
-    test_points = int_key("test_points", defaults.test_points if defaults else 2000)
-    seed = int_key("seed", defaults.seed if defaults else 0)
-    default_label = int_key("default_label", defaults.default_label if defaults else 0)
-    coin_mode = take("coin_mode", defaults.coin_mode if defaults else "per_sensor")
+    replications = int_key("replications", default("replications"))
+    test_points = int_key("test_points", default("test_points"))
+    seed = int_key("seed", default("seed"))
+    default_label = int_key("default_label", default("default_label"))
+    coin_mode = take("coin_mode", default("coin_mode"))
     if coin_mode not in COIN_MODES:
         raise ConfigError(
             f"coin_mode: unknown {coin_mode!r}; known: {', '.join(COIN_MODES)}"
         )
-    family_c = _parse_number(
-        "family_c", take("family_c", defaults.family_c if defaults else 2.0)
-    )
+    family_c = _parse_number("family_c", take("family_c", default("family_c")))
     if seed_override is not None:
         seed = seed_override
     if section:
@@ -496,8 +504,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument(
             "--jobs", type=int, default=1,
-            help="worker processes, at least 1; clamped to the replications "
-            "per cell and the CPU count (never changes results)",
+            help="worker processes, at least 1; clamped to the sweep's "
+            "(n, replication) task count and the CPU count (never changes "
+            "results)",
         )
 
     p = sub.add_parser("simulate", help="run a single (protocol, scenario, n) cell")

@@ -157,19 +157,8 @@ def train_network(
         raise ValueError(f"unknown coin_mode {coin_mode!r}")
     check_compatible(protocol, scenario)
     d = scenario.dimension
-    if n == 0:
-        return NetworkState(
-            protocol=protocol,
-            n=0,
-            r_n=float("nan"),
-            c_n=float("nan"),
-            xs=np.empty((0, d)),
-            ys=np.empty(0),
-            untrainable=np.zeros(0, dtype=bool),
-            coin_mode=coin_mode,
-            family_c=family_c,
-        )
-    r_n, c_n = schedule_eval(schedule, n)
+    # the schedule starts at n = 1; an empty network has no radius
+    r_n, c_n = schedule_eval(schedule, n) if n else (math.nan, math.nan)
     verdict = validate_schedule(schedule, protocol, d)
     if not verdict.ok:
         warnings.warn(

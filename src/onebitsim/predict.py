@@ -10,12 +10,18 @@ variate per query (inverse-CDF from an addressed uniform), which has
 exactly the right distribution and keeps million-sensor demos tractable.
 
 Ball search is a sorted-array bisection in one dimension and a KD-tree
-above it; work is chunked so peak memory stays bounded regardless of how
-many (sensor, query) pairs a batch touches. Pairs are enumerated in the
-lookup's storage order: sorted by coordinate in one dimension, so a
-query's in-ball sensors are one contiguous run, and original order above
-it. Engines permute their per-sensor tables (coin keys, biases, labels)
-into that order once per call.
+above it. The coin engines see in-ball (sensor, query) pairs only through
+``_BallLookup.iter_pairs``, in chunks of about ``_PAIR_BLOCK`` pairs, so
+peak memory stays bounded regardless of how many pairs a batch touches.
+Pairs are enumerated in the lookup's storage order: sorted by coordinate
+in one dimension, so a query's in-ball sensors are one contiguous run,
+and original order above it. Engines permute their per-sensor tables
+(coin keys, biases, labels) into that order once per call.
+
+Per-query ``cls_noabstain`` has every sensor answer every query, so its
+vote total is counted in integers as three terms: the in-ball labels,
+minus the in-ball guesses, plus every sensor's guess. Only the last term
+hashes all n * t pairs, in slabs of about ``_PAIR_BLOCK`` pairs.
 
 The rules without coins (``cls_abstain``, ``specialists``, fixed-coin
 ``cls_noabstain``) need only counts of in-ball 0/1 flags, so they
@@ -44,8 +50,7 @@ from .seeding import CoinSource, pair_bits, query_keys, to_unit
 if TYPE_CHECKING:  # pragma: no cover
     from .harness import NetworkState
 
-_PAIR_BUDGET = 4_000_000
-_COIN_BLOCK = 1 << 15
+_PAIR_BLOCK = 1 << 15  # pairs per chunk: every per-pair array stays in cache
 _TINY = np.finfo(float).tiny
 
 
@@ -97,9 +102,8 @@ class _BallLookup:
 
     @cached_property
     def tree(self):
-        """KD-tree over all points (d >= 2), built on first use; None
-        when there are no points."""
-        return cKDTree(self.points) if len(self.points) else None
+        """KD-tree over all points (d >= 2), built on first use."""
+        return cKDTree(self.points)
 
     def stored(self, table: np.ndarray) -> np.ndarray:
         """A per-point table permuted into storage order."""
@@ -109,29 +113,25 @@ class _BallLookup:
         """Original point index at each storage position."""
         return np.arange(len(self.points)) if self.order is None else self.order
 
-    def counts_and_bounds(self, queries: np.ndarray):
-        if self.d == 1:
-            q = queries[:, 0]
-            lo = np.searchsorted(self.sorted_x, q - self.radius, side="left")
-            hi = np.searchsorted(self.sorted_x, q + self.radius, side="right")
-            return hi - lo, (lo, hi)
-        if self.tree is None:
-            return np.zeros(len(queries), dtype=np.int64), None
-        counts = self.tree.query_ball_point(queries, self.radius, return_length=True)
-        return counts.astype(np.int64), None
+    def _bounds(self, queries: np.ndarray):
+        """1-d: each query's in-ball run [lo, hi) in storage order."""
+        q = queries[:, 0]
+        lo = np.searchsorted(self.sorted_x, q - self.radius, side="left")
+        hi = np.searchsorted(self.sorted_x, q + self.radius, side="right")
+        return lo, hi
 
     def flag_counts(self, queries: np.ndarray, flags: list[np.ndarray]):
         """Per-query count of in-ball points and, for each 0/1 vector in
         ``flags``, of in-ball points whose flag is set (all int64)."""
         flags = [np.asarray(f) != 0 for f in flags]
         if self.d == 1:
-            counts, (lo, hi) = self.counts_and_bounds(queries)
+            lo, hi = self._bounds(queries)
             sums = []
             for f in flags:
                 pref = np.zeros(len(f) + 1, dtype=np.int64)
                 np.cumsum(self.stored(f), out=pref[1:])
                 sums.append(pref[hi] - pref[lo])
-            return counts, sums
+            return hi - lo, sums
         # one tree per flag pattern: every point is in exactly one class, so
         # a query's count is the sum over classes and a flag's count the sum
         # over the classes that set it
@@ -151,37 +151,37 @@ class _BallLookup:
         return counts, sums
 
     def iter_pairs(
-        self, queries: np.ndarray, counts: np.ndarray, bounds=None, budget=None
+        self, queries: np.ndarray
     ) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
-        """Yield (query slice, storage positions, per-query counts),
-        chunked so each chunk holds at most ~``budget`` pairs (default
-        ``_PAIR_BUDGET``; a single query may exceed it)."""
-        budget = _PAIR_BUDGET if budget is None else budget
+        """Yield (query slice, storage positions, per-query counts) over
+        every in-ball (point, query) pair, a query's positions together,
+        chunked so each chunk holds at most ~``_PAIR_BLOCK`` pairs (a
+        single query may exceed it)."""
+        if self.d == 1:
+            lo, hi = self._bounds(queries)
+            counts = hi - lo
+        else:
+            counts = self.tree.query_ball_point(
+                queries, self.radius, return_length=True
+            ).astype(np.int64)
         t = len(queries)
         start = 0
         while start < t:
             end = start + 1
             total = int(counts[start])
-            while end < t and total + counts[end] <= budget:
+            while end < t and total + counts[end] <= _PAIR_BLOCK:
                 total += int(counts[end])
                 end += 1
             sl = slice(start, end)
             chunk_counts = counts[sl]
             if self.d == 1:
-                lo, _ = bounds
                 offsets = lo[sl] - (np.cumsum(chunk_counts) - chunk_counts)
                 idx = np.repeat(offsets, chunk_counts)
                 idx += np.arange(len(idx))
-            elif self.tree is None:
-                idx = np.empty(0, dtype=np.int64)
             else:
                 lists = self.tree.query_ball_point(queries[sl], self.radius)
-                idx = (
-                    np.concatenate([np.asarray(v, dtype=np.int64) for v in lists])
-                    if any(len(v) for v in lists)
-                    else np.empty(0, dtype=np.int64)
-                )
-            yield sl, idx, np.asarray(chunk_counts, dtype=np.int64)
+                idx = np.concatenate([np.asarray(v, dtype=np.int64) for v in lists])
+            yield sl, idx, chunk_counts
             start = end
 
 
@@ -195,19 +195,19 @@ def _segment_counts(flags: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _in_ball_votes(lookup, coin, biases, queries, counts, bounds) -> np.ndarray:
-    """Per-query count of in-ball sensors whose coin at (sensor, query)
-    falls below the sensor's bias."""
+def _in_ball_votes(lookup, coin, biases, queries):
+    """Per-query counts of in-ball sensors and of those whose coin at
+    (sensor, query) falls below the sensor's bias."""
     keys = coin.sensor_keys(lookup.stored_ids())
     thresholds = lookup.stored(biases)
     qkeys = query_keys(np.arange(len(queries)))
+    counts = np.zeros(len(queries), dtype=np.int64)
     votes = np.zeros(len(queries), dtype=np.int64)
-    # chunks of ~_COIN_BLOCK pairs keep every per-pair array in cache
-    budget = min(_PAIR_BUDGET, _COIN_BLOCK)
-    for sl, pos, chunk_counts in lookup.iter_pairs(queries, counts, bounds, budget):
+    for sl, pos, chunk_counts in lookup.iter_pairs(queries):
         bits = pair_bits(keys[pos], np.repeat(qkeys[sl], chunk_counts))
         votes[sl] = _segment_counts(to_unit(bits) < thresholds[pos], chunk_counts)
-    return votes
+        counts[sl] = chunk_counts
+    return counts, votes
 
 
 def predict_batch(
@@ -266,29 +266,24 @@ def batch_cls_noabstain(network, queries, coin_seed, default_label):
 
 
 def _cls_noabstain_fresh(network, queries, coin_seed):
-    # Every sensor answers every query, so evaluate the full sensor-by-query
-    # grid in bounded slabs; out-of-ball sensors guess with the uniform at
-    # their (sensor, query) address.
+    # in-ball sensors vote their label, the rest guess with the uniform at
+    # their (sensor, query) address: votes = labels in - guesses in + guesses
     n = network.n
     t = len(queries)
+    coin = CoinSource(coin_seed)
     lookup = _BallLookup(network.xs, network.r_n)
-    counts, bounds = lookup.counts_and_bounds(queries)
-    keys = CoinSource(coin_seed).sensor_keys(lookup.stored_ids())[None, :]
-    ys = lookup.stored(network.ys.astype(float))[None, :]
-    preds = np.empty(t, dtype=np.int64)
-    slab = max(1, _PAIR_BUDGET // max(n, 1))
+    _, (labels_in,) = lookup.flag_counts(queries, [network.ys])
+    _, guesses_in = _in_ball_votes(lookup, coin, np.full(n, 0.5), queries)
+    keys = coin.sensor_keys(np.arange(n))[None, :]
+    qkeys = query_keys(np.arange(t))[:, None]
+    guesses = np.empty(t, dtype=np.int64)
+    slab = max(1, _PAIR_BLOCK // max(n, 1))
     for start in range(0, t, slab):
-        sl = slice(start, min(t, start + slab))
-        inside = np.zeros((sl.stop - start, n), dtype=bool)
-        slab_bounds = None if bounds is None else (bounds[0][sl], bounds[1][sl])
-        for qsl, pos, chunk_counts in lookup.iter_pairs(
-            queries[sl], counts[sl], slab_bounds
-        ):
-            rows = np.repeat(np.arange(qsl.start, qsl.stop), chunk_counts)
-            inside[rows, pos] = True
-        bits = pair_bits(keys, query_keys(np.arange(sl.start, sl.stop))[:, None])
-        votes = np.where(inside, ys, to_unit(bits) < 0.5)
-        preds[sl] = (2.0 * votes.sum(axis=1) > n).astype(np.int64)
+        sl = slice(start, start + slab)
+        bits = pair_bits(keys, qkeys[sl])
+        guesses[sl] = np.count_nonzero(to_unit(bits) < 0.5, axis=1)
+    total = labels_in - guesses_in + guesses
+    preds = (2 * total > n).astype(np.int64)
     return PredictionBatch(preds, np.full(t, n), n)
 
 
@@ -297,8 +292,7 @@ def batch_reg_abstain(network, queries, coin_seed, default_label):
     ys = network.ys
     biases = np.where(np.abs(ys) <= c, ys / (2.0 * c) + 0.5, 0.5)
     lookup = _BallLookup(network.xs, network.r_n)
-    counts, bounds = lookup.counts_and_bounds(queries)
-    v = _in_ball_votes(lookup, CoinSource(coin_seed), biases, queries, counts, bounds)
+    counts, v = _in_ball_votes(lookup, CoinSource(coin_seed), biases, queries)
     with np.errstate(invalid="ignore", divide="ignore"):
         est = 2.0 * c * (v / counts - 0.5)
     estimates = np.where(counts > 0, est, 0.0)
@@ -312,8 +306,7 @@ def batch_reg_noabstain(network, queries, coin_seed, default_label):
     t = len(queries)
     biases = np.clip(network.ys / (2.0 * c) + 0.5, 0.0, 1.0)
     lookup = _BallLookup(network.xs, network.r_n)
-    counts, bounds = lookup.counts_and_bounds(queries)
-    votes_in = _in_ball_votes(lookup, coin, biases, queries, counts, bounds)
+    counts, votes_in = _in_ball_votes(lookup, coin, biases, queries)
     # fair-coin guessers, aggregated: one Binomial(n - m, 1/2) draw per query
     # via inverse CDF on the uniform addressed by (sentinel n, query)
     m_out = (n - counts).astype(np.int64)

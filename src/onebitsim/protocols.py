@@ -11,9 +11,10 @@ Five protocols, identified by the strings in :data:`PROTOCOLS`:
 * ``reg_abstain``    -- in-ball sensors encode their real label in a coin
   bias (y / 2c + 1/2, censored to a fair coin when |y| > c); fusion shifts
   and scales the vote fraction back into label units.
-* ``reg_noabstain``  -- every sensor votes with a bias from the clip-ball
-  family; the scaled-mean fusion rule is permutation invariant and
-  Lipschitz in the average Hamming distance.
+* ``reg_noabstain``  -- in-ball sensors vote with the clipped bias
+  clip(y / 2c + 1/2) at a fixed amplitude c, the rest guess with a fair
+  coin; the scaled-mean fusion rule is permutation invariant and
+  2c-Lipschitz in the average Hamming distance.
 * ``specialists``    -- sensors own a random region, train on data
   conditioned to that region, and vote only for queries inside it.
 
@@ -340,55 +341,23 @@ def fuse_reg_abstain(
 # regression without abstention
 
 
-@dataclass(frozen=True)
-class ClipBallBias:
-    """Default response-probability family member.
+def respond_reg_noabstain(
+    sensor: SensorState, query_x, r_n: float, c: float, coin: float
+) -> Response:
+    """Vote 1 with the clip-ball probability; never abstain.
 
-    Inside the radius-r ball: clip(y / (2c) + 1/2) with a fixed amplitude
-    c; outside: a fair guess. As r shrinks with n this family converges
-    pointwise, which is what makes it the canonical no-go demonstration.
+    Inside the radius-r_n ball the bias is clip(y / (2c) + 1/2, 0, 1) with
+    a fixed amplitude c; outside it is a fair guess. As r_n shrinks with n
+    this rule converges pointwise, which is what makes it the canonical
+    no-go demonstration. ``coin`` is one uniform [0,1) variate, fresh per
+    (sensor, query).
     """
-
-    c: float
-    r: float
-
-    def __call__(self, x, xi, yi) -> float:
-        if in_ball(x, xi, self.r):
-            return min(1.0, max(0.0, yi / (2.0 * self.c) + 0.5))
-        return 0.5
-
-
-@dataclass(frozen=True)
-class LipschitzFusionSpec:
-    """A response-probability function paired with the Lipschitz constant
-    of the scaled-mean fusion built on top of it."""
-
-    lipschitz_c: float
-    bias: Callable[..., float]
-
-    def __post_init__(self):
-        if self.lipschitz_c <= 0:
-            raise ValueError("lipschitz constant must be positive")
-
-
-def make_clip_ball_spec(c: float, r: float) -> LipschitzFusionSpec:
-    """Instantiate the default family; the scaled-mean fusion with
-    amplitude c is 2c-Lipschitz in the average Hamming distance."""
     if c <= 0:
         raise ValueError("amplitude c must be positive")
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    return LipschitzFusionSpec(lipschitz_c=2.0 * c, bias=ClipBallBias(c, r))
-
-
-def respond_reg_noabstain(
-    sensor: SensorState, query_x, spec: LipschitzFusionSpec, coin: float
-) -> Response:
-    """Vote 1 with the family's probability a(x, X_i, Y_i); never abstain."""
     datum = _require_datum(sensor)
-    bias = spec.bias(query_x, datum.x, datum.y)
-    if not (0.0 <= bias <= 1.0):
-        raise ValueError(f"response probability {bias!r} outside [0,1]")
+    bias = 0.5
+    if in_ball(query_x, datum.x, r_n):
+        bias = min(1.0, max(0.0, datum.y / (2.0 * c) + 0.5))
     return Response.VOTE1 if coin < bias else Response.VOTE0
 
 

@@ -3,6 +3,7 @@ fails here instead of silently dropping the benchmark's per-layer metrics."""
 
 import importlib.util
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from onebitsim import harness as hn
@@ -34,7 +35,20 @@ def test_every_benchmark_hook_installs_and_records():
             test_points=10,
         )
         hn.run_sweep(config)
+        # the 2-d coin engines must build and query their trees through the
+        # module-level predict.cKDTree name that the benchmark wraps
+        hn.run_sweep(
+            replace(
+                config,
+                protocol="cls_noabstain",
+                scenario_id="gauss_mix_2d",
+                schedule=Schedule(0.5, 0.2),
+                coin_mode="per_query",
+            )
+        )
         recorded = {span.name for span in tracer.spans}
-        assert {"predict", "harness.train"} <= recorded
+        assert {
+            "predict", "harness.train", "predict.kdtree_build", "predict.kdtree_query"
+        } <= recorded
     finally:
         hooks.remove()

@@ -93,7 +93,7 @@ def test_batch_results_independent_of_chunking(monkeypatch):
         )
         queries, _ = scen.sample(np.random.default_rng(2), 64)
         cases.append((net, queries, pd.predict_batch(net, queries, coin_seed=7)))
-    monkeypatch.setattr(pd, "_PAIR_BUDGET", 17)
+    monkeypatch.setattr(pd, "_PAIR_BLOCK", 17)
     for net, queries, full in cases:
         tiny = pd.predict_batch(net, queries, coin_seed=7)
         np.testing.assert_array_equal(full.values, tiny.values)
@@ -127,10 +127,19 @@ def test_abstention_telemetry():
     assert batch.all_abstain_frac == pytest.approx(np.mean(expected_responders == 0))
 
 
-def test_empty_network():
-    scen = make_scenario("gauss_mix_1d")
-    net = train_network("cls_abstain", scen, 0, Schedule(0.5, 0.3), seed=1)
-    batch = pd.predict_batch(net, np.zeros((5, 1)), coin_seed=0)
+@pytest.mark.filterwarnings("ignore::onebitsim.protocols.ScheduleViolationWarning")
+@pytest.mark.parametrize(
+    "protocol,sid,mode",
+    CASES
+    + [
+        ("reg_noabstain", "sine_1d", "per_sensor"),
+        ("cls_noabstain", "gauss_mix_2d", "per_sensor"),
+    ],
+)
+def test_empty_network(protocol, sid, mode):
+    scen = make_scenario(sid)
+    net = train_network(protocol, scen, 0, Schedule(0.5, 0.3), seed=1, coin_mode=mode)
+    batch = pd.predict_batch(net, np.zeros((5, scen.dimension)), coin_seed=0)
     np.testing.assert_array_equal(batch.values, np.zeros(5))
     assert batch.all_abstain_frac == 1.0
     assert batch.abstain_rate == 0.0  # no sensors, no responses to count

@@ -207,28 +207,36 @@ def test_fuse_reg_abstain_values():
 
 
 def test_clip_ball_family():
-    spec = pr.make_clip_ball_spec(c=2.0, r=0.1)
-    assert spec.lipschitz_c == 4.0
-    assert spec.bias([0.5], [0.9], 1.0) == 0.5          # out of ball: guess
-    assert spec.bias([0.5], [0.55], 5.0) == 1.0         # clipped high
-    assert spec.bias([0.5], [0.55], -5.0) == 0.0        # clipped low
-    assert spec.bias([0.5], [0.55], 1.0) == 0.75
+    # the vote flips where the coin reaches the bias: a fair guess out of
+    # the ball, y / 2c + 1/2 inside it, clipped to [0, 1]
+    for x_i, y, bias in [
+        (0.9, 1.0, 0.5),     # out of ball: guess
+        (0.55, 1.0, 0.75),
+        (0.55, 5.0, 1.0),    # clipped high
+        (0.55, -5.0, 0.0),   # clipped low
+    ]:
+        s = sensor(x_i, y)
+        for coin in (0.0, np.nextafter(bias, 0.0), bias, 0.999):
+            expected = R.VOTE1 if coin < bias else R.VOTE0
+            assert pr.respond_reg_noabstain(s, [0.5], 0.1, 2.0, coin) is expected
+    # the family's fusion is Lipschitz with constant 2c: one flipped vote
+    # of n moves the output by 2c / n
+    votes = [R.VOTE1, R.VOTE0, R.VOTE0, R.VOTE1, R.VOTE0]
+    flipped = [R.VOTE1] + votes[1:3] + [R.VOTE1, R.VOTE1]
+    shift = pr.fuse_reg_noabstain_scaledmean(flipped, 2.0) - pr.fuse_reg_noabstain_scaledmean(votes, 2.0)
+    assert shift == pytest.approx(4.0 / len(votes))
 
 
 def test_respond_reg_noabstain_branches():
-    spec = pr.make_clip_ball_spec(c=2.0, r=0.1)
+    # a label at the clip edge votes 1 for every coin; a sensor whose
+    # label sits at -c votes 0 for every coin
     hot = sensor(0.5, 2.0)
+    cold = sensor(0.5, -2.0)
     for coin in (0.0, 0.5, 0.999):
-        assert pr.respond_reg_noabstain(hot, [0.5], spec, coin) is R.VOTE1
-    zero = pr.LipschitzFusionSpec(lipschitz_c=1.0, bias=lambda x, xi, yi: 0.0)
-    for coin in (0.0, 0.5, 0.999):
-        assert pr.respond_reg_noabstain(hot, [0.5], zero, coin) is R.VOTE0
-
-
-def test_family_validation():
-    bad = pr.LipschitzFusionSpec(lipschitz_c=1.0, bias=lambda x, xi, yi: 1.5)
-    with pytest.raises(ValueError, match="outside"):
-        pr.respond_reg_noabstain(sensor(0.0, 0.0), [0.0], bad, 0.5)
+        assert pr.respond_reg_noabstain(hot, [0.5], 0.1, 2.0, coin) is R.VOTE1
+        assert pr.respond_reg_noabstain(cold, [0.5], 0.1, 2.0, coin) is R.VOTE0
+    with pytest.raises(ValueError, match="positive"):
+        pr.respond_reg_noabstain(sensor(0.5, 0.0), [0.5], 0.1, 0.0, 0.5)
 
 
 def test_fuse_scaled_mean_values():
