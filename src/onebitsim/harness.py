@@ -26,6 +26,7 @@ from .protocols import (
     Schedule,
     ScheduleViolationWarning,
     SensorState,
+    check_finite,
     draw_specialist_centers,
     protocol_spec,
     schedule_eval,
@@ -63,6 +64,7 @@ class ExperimentConfig:
     family_c: float = 2.0
 
     def __post_init__(self):
+        check_finite(self, ("n_grid", "replications", "test_points", "family_c"))
         protocol_spec(self.protocol)
         if self.coin_mode not in COIN_MODES:
             raise ValueError(f"unknown coin_mode {self.coin_mode!r}")
@@ -363,12 +365,15 @@ def _cell_reports(
     config: ExperimentConfig, grid: tuple[int, ...], jobs: int
 ) -> list[RiskReport]:
     """Run every (n, replication) of ``grid`` through one worker pool (or
-    serially), then summarise each cell in grid order."""
+    serially), then summarise each cell in grid order. The pool takes the
+    tasks in chunks, about four per worker, so that many tiny replications
+    do not pay one round trip each."""
     tasks = [(config, n, rep) for n in grid for rep in range(config.replications)]
     workers = pool_workers(jobs, len(tasks))
     if workers > 1:
+        chunksize = max(1, len(tasks) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            timed = list(pool.map(_timed_replication, tasks))
+            timed = list(pool.map(_timed_replication, tasks, chunksize=chunksize))
     else:
         timed = [_timed_replication(t) for t in tasks]
     reps = config.replications

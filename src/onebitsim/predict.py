@@ -15,8 +15,12 @@ above it. The coin engines see in-ball (sensor, query) pairs only through
 peak memory stays bounded regardless of how many pairs a batch touches.
 Pairs are enumerated in the lookup's storage order: sorted by coordinate
 in one dimension, so a query's in-ball sensors are one contiguous run,
-and original order above it. Engines permute their per-sensor tables
-(coin keys, biases, labels) into that order once per call.
+and original order above it. Engines build their per-sensor tables (coin
+keys, biases, labels) in that order once per call, and read a chunk's
+pairs from a table through the chunk's ``gather``. In one dimension that
+concatenates the chunk's runs as slices of the table, so no per-pair
+position array is built; above it, it indexes the table with the KD-tree's
+neighbor lists.
 
 Per-query ``cls_noabstain`` has every sensor answer every query, so its
 vote total is counted in integers as three terms: the in-ball labels,
@@ -33,17 +37,22 @@ one KD-tree per class, and each tree answers one length query
 Coins are hashed with the key/counter split of ``seeding``: one sensor key
 per sensor and one query key per query per call, then one mix per pair,
 bit for bit the scalar ``CoinSource.uniform`` at the pair's address.
+
+Only ``reg_noabstain`` needs ``scipy.stats`` (for ``binom``), which takes
+about 0.6 s to import, so ``binom`` is bound on first use through the
+module ``__getattr__`` (PEP 562). ``cKDTree`` is imported eagerly.
 """
 
 from __future__ import annotations
 
+import importlib
+import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 from scipy.spatial import cKDTree
-from scipy.stats import binom
 
 from .seeding import CoinSource, pair_bits, query_keys, to_unit
 
@@ -52,6 +61,20 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _PAIR_BLOCK = 1 << 15  # pairs per chunk: every per-pair array stays in cache
 _TINY = np.finfo(float).tiny
+
+# names bound on first access, and the module each comes from. Engines call
+# them as ``_module.<name>``, so a wrapper set on the module is the one
+# they call.
+_LAZY = {"binom": "scipy.stats"}
+_module = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = getattr(importlib.import_module(_LAZY[name]), name)
+    _LAZY.pop(name, None)  # bound once: deleting the name later leaves it absent
+    return globals()[name]
 
 
 @dataclass(frozen=True)
@@ -106,8 +129,9 @@ class _BallLookup:
         return cKDTree(self.points)
 
     def stored(self, table: np.ndarray) -> np.ndarray:
-        """A per-point table permuted into storage order."""
-        return table if self.order is None else table[self.order]
+        """A per-point table permuted into storage order, as a new array
+        the caller may overwrite."""
+        return table.copy() if self.order is None else table[self.order]
 
     def stored_ids(self) -> np.ndarray:
         """Original point index at each storage position."""
@@ -152,11 +176,12 @@ class _BallLookup:
 
     def iter_pairs(
         self, queries: np.ndarray
-    ) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
-        """Yield (query slice, storage positions, per-query counts) over
-        every in-ball (point, query) pair, a query's positions together,
-        chunked so each chunk holds at most ~``_PAIR_BLOCK`` pairs (a
-        single query may exceed it)."""
+    ) -> Iterator[tuple[slice, Callable[[np.ndarray], np.ndarray], np.ndarray]]:
+        """Yield (query slice, gather, per-query counts) over every in-ball
+        (point, query) pair, chunked so each chunk holds at most
+        ~``_PAIR_BLOCK`` pairs (a single query may exceed it).
+        ``gather(table)`` returns a storage-order table's entries at the
+        chunk's pairs, a query's pairs together."""
         if self.d == 1:
             lo, hi = self._bounds(queries)
             counts = hi - lo
@@ -173,15 +198,15 @@ class _BallLookup:
                 total += int(counts[end])
                 end += 1
             sl = slice(start, end)
-            chunk_counts = counts[sl]
             if self.d == 1:
-                offsets = lo[sl] - (np.cumsum(chunk_counts) - chunk_counts)
-                idx = np.repeat(offsets, chunk_counts)
-                idx += np.arange(len(idx))
+                # a query's in-ball points are one run of the sorted storage
+                runs = [slice(a, b) for a, b in zip(lo[sl].tolist(), hi[sl].tolist())]
+                gather = lambda table, runs=runs: np.concatenate([table[r] for r in runs])
             else:
                 lists = self.tree.query_ball_point(queries[sl], self.radius)
                 idx = np.concatenate([np.asarray(v, dtype=np.int64) for v in lists])
-            yield sl, idx, chunk_counts
+                gather = lambda table, idx=idx: table[idx]
+            yield sl, gather, counts[sl]
             start = end
 
 
@@ -197,15 +222,15 @@ def _segment_counts(flags: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 def _in_ball_votes(lookup, coin, biases, queries):
     """Per-query counts of in-ball sensors and of those whose coin at
-    (sensor, query) falls below the sensor's bias."""
+    (sensor, query) falls below the sensor's bias; ``biases`` is in the
+    lookup's storage order."""
     keys = coin.sensor_keys(lookup.stored_ids())
-    thresholds = lookup.stored(biases)
     qkeys = query_keys(np.arange(len(queries)))
     counts = np.zeros(len(queries), dtype=np.int64)
     votes = np.zeros(len(queries), dtype=np.int64)
-    for sl, pos, chunk_counts in lookup.iter_pairs(queries):
-        bits = pair_bits(keys[pos], np.repeat(qkeys[sl], chunk_counts))
-        votes[sl] = _segment_counts(to_unit(bits) < thresholds[pos], chunk_counts)
+    for sl, gather, chunk_counts in lookup.iter_pairs(queries):
+        bits = pair_bits(gather(keys), np.repeat(qkeys[sl], chunk_counts))
+        votes[sl] = _segment_counts(to_unit(bits) < gather(biases), chunk_counts)
         counts[sl] = chunk_counts
     return counts, votes
 
@@ -289,9 +314,13 @@ def _cls_noabstain_fresh(network, queries, coin_seed):
 
 def batch_reg_abstain(network, queries, coin_seed, default_label):
     c = network.c_n
-    ys = network.ys
-    biases = np.where(np.abs(ys) <= c, ys / (2.0 * c) + 0.5, 0.5)
     lookup = _BallLookup(network.xs, network.r_n)
+    # biases ys / 2c + 1/2 inside the clamp, 1/2 outside, built in place
+    biases = lookup.stored(network.ys)
+    inside = np.abs(biases) <= c
+    biases /= 2.0 * c
+    biases += 0.5
+    biases[~inside] = 0.5
     counts, v = _in_ball_votes(lookup, CoinSource(coin_seed), biases, queries)
     with np.errstate(invalid="ignore", divide="ignore"):
         est = 2.0 * c * (v / counts - 0.5)
@@ -304,14 +333,17 @@ def batch_reg_noabstain(network, queries, coin_seed, default_label):
     c = network.family_c
     n = network.n
     t = len(queries)
-    biases = np.clip(network.ys / (2.0 * c) + 0.5, 0.0, 1.0)
     lookup = _BallLookup(network.xs, network.r_n)
+    biases = lookup.stored(network.ys)
+    biases /= 2.0 * c
+    biases += 0.5
+    np.clip(biases, 0.0, 1.0, out=biases)
     counts, votes_in = _in_ball_votes(lookup, coin, biases, queries)
     # fair-coin guessers, aggregated: one Binomial(n - m, 1/2) draw per query
     # via inverse CDF on the uniform addressed by (sentinel n, query)
     m_out = (n - counts).astype(np.int64)
     u_out = coin.uniform_array(np.uint64(n), np.arange(t, dtype=np.uint64))
-    votes_out = binom.ppf(np.clip(u_out, _TINY, None), m_out, 0.5)
+    votes_out = _module.binom.ppf(np.clip(u_out, _TINY, None), m_out, 0.5)
     if n == 0:
         return PredictionBatch(np.zeros(t), counts, 0)
     estimates = 2.0 * c * ((votes_in + votes_out) / n - 0.5)

@@ -77,6 +77,17 @@ def in_ball(x, center, radius: float) -> bool:
     return math.dist(np.atleast_1d(x), np.atleast_1d(center)) <= radius
 
 
+def check_finite(obj, names) -> None:
+    """Raise ValueError, naming the field, when a field of ``obj`` in
+    ``names`` (or an entry of a tuple or list field) is a NaN or infinite
+    float."""
+    for name in names:
+        value = getattr(obj, name)
+        for v in value if isinstance(value, (tuple, list)) else (value,):
+            if isinstance(v, (float, np.floating)) and not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v!r}")
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Power-law bandwidth and amplitude sequences.
@@ -93,6 +104,7 @@ class Schedule:
     clamp: Optional[float] = None
 
     def __post_init__(self):
+        check_finite(self, ("r0", "beta", "c0", "gamma", "clamp"))
         if self.r0 <= 0:
             raise ValueError("r0 must be positive")
         if self.beta < 0:

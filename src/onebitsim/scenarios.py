@@ -25,9 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
-from scipy.special import expit
-from scipy.stats import norm
+from scipy.special import expit, ndtr
 
 
 class IntegrationError(RuntimeError):
@@ -167,7 +165,7 @@ class GaussianPairScenario(Scenario):
         return expit(2.0 * (xs @ self.mu) / self.sigma**2)
 
     def closed_form_bayes_risk(self):
-        return float(norm.cdf(-self._mu_norm / self.sigma))
+        return float(ndtr(-self._mu_norm / self.sigma))
 
     def _t_density(self, t):
         # distribution of <X, mu/||mu||>: mixture of two 1-d Gaussians
@@ -179,6 +177,8 @@ class GaussianPairScenario(Scenario):
     def integrate_mean(self, f, tol):
         # Integrands of interest depend on x only through its projection on
         # the class axis; integrate along that line against the pushforward.
+        from scipy import integrate  # loaded on first use: ~0.2 s at start-up
+
         g = lambda t: f(t * self._axis) * self._t_density(t)
         lo, err_lo = integrate.quad(g, -np.inf, 0.0, epsabs=tol / 4, limit=300)
         hi, err_hi = integrate.quad(g, 0.0, np.inf, epsabs=tol / 4, limit=300)
@@ -225,6 +225,8 @@ class UniformBoxScenario(Scenario):
         return xs, untrainable
 
     def integrate_mean(self, f, tol):
+        from scipy import integrate  # loaded on first use: ~0.2 s at start-up
+
         if self.dimension == 1:
             val, err = integrate.quad(
                 lambda x: f(np.array([x])), 0.0, 1.0, epsabs=tol / 2, limit=300

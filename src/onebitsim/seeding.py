@@ -33,6 +33,7 @@ _GOLDEN = _U64(0x9E3779B97F4A7C15)
 _MIX1 = _U64(0xBF58476D1CE4E5B9)
 _MIX2 = _U64(0x94D049BB133111EB)
 _MASK = (1 << 64) - 1
+_MIX_BLOCK = 1 << 15  # entries per in-place mixing step
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -80,25 +81,35 @@ def query_keys(queries) -> np.ndarray:
     return _mix(np.asarray(queries, dtype=np.uint64))
 
 
+def _mix_inplace(z: np.ndarray) -> np.ndarray:
+    """``_mix`` run in place on a new contiguous uint64 array ``z``, a block
+    of ``_MIX_BLOCK`` entries at a time, so the one scratch array stays
+    cache-sized whatever the size of ``z``."""
+    flat = z.ravel(order="K")  # a view: z is C- or F-contiguous
+    scratch = np.empty(min(flat.size, _MIX_BLOCK), dtype=np.uint64)
+    for start in range(0, flat.size, _MIX_BLOCK):
+        b = flat[start:start + _MIX_BLOCK]
+        tmp = scratch[:b.size]
+        np.add(b, _GOLDEN, out=b)
+        for shift, mult in ((30, _MIX1), (27, _MIX2)):
+            np.right_shift(b, _U64(shift), out=tmp)
+            np.bitwise_xor(b, tmp, out=b)
+            np.multiply(b, mult, out=b)
+        np.right_shift(b, _U64(31), out=tmp)
+        np.bitwise_xor(b, tmp, out=b)
+    return z
+
+
 def pair_bits(skeys: np.ndarray, qkeys: np.ndarray) -> np.ndarray:
     """Coin bits ``_mix(K ^ Q)`` of broadcast sensor and query key arrays;
     ``to_unit`` of them is the uniform at each (sensor, query) address.
 
-    Runs ``_mix``'s steps in place, so a pair costs its output plus one
-    scratch array. ``_mix`` itself stays the plain expression the scalar
+    Runs ``_mix``'s steps in place, so a pair costs its output and no
+    more. ``_mix`` itself stays the plain expression the scalar
     ``CoinSource.uniform`` uses, which keeps the reference independent of
     this copy.
     """
-    z = np.asarray(np.bitwise_xor(skeys, qkeys))
-    tmp = np.empty_like(z)
-    np.add(z, _GOLDEN, out=z)
-    for shift, mult in ((30, _MIX1), (27, _MIX2)):
-        np.right_shift(z, _U64(shift), out=tmp)
-        np.bitwise_xor(z, tmp, out=z)
-        np.multiply(z, mult, out=z)
-    np.right_shift(z, _U64(31), out=tmp)
-    np.bitwise_xor(z, tmp, out=z)
-    return z
+    return _mix_inplace(np.asarray(np.bitwise_xor(skeys, qkeys)))
 
 
 @dataclass(frozen=True)
@@ -116,8 +127,11 @@ class CoinSource:
         return float(to_unit(_fold(self.seed, (sensor, query))))
 
     def sensor_keys(self, sensors) -> np.ndarray:
-        """Per-sensor keys ``K[s] = _mix(_mix(seed) ^ _mix(s))``."""
-        return _fold(self.seed, (np.asarray(sensors, dtype=np.uint64),))
+        """Per-sensor keys ``K[s] = _mix(_mix(seed) ^ _mix(s))``, mixed in
+        place like ``pair_bits``: they cost the keys array and no more."""
+        k = _mix_inplace(np.array(sensors, dtype=np.uint64))
+        np.bitwise_xor(k, _mix(_U64(self.seed & _MASK)), out=k)
+        return _mix_inplace(k)
 
     def uniform_array(self, sensors, queries) -> np.ndarray:
         """Vectorized lookup; ``sensors`` and ``queries`` broadcast together."""

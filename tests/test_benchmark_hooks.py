@@ -6,6 +6,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 from onebitsim import harness as hn
 from onebitsim.protocols import Schedule
 
@@ -20,6 +22,7 @@ def _load_spans():
     return module
 
 
+@pytest.mark.filterwarnings("ignore::onebitsim.protocols.ScheduleViolationWarning")
 def test_every_benchmark_hook_installs_and_records():
     spans = _load_spans()
     tracer = spans.Tracer()
@@ -46,9 +49,21 @@ def test_every_benchmark_hook_installs_and_records():
                 coin_mode="per_query",
             )
         )
+        # predict.binom is bound on first use; the engine must still call it
+        # through the module name the benchmark wraps
+        hn.run_sweep(
+            replace(
+                config,
+                protocol="reg_noabstain",
+                scenario_id="sine_1d",
+                n_grid=(20,),
+                replications=1,
+            )
+        )
         recorded = {span.name for span in tracer.spans}
         assert {
-            "predict", "harness.train", "predict.kdtree_build", "predict.kdtree_query"
+            "predict", "harness.train", "predict.kdtree_build", "predict.kdtree_query",
+            "predict.binom",
         } <= recorded
     finally:
         hooks.remove()

@@ -3,6 +3,10 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -69,6 +73,25 @@ def test_sweep_rerun_is_byte_identical(tmp_path):
     assert cli.main(["sweep", "--config", cfg, "--out", str(a)]) == 0
     assert cli.main(["sweep", "--config", cfg, "--out", str(b)]) == 0
     assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
+
+
+def test_startup_leaves_scipy_stats_and_integrate_unloaded():
+    # every command pays for what importing the CLI loads; scipy.stats and
+    # scipy.integrate are loaded on first use instead
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    probe = (
+        "import sys, onebitsim.cli; "
+        "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    assert done.stdout.strip() == "[]"
+    assert predict.binom.ppf(0.5, 4, 0.5) == 2.0  # the lazy name still resolves
 
 
 def test_jobs_flag_does_not_change_results(tmp_path):

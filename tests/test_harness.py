@@ -43,6 +43,28 @@ def test_config_validation():
         small_config(coin_mode="weekly")
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("r0", math.nan), ("beta", math.inf), ("c0", -math.inf), ("gamma", math.nan),
+     ("clamp", math.inf)],
+)
+def test_schedule_rejects_non_finite_numbers(field, value):
+    # a sweep with r0 = nan once ran to the end with every sensor abstaining
+    kwargs = {"r0": 0.5, "beta": 0.3, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        Schedule(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("family_c", math.nan), ("family_c", math.inf), ("replications", math.nan),
+     ("test_points", math.inf), ("n_grid", (100, math.inf))],
+)
+def test_experiment_config_rejects_non_finite_numbers(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        small_config(**{field: value})
+
+
 def test_train_network_deterministic():
     scen = make_scenario("gauss_mix_1d")
     a = hn.train_network("cls_abstain", scen, 500, Schedule(0.5, 0.3), seed=3)

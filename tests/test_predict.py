@@ -5,12 +5,14 @@ import hashlib
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from onebitsim import predict as pd
 from onebitsim.harness import train_network
 from onebitsim.oracle import exact_conditional_error_at_x
 from onebitsim.protocols import Schedule
 from onebitsim.scenarios import make_scenario
+from onebitsim.seeding import CoinSource
 from onebitsim.verify import scalar_predict
 
 
@@ -98,6 +100,72 @@ def test_batch_results_independent_of_chunking(monkeypatch):
         tiny = pd.predict_batch(net, queries, coin_seed=7)
         np.testing.assert_array_equal(full.values, tiny.values)
         np.testing.assert_array_equal(full.responders, tiny.responders)
+
+
+# 1-d sensors in runs of 3, 1, 10, 2 and 3 (the last run ends the sorted
+# array), and queries in the order the chunking test needs: an empty ball
+# between non-empty ones, a query whose run alone exceeds a small block,
+# runs that touch either end, and empty balls beyond both ends
+RUN_SENSORS = np.concatenate([
+    [0.0, 0.01, 0.02], [0.3], np.arange(10) / 100 + 0.5, [0.7, 0.71], [0.98, 0.99, 1.0],
+])
+RUN_QUERIES = np.array([-0.035, 0.2, 0.3, 0.42, 0.705, 0.545, 5.0, 1.035, -5.0, 0.025])
+
+
+def _run_network(protocol, sid, mode):
+    scen = make_scenario(sid)
+    # clamp c_n to 0.5 so that some reg_abstain labels fall outside it
+    net = train_network(
+        protocol, scen, len(RUN_SENSORS), Schedule(0.4, 0.2, clamp=0.5), seed=3,
+        coin_mode=mode,
+    )
+    order = np.random.default_rng(4).permutation(len(RUN_SENSORS))  # unsorted storage
+    return dataclasses.replace(net, xs=RUN_SENSORS[order][:, None], r_n=0.05)
+
+
+def _scalar_reg_noabstain(net, queries, coin_seed):
+    """reg_noabstain with every in-ball vote taken from its scalar coin; the
+    guess crowd is drawn in aggregate, exactly as the engine defines it."""
+    coins = CoinSource(coin_seed)
+    c = net.family_c
+    biases = np.clip(net.ys / (2.0 * c) + 0.5, 0.0, 1.0)
+    inside = np.abs(net.xs[:, 0][None, :] - queries[:, 0][:, None]) <= net.r_n
+    votes_in = np.array([
+        sum(coins.uniform(i, q) < biases[i] for i in np.flatnonzero(row))
+        for q, row in enumerate(inside)
+    ], dtype=np.int64)
+    t = len(queries)
+    u_out = coins.uniform_array(np.uint64(net.n), np.arange(t, dtype=np.uint64))
+    votes_out = binom.ppf(np.clip(u_out, pd._TINY, None), net.n - inside.sum(axis=1), 0.5)
+    return 2.0 * c * ((votes_in + votes_out) / net.n - 0.5)
+
+
+@pytest.mark.filterwarnings("ignore::onebitsim.protocols.ScheduleViolationWarning")
+@pytest.mark.parametrize("block", [4, 1 << 15])
+@pytest.mark.parametrize(
+    "protocol,sid,mode",
+    [
+        ("reg_abstain", "sine_1d", "per_sensor"),
+        ("reg_noabstain", "sine_1d", "per_sensor"),
+        ("cls_noabstain", "gauss_mix_1d", "per_query"),
+    ],
+)
+def test_1d_run_gather_edge_cases(protocol, sid, mode, block, monkeypatch):
+    monkeypatch.setattr(pd, "_PAIR_BLOCK", block)
+    net = _run_network(protocol, sid, mode)
+    queries = RUN_QUERIES[:, None]
+    lookup = pd._BallLookup(net.xs, net.r_n)
+    chunks = [c.tolist() for _, _, c in lookup.iter_pairs(queries)]
+    if block == 4:
+        assert chunks == [[2, 0, 1, 0], [2], [10], [0, 2, 0], [3]]
+    else:
+        assert chunks == [[2, 0, 1, 0, 2, 10, 0, 2, 0, 3]]
+    batch = pd.predict_batch(net, queries, coin_seed=77)
+    if protocol == "reg_noabstain":
+        expected = _scalar_reg_noabstain(net, queries, 77)
+    else:
+        expected = scalar_predict(net, queries, 77)
+    np.testing.assert_array_equal(batch.values.astype(float), expected)
 
 
 def test_untrainable_specialists_are_silent():
