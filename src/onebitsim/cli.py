@@ -16,7 +16,6 @@ import csv
 import dataclasses
 import datetime
 import json
-import math
 import os
 import platform
 import sys
@@ -30,14 +29,12 @@ from . import __version__
 from .harness import (
     ExperimentConfig,
     RiskReport,
-    check_compatible,
     default_impossibility_config,
     impossibility_demo,
     pool_workers,
     run_sweep,
 )
-from .protocols import COIN_MODES, PROTOCOLS, Schedule
-from .scenarios import SCENARIO_IDS, make_scenario, scenario_parameters
+from .protocols import Schedule
 from .verify import run_verify_suites
 
 CSV_COLUMNS = (
@@ -155,68 +152,18 @@ def _parse_scalar(key: str, raw: str, kind, what: str):
         raise ConfigError(f"{key}: expected {what}, got {raw!r}") from None
 
 
-def _parse_number(key: str, raw) -> float:
-    value = _parse_scalar(key, raw, float, "a number")
-    if not math.isfinite(value):
-        raise ConfigError(f"{key}: expected a finite number, got {raw!r}")
-    return value
+def _parse_param_part(part: str):
+    for kind in (int, float):
+        try:
+            return kind(part)
+        except ValueError:
+            pass
+    return part  # not a number: make_scenario names the parameter
 
 
 def _parse_param_value(raw: str):
-    parts = [p.strip() for p in raw.split(",")]
-    values = []
-    for part in parts:
-        try:
-            values.append(int(part))
-            continue
-        except ValueError:
-            pass
-        try:
-            values.append(float(part))
-            continue
-        except ValueError:
-            values.append(part)
-    if len(values) == 1:
-        return values[0]
-    return tuple(values)
-
-
-def _check_scenario(protocol: str, scenario_id: str, params: dict) -> None:
-    """Build the scenario once so bad parameters and a protocol/scenario
-    mismatch surface as config errors that name the key."""
-    known = scenario_parameters(scenario_id)
-    for name, value in params.items():
-        key = f"scenario.{name}"
-        if name not in known:
-            raise ConfigError(
-                f"{key}: unknown parameter for {scenario_id}; "
-                f"known: {', '.join(known)}"
-            )
-        for part in value if isinstance(value, tuple) else (value,):
-            if isinstance(part, str) or not math.isfinite(part):
-                raise ConfigError(f"{key}: expected finite numbers, got {part!r}")
-    try:
-        scenario = make_scenario(scenario_id, **params)
-    except ValueError as exc:
-        # name the first parameter that fails on its own
-        culprit = next(
-            (name for name in params if not _builds(scenario_id, name, params[name])),
-            None,
-        )
-        key = "scenario" if culprit is None else f"scenario.{culprit}"
-        raise ConfigError(f"{key}: {exc}") from None
-    try:
-        check_compatible(protocol, scenario)
-    except ValueError as exc:
-        raise ConfigError(f"scenario: {scenario_id} does not fit: {exc}") from None
-
-
-def _builds(scenario_id: str, name: str, value) -> bool:
-    try:
-        make_scenario(scenario_id, **{name: value})
-    except ValueError:
-        return False
-    return True
+    values = tuple(_parse_param_part(part.strip()) for part in raw.split(","))
+    return values[0] if len(values) == 1 else values
 
 
 def load_config_section(path: str, command: str) -> dict:
@@ -231,6 +178,19 @@ def load_config_section(path: str, command: str) -> dict:
     if not parser.has_section(command):
         raise ConfigError(f"config: section [{command}] is required")
     return dict(parser.items(command))
+
+
+# config keys whose ExperimentConfig field has another name
+_FIELD_KEYS = (("scenario_id:", "scenario:"), ("scenario_params.", "scenario."))
+
+
+def _config_error(exc: ValueError) -> ConfigError:
+    """The library's ``"<field>: <reason>"`` as ``"<key>: <reason>"``."""
+    text = str(exc)
+    for field, key in _FIELD_KEYS:
+        if text.startswith(field):
+            text = key + text[len(field):]
+    return ConfigError(text)
 
 
 # ExperimentConfig's field defaults; None for the fields a config must set
@@ -250,7 +210,9 @@ def build_experiment_config(
     """Translate a config section into an ExperimentConfig.
 
     ``single_n`` selects between the ``n`` key (simulate) and ``n_grid``
-    (sweep). ``defaults`` pre-fills keys (used by the demo command).
+    (sweep). ``defaults`` pre-fills keys (used by the demo command). Only
+    the text is checked here; ``Schedule`` and ``ExperimentConfig`` check
+    the values.
     """
     section = dict(section)
 
@@ -263,21 +225,12 @@ def build_experiment_config(
     protocol = take("protocol", default("protocol"))
     if protocol is None:
         raise ConfigError("protocol: required")
-    if protocol not in PROTOCOLS:
-        raise ConfigError(
-            f"protocol: unknown {protocol!r}; known: {', '.join(PROTOCOLS)}"
-        )
     scenario = take("scenario", default("scenario_id"))
     if scenario is None:
         raise ConfigError("scenario: required")
-    if scenario not in SCENARIO_IDS:
-        raise ConfigError(
-            f"scenario: unknown {scenario!r}; known: {', '.join(SCENARIO_IDS)}"
-        )
     params = dict(defaults.scenario_params) if defaults else {}
     for key in [k for k in section if k.startswith("scenario.")]:
         params[key.split(".", 1)[1]] = _parse_param_value(section.pop(key))
-    _check_scenario(protocol, scenario, params)
 
     if single_n:
         raw_n = take("n")
@@ -299,35 +252,25 @@ def build_experiment_config(
             if not grid:
                 raise ConfigError("n_grid: required")
 
-    sched_defaults = defaults.schedule if defaults else Schedule(0.5, 0.3)
-    clamp_raw = take("clamp")
-    schedule_kwargs = {
-        key: _parse_number(key, take(key, getattr(sched_defaults, key)))
-        for key in ("r0", "beta", "c0", "gamma")
-    }
-    schedule_kwargs["clamp"] = (
-        _parse_number("clamp", clamp_raw)
-        if clamp_raw is not None
-        else sched_defaults.clamp
-    )
-    try:
-        schedule = Schedule(**schedule_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"schedule: {exc}") from None
-
     def int_key(key, fallback):
         return _parse_scalar(key, take(key, fallback), int, "an integer")
+
+    def number_key(key, fallback):
+        raw = take(key)
+        return fallback if raw is None else _parse_scalar(key, raw, float, "a number")
+
+    sched_defaults = defaults.schedule if defaults else Schedule(0.5, 0.3)
+    schedule_kwargs = {
+        key: number_key(key, getattr(sched_defaults, key))
+        for key in ("r0", "beta", "c0", "gamma", "clamp")
+    }
 
     replications = int_key("replications", default("replications"))
     test_points = int_key("test_points", default("test_points"))
     seed = int_key("seed", default("seed"))
     default_label = int_key("default_label", default("default_label"))
     coin_mode = take("coin_mode", default("coin_mode"))
-    if coin_mode not in COIN_MODES:
-        raise ConfigError(
-            f"coin_mode: unknown {coin_mode!r}; known: {', '.join(COIN_MODES)}"
-        )
-    family_c = _parse_number("family_c", take("family_c", default("family_c")))
+    family_c = number_key("family_c", default("family_c"))
     if seed_override is not None:
         seed = seed_override
     if section:
@@ -337,7 +280,7 @@ def build_experiment_config(
             protocol=protocol,
             scenario_id=scenario,
             scenario_params=params,
-            schedule=schedule,
+            schedule=Schedule(**schedule_kwargs),
             n_grid=grid,
             replications=replications,
             test_points=test_points,
@@ -347,7 +290,7 @@ def build_experiment_config(
             family_c=family_c,
         )
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise _config_error(exc) from None
 
 
 # ---------------------------------------------------------------------------

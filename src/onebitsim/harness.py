@@ -20,13 +20,13 @@ from typing import Optional
 
 import numpy as np
 
+from . import predict
 from .predict import predict_batch
 from .protocols import (
-    COIN_MODES,
     Schedule,
     ScheduleViolationWarning,
     SensorState,
-    check_finite,
+    check_coin_mode,
     draw_specialist_centers,
     protocol_spec,
     schedule_eval,
@@ -36,8 +36,10 @@ from .scenarios import (
     Example,
     Scenario,
     bayes_risk,
+    check_finite,
     make_scenario,
     sample_conditional_batch,
+    scenario_parameters,
 )
 from .seeding import derive_seed, derived_rng
 
@@ -49,7 +51,12 @@ _STREAM_COINS = 3
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to reproduce an experiment bit-for-bit."""
+    """Everything needed to reproduce an experiment bit-for-bit.
+
+    Construction rejects every bad value with ``ValueError("<field>:
+    <reason>")``; a scenario parameter's field is
+    ``scenario_params.<name>``.
+    """
 
     protocol: str
     scenario_id: str
@@ -64,24 +71,35 @@ class ExperimentConfig:
     family_c: float = 2.0
 
     def __post_init__(self):
-        check_finite(self, ("n_grid", "replications", "test_points", "family_c"))
+        for name in ("n_grid", "replications", "test_points", "family_c"):
+            check_finite(name, getattr(self, name))
         protocol_spec(self.protocol)
-        if self.coin_mode not in COIN_MODES:
-            raise ValueError(f"unknown coin_mode {self.coin_mode!r}")
+        check_coin_mode(self.coin_mode)
         if self.replications < 1:
-            raise ValueError("replications must be >= 1")
+            raise ValueError("replications: must be >= 1")
         if self.test_points < 1:
-            raise ValueError("test_points must be >= 1")
+            raise ValueError("test_points: must be >= 1")
         grid = tuple(int(n) for n in self.n_grid)
         if not grid or any(n < 1 for n in grid):
-            raise ValueError("n_grid must hold positive integers")
+            raise ValueError("n_grid: must hold positive integers")
         if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("n_grid must be strictly increasing")
+            raise ValueError("n_grid: must be strictly increasing")
         if self.default_label not in (0, 1):
-            raise ValueError("default_label must be 0 or 1")
+            raise ValueError("default_label: must be 0 or 1")
         if self.family_c <= 0:
-            raise ValueError("family_c must be positive")
+            raise ValueError("family_c: must be positive")
         object.__setattr__(self, "n_grid", grid)
+        scenario_parameters(self.scenario_id)  # an unknown id names scenario_id
+        try:
+            scenario = self.scenario()
+        except ValueError as exc:
+            raise ValueError(f"scenario_params.{exc}") from None
+        try:
+            check_compatible(self.protocol, scenario)
+        except ValueError as exc:
+            raise ValueError(
+                f"scenario_id: {self.scenario_id} does not fit: {exc}"
+            ) from None
 
     def scenario(self) -> Scenario:
         return make_scenario(self.scenario_id, **self.scenario_params)
@@ -155,8 +173,8 @@ def train_network(
     the sufficient consistency conditions warns but still trains --
     violating runs are legitimate experiment subjects.
     """
-    if coin_mode not in COIN_MODES:
-        raise ValueError(f"unknown coin_mode {coin_mode!r}")
+    check_coin_mode(coin_mode)
+    spec = protocol_spec(protocol)
     check_compatible(protocol, scenario)
     d = scenario.dimension
     # the schedule starts at n = 1; an empty network has no radius
@@ -172,7 +190,7 @@ def train_network(
     data_rng = derived_rng(seed, _STREAM_TRAIN)
     centers = None
     untrainable = np.zeros(n, dtype=bool)
-    if protocol == "specialists":
+    if spec.regions:
         centers = draw_specialist_centers(n, d, derived_rng(seed, _STREAM_REGIONS))
         xs, ys, untrainable = sample_conditional_batch(scenario, centers, r_n, data_rng)
         trained = ~untrainable
@@ -294,7 +312,11 @@ def _replication_sample(config: ExperimentConfig, n: int, rep: int) -> RiskSampl
 
 
 def _timed_replication(args) -> tuple[RiskSample, float]:
-    """One replication and its own duration, measured where it runs."""
+    """One replication and its own duration, measured where it runs. The
+    names the protocol's engine loads on first use are bound before the
+    clock starts, so that no duration includes their import."""
+    for name in protocol_spec(args[0].protocol).lazy_names:
+        getattr(predict, name)
     start = time.perf_counter()
     sample = _replication_sample(*args)
     return sample, time.perf_counter() - start

@@ -36,7 +36,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import predict
-from .scenarios import Example
+from .scenarios import Example, check_finite
 
 COIN_MODES = ("per_sensor", "per_query")
 
@@ -77,15 +77,11 @@ def in_ball(x, center, radius: float) -> bool:
     return math.dist(np.atleast_1d(x), np.atleast_1d(center)) <= radius
 
 
-def check_finite(obj, names) -> None:
-    """Raise ValueError, naming the field, when a field of ``obj`` in
-    ``names`` (or an entry of a tuple or list field) is a NaN or infinite
-    float."""
-    for name in names:
-        value = getattr(obj, name)
-        for v in value if isinstance(value, (tuple, list)) else (value,):
-            if isinstance(v, (float, np.floating)) and not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v!r}")
+def check_coin_mode(coin_mode: str) -> None:
+    if coin_mode not in COIN_MODES:
+        raise ValueError(
+            f"coin_mode: unknown {coin_mode!r}; known: {', '.join(COIN_MODES)}"
+        )
 
 
 @dataclass(frozen=True)
@@ -104,17 +100,19 @@ class Schedule:
     clamp: Optional[float] = None
 
     def __post_init__(self):
-        check_finite(self, ("r0", "beta", "c0", "gamma", "clamp"))
+        for name in ("r0", "beta", "c0", "gamma", "clamp"):
+            if getattr(self, name) is not None:  # only clamp may be unset
+                check_finite(name, getattr(self, name))
         if self.r0 <= 0:
-            raise ValueError("r0 must be positive")
+            raise ValueError("r0: must be positive")
         if self.beta < 0:
-            raise ValueError("beta must be >= 0 (r_n may not grow)")
+            raise ValueError("beta: must be >= 0 (r_n may not grow)")
         if self.c0 <= 0:
-            raise ValueError("c0 must be positive")
+            raise ValueError("c0: must be positive")
         if self.gamma < 0:
-            raise ValueError("gamma must be >= 0 (c_n may not shrink)")
+            raise ValueError("gamma: must be >= 0 (c_n may not shrink)")
         if self.clamp is not None and self.clamp <= 0:
-            raise ValueError("clamp must be positive when set")
+            raise ValueError("clamp: must be positive when set")
 
 
 def schedule_eval(schedule: Schedule, n: int) -> tuple[float, float]:
@@ -177,6 +175,8 @@ class ProtocolSpec:
     makes consistent has none. ``engine(network, queries, coin_seed,
     default_label)`` answers a batch of queries (see ``predict``).
     ``regions`` marks the model in which sensors own random regions.
+    ``lazy_names`` are the names in ``predict`` that the engine calls and
+    that are bound on first use.
     """
 
     task: str
@@ -184,6 +184,7 @@ class ProtocolSpec:
     schedule_condition: Optional[Callable[[Schedule, float], Optional[str]]]
     engine: Callable
     regions: bool = False
+    lazy_names: tuple[str, ...] = ()
 
     @property
     def bits_per_query(self) -> float:
@@ -204,7 +205,8 @@ _SPECS = {
         "regression", True, _amplitude_condition, predict.batch_reg_abstain
     ),
     "reg_noabstain": ProtocolSpec(
-        "regression", False, None, predict.batch_reg_noabstain
+        "regression", False, None, predict.batch_reg_noabstain,
+        lazy_names=("binom",),
     ),
     "specialists": ProtocolSpec(
         "classification", True, _beta_d_below(1, "1"), predict.batch_specialists,
@@ -221,7 +223,7 @@ def protocol_spec(protocol: str) -> ProtocolSpec:
         return _SPECS[protocol]
     except KeyError:
         raise ValueError(
-            f"unknown protocol {protocol!r}; known: {', '.join(PROTOCOLS)}"
+            f"protocol: unknown {protocol!r}; known: {', '.join(PROTOCOLS)}"
         ) from None
 
 

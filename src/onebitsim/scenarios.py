@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -38,6 +39,16 @@ class IntegrationError(RuntimeError):
         )
         self.requested = requested
         self.achieved = achieved
+
+
+def check_finite(name: str, value) -> None:
+    """Raise ``ValueError("<name>: expected a finite number, got ...")``
+    unless ``value``, or each entry of a tuple, list or array ``value``, is
+    a finite real number."""
+    entries = np.ravel(value) if isinstance(value, np.ndarray) else value
+    for v in entries if isinstance(entries, (tuple, list, np.ndarray)) else (value,):
+        if not (isinstance(v, numbers.Real) and math.isfinite(v)):
+            raise ValueError(f"{name}: expected a finite number, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -138,7 +149,7 @@ class GaussianPairScenario(Scenario):
 
     def __init__(self, id: str, mu: np.ndarray, sigma: float):
         if sigma <= 0:
-            raise ValueError("sigma must be positive")
+            raise ValueError("sigma: must be positive")
         self.id = id
         self.mu = np.atleast_1d(np.asarray(mu, dtype=float))
         self.dimension = self.mu.shape[0]
@@ -146,7 +157,7 @@ class GaussianPairScenario(Scenario):
         self.params = {"sigma": self.sigma}
         self._mu_norm = float(np.linalg.norm(self.mu))
         if self._mu_norm <= 0:
-            raise ValueError("class means must be separated")
+            raise ValueError("mu: class means must be separated")
         self._axis = self.mu / self._mu_norm
 
     def sample_x(self, rng, size):
@@ -258,10 +269,11 @@ class CheckerboardScenario(UniformBoxScenario):
     dimension = 2
 
     def __init__(self, k: int = 4, p_on: float = 0.8, p_off: float = 0.2):
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if not (0 <= p_on <= 1 and 0 <= p_off <= 1):
-            raise ValueError("posterior levels must lie in [0,1]")
+        if k < 1 or k != int(k):
+            raise ValueError("k: must be an integer >= 1")
+        for name, level in (("p_on", p_on), ("p_off", p_off)):
+            if not 0 <= level <= 1:
+                raise ValueError(f"{name}: posterior level must lie in [0,1]")
         self.id = "checkerboard_2d"
         self.k = int(k)
         self.p_on = float(p_on)
@@ -305,12 +317,14 @@ class CityscapeScenario(UniformBoxScenario):
         threshold: float = 0.5,
         flip: float = 0.1,
     ):
+        if np.shape(center) != (2,):
+            raise ValueError("center: expected 2 coordinates")
         if not (0 < threshold < 1):
-            raise ValueError("threshold must lie strictly in (0,1)")
+            raise ValueError("threshold: must lie strictly in (0,1)")
         if spread <= 0:
-            raise ValueError("spread must be positive")
+            raise ValueError("spread: must be positive")
         if not (0 <= flip <= 1):
-            raise ValueError("flip probability must lie in [0,1]")
+            raise ValueError("flip: probability must lie in [0,1]")
         self.id = "cityscape_2d"
         self.center = np.asarray(center, dtype=float)
         self.spread = float(spread)
@@ -346,7 +360,7 @@ class SineScenario(UniformBoxScenario):
 
     def __init__(self, noise: float = 0.1):
         if noise < 0:
-            raise ValueError("noise must be nonnegative")
+            raise ValueError("noise: must be nonnegative")
         self.id = "sine_1d"
         self.noise = float(noise)
         self.params = {"noise": self.noise}
@@ -388,22 +402,35 @@ SCENARIO_IDS = tuple(sorted(_CATALOG))
 
 
 def scenario_parameters(scenario_id: str) -> tuple[str, ...]:
-    """Keyword parameters ``make_scenario`` accepts for ``scenario_id``."""
+    """Keyword parameters ``make_scenario`` accepts for ``scenario_id``;
+    ``ValueError("scenario_id: ...")`` for an id outside the catalog."""
+    if scenario_id not in _CATALOG:
+        raise ValueError(
+            f"scenario_id: unknown {scenario_id!r}; known: {', '.join(SCENARIO_IDS)}"
+        )
     return tuple(inspect.signature(_CATALOG[scenario_id]).parameters)
 
 
 def make_scenario(scenario_id: str, **params) -> Scenario:
-    """Instantiate a catalog scenario by id with keyword parameters."""
-    try:
-        factory = _CATALOG[scenario_id]
-    except KeyError:
-        raise ValueError(
-            f"unknown scenario {scenario_id!r}; known: {', '.join(SCENARIO_IDS)}"
-        ) from None
-    try:
-        return factory(**params)
-    except TypeError as exc:
-        raise ValueError(f"bad parameters for {scenario_id!r}: {exc}") from None
+    """Instantiate a catalog scenario by id with keyword parameters.
+
+    Every rejected parameter raises ``ValueError("<name>: <reason>")``: an
+    unknown name, a sequence where the default is a number, a value that
+    is not a finite number (or a tuple of them), or one the scenario's own
+    range checks refuse.
+    """
+    known = scenario_parameters(scenario_id)
+    defaults = inspect.signature(_CATALOG[scenario_id]).parameters
+    for name, value in params.items():
+        if name not in known:
+            raise ValueError(
+                f"{name}: unknown parameter for {scenario_id}; known: {', '.join(known)}"
+            )
+        sequence = isinstance(value, (tuple, list)) or getattr(value, "ndim", 0)
+        if sequence and not isinstance(defaults[name].default, tuple):
+            raise ValueError(f"{name}: expected one number, got {value!r}")
+        check_finite(name, value)
+    return _CATALOG[scenario_id](**params)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import pytest
 from onebitsim import cli
 from onebitsim import predict
 from onebitsim import protocols
+from onebitsim.harness import ExperimentConfig
 
 
 SWEEP_INI = """\
@@ -38,6 +40,72 @@ gamma = 0.1
 replications = 2
 test_points = 100
 """
+
+
+SWEEP_KEYS = {"protocol": "cls_abstain", "scenario": "gauss_mix_1d", "n_grid": "5, 10"}
+SWEEP_FIELDS = {
+    "protocol": "cls_abstain", "scenario_id": "gauss_mix_1d", "n_grid": (5, 10),
+    "r0": 0.5, "beta": 0.3,
+}
+
+# Bad values that Schedule, ExperimentConfig and make_scenario reject
+# themselves: (config keys, library fields, CLI message). The keys and
+# fields override the sweep above; the message starts with the config key.
+VALUE_CASES = [
+    ({"protocol": "smoke"}, {"protocol": "smoke"}, "protocol: unknown"),
+    ({"scenario": "sine_2d"}, {"scenario_id": "sine_2d"}, "scenario: unknown"),
+    (
+        {"scenario.sigma": "abc"}, {"scenario_params": {"sigma": "abc"}},
+        "scenario.sigma: expected a finite number",
+    ),
+    (
+        {"scenario.sigma": "-1"}, {"scenario_params": {"sigma": -1}},
+        "scenario.sigma: must be positive",
+    ),
+    (
+        {"scenario.bogus": "1"}, {"scenario_params": {"bogus": 1}},
+        "scenario.bogus: unknown parameter",
+    ),
+    (
+        {"scenario.sigma": "nan"}, {"scenario_params": {"sigma": math.nan}},
+        "scenario.sigma: expected a finite number",
+    ),
+    (
+        {"scenario.sigma": "1, 2"}, {"scenario_params": {"sigma": (1.0, 2.0)}},
+        "scenario.sigma: expected one number",
+    ),
+    (
+        {"scenario": "sine_1d"}, {"scenario_id": "sine_1d"},
+        "scenario: sine_1d does not fit: cls_abstain needs a classification",
+    ),
+    (
+        {"scenario": "checkerboard_2d", "scenario.k": "2.5"},
+        {"scenario_id": "checkerboard_2d", "scenario_params": {"k": 2.5}},
+        "scenario.k: must be an integer >= 1",
+    ),
+    (
+        {"scenario": "cityscape_2d", "scenario.center": "0.5"},
+        {"scenario_id": "cityscape_2d", "scenario_params": {"center": 0.5}},
+        "scenario.center: expected 2 coordinates",
+    ),
+    ({"r0": "-1"}, {"r0": -1.0}, "r0: must be positive"),
+    ({"coin_mode": "weekly"}, {"coin_mode": "weekly"}, "coin_mode: unknown"),
+    ({"replications": "0"}, {"replications": 0}, "replications: must be >= 1"),
+] + [
+    (
+        {"protocol": "reg_abstain", "scenario": "sine_1d", key: value},
+        {"protocol": "reg_abstain", "scenario_id": "sine_1d", key: float(value)},
+        f"{key}: expected a finite number",
+    )
+    for key in ("r0", "beta", "c0", "gamma", "clamp", "family_c")
+    for value in ("nan", "inf", "-inf")
+]
+
+
+def sweep_ini(keys):
+    return "[sweep]\n" + "".join(
+        f"{key} = {value}\n" for key, value in {**SWEEP_KEYS, **keys}.items()
+    )
 
 
 def write(tmp_path, text, name="exp.ini"):
@@ -125,10 +193,6 @@ def test_bad_keys_and_values(tmp_path, capsys):
             "n_grid: required",
         ),
         (
-            "[sweep]\nprotocol = smoke\nscenario = gauss_mix_1d\nn_grid = 5, 10\n",
-            "protocol: unknown",
-        ),
-        (
             "[sweep]\nprotocol = cls_abstain\nscenario = gauss_mix_1d\n"
             "n_grid = 5, 10\nbeta = fast\n",
             "beta: expected a number",
@@ -140,50 +204,37 @@ def test_bad_keys_and_values(tmp_path, capsys):
         ),
         (
             "[simulate]\nprotocol = cls_abstain\nscenario = gauss_mix_1d\nn = 10\n",
-            "section [sweep] is required",
-        ),
-        (
-            "[sweep]\nprotocol = cls_abstain\nscenario = gauss_mix_1d\n"
-            "n_grid = 5, 10\nscenario.sigma = abc\n",
-            "scenario.sigma: expected finite numbers",
-        ),
-        (
-            "[sweep]\nprotocol = cls_abstain\nscenario = gauss_mix_1d\n"
-            "n_grid = 5, 10\nscenario.sigma = -1\n",
-            "scenario.sigma: sigma must be positive",
-        ),
-        (
-            "[sweep]\nprotocol = cls_abstain\nscenario = gauss_mix_1d\n"
-            "n_grid = 5, 10\nscenario.bogus = 1\n",
-            "scenario.bogus: unknown parameter",
-        ),
-        (
-            "[sweep]\nprotocol = cls_abstain\nscenario = gauss_mix_1d\n"
-            "n_grid = 5, 10\nscenario.sigma = nan\n",
-            "scenario.sigma: expected finite numbers",
-        ),
-        (
-            "[sweep]\nprotocol = cls_abstain\nscenario = sine_1d\nn_grid = 5, 10\n",
-            "scenario: sine_1d does not fit: cls_abstain needs a classification",
+            "config: section [sweep] is required",
         ),
         (
             "[sweep]\nprotocol = specialists\nscenario = cityscape_2d\n"
             "n_grid = 5, 10\nmax_rejects = 5\n",
             "max_rejects: unknown key",
         ),
-    ] + [
-        (
-            "[sweep]\nprotocol = reg_abstain\nscenario = sine_1d\n"
-            f"n_grid = 5, 10\n{key} = {value}\n",
-            f"{key}: expected a finite number",
-        )
-        for key in ("r0", "beta", "c0", "gamma", "clamp", "family_c")
-        for value in ("nan", "inf", "-inf")
-    ]
+    ] + [(sweep_ini(keys), message) for keys, _, message in VALUE_CASES]
     for text, message in cases:
         cfg = write(tmp_path, text)
         assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert message in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize(
+    "keys,fields,message", VALUE_CASES,
+    ids=["{}={}".format(*list(keys.items())[-1]) for keys, _, _ in VALUE_CASES],
+)
+def test_library_names_the_bad_value_as_the_cli_does(keys, fields, message):
+    # the library names the field where the CLI (test_bad_keys_and_values)
+    # names the config key; only the scenario and its parameters differ
+    key, reason = message.split(":", 1)
+    field = "scenario_id" if key == "scenario" else key.replace("scenario.", "scenario_params.")
+    fields = {**SWEEP_FIELDS, **fields}
+    with pytest.raises(ValueError) as caught:
+        schedule = protocols.Schedule(
+            **{name: fields.pop(name) for name in ("r0", "beta", "c0", "gamma", "clamp")
+               if name in fields}
+        )
+        ExperimentConfig(schedule=schedule, **fields)
+    assert str(caught.value).startswith(f"{field}:{reason}")
 
 
 def test_jobs_below_one_is_rejected(tmp_path, capsys):

@@ -3,6 +3,9 @@
 import dataclasses
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,15 +34,15 @@ def small_config(**overrides):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="unknown protocol"):
+    with pytest.raises(ValueError, match="^protocol: unknown 'morse'"):
         small_config(protocol="morse")
-    with pytest.raises(ValueError, match="strictly increasing"):
+    with pytest.raises(ValueError, match="^n_grid: must be strictly increasing"):
         small_config(n_grid=(100, 100))
-    with pytest.raises(ValueError, match="positive integers"):
+    with pytest.raises(ValueError, match="^n_grid: must hold positive integers"):
         small_config(n_grid=())
-    with pytest.raises(ValueError, match="replications"):
+    with pytest.raises(ValueError, match="^replications: must be >= 1"):
         small_config(replications=0)
-    with pytest.raises(ValueError, match="coin_mode"):
+    with pytest.raises(ValueError, match="^coin_mode: unknown 'weekly'"):
         small_config(coin_mode="weekly")
 
 
@@ -51,7 +54,7 @@ def test_config_validation():
 def test_schedule_rejects_non_finite_numbers(field, value):
     # a sweep with r0 = nan once ran to the end with every sensor abstaining
     kwargs = {"r0": 0.5, "beta": 0.3, field: value}
-    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+    with pytest.raises(ValueError, match=f"^{field}: expected a finite number"):
         Schedule(**kwargs)
 
 
@@ -61,8 +64,24 @@ def test_schedule_rejects_non_finite_numbers(field, value):
      ("test_points", math.inf), ("n_grid", (100, math.inf))],
 )
 def test_experiment_config_rejects_non_finite_numbers(field, value):
-    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+    with pytest.raises(ValueError, match=f"^{field}: expected a finite number"):
         small_config(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "protocol,scenario_id,params",
+    [("cls_abstain", "gauss_mix_1d", {"sigma": math.nan}),
+     ("reg_abstain", "sine_1d", {"noise": math.nan}),
+     ("specialists", "cityscape_2d", {"spread": math.nan}),
+     ("specialists", "cityscape_2d", {"center": (0.5, math.inf)})],
+)
+def test_scenario_params_reject_non_finite_numbers(protocol, scenario_id, params):
+    # a gauss_mix_1d sweep with sigma = nan once ran and reported risk 0.0
+    (name,) = params
+    with pytest.raises(ValueError, match=rf"^scenario_params\.{name}: expected a finite"):
+        hn.run_sweep(
+            small_config(protocol=protocol, scenario_id=scenario_id, scenario_params=params)
+        )
 
 
 def test_train_network_deterministic():
@@ -239,6 +258,37 @@ def test_run_sweep_runs_every_cell_through_one_pool(monkeypatch):
     with pytest.raises(RuntimeError, match=f"excess risk {first:.6g} .*ground-truth"):
         hn.run_sweep(cfg, jobs=2)
     assert len(made) == 2
+
+
+def test_first_cell_time_excludes_the_lazy_binom_import():
+    # reg_noabstain binds predict.binom (scipy.stats, ~0.6 s to import)
+    # before its first timed replication, serially and in each pool worker;
+    # other protocols never import scipy.stats (jobs=1 runs the
+    # replications, and so any binding, in this process)
+    src = str(Path(hn.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    probe = """\
+import sys, warnings
+from onebitsim.harness import ExperimentConfig, run_sweep
+from onebitsim.protocols import Schedule
+warnings.simplefilter("ignore")
+def config(protocol, scenario_id):
+    return ExperimentConfig(protocol, scenario_id, Schedule(0.5, 0.3), (100, 200),
+                            replications=2, test_points=200)
+run_sweep(config("cls_abstain", "gauss_mix_1d"), jobs=1)
+print("scipy.stats" in sys.modules)
+for jobs in (2, 1):
+    print(run_sweep(config("reg_noabstain", "sine_1d"), jobs=jobs)[0].wall_time_s)
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    loaded, pooled, serial = done.stdout.split()
+    assert loaded == "False"
+    assert float(pooled) < 0.2 and float(serial) < 0.2
 
 
 def test_run_sweep_single_point_grid():

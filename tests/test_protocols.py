@@ -378,5 +378,5 @@ def test_bit_accounting():
     assert bits("specialists") == pytest.approx(math.log2(3), abs=0)
     assert bits("cls_noabstain") == 1.0
     assert bits("reg_noabstain") == 1.0
-    with pytest.raises(ValueError, match="unknown protocol"):
+    with pytest.raises(ValueError, match="^protocol: unknown 'smoke_signals'"):
         bits("smoke_signals")

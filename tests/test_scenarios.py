@@ -23,10 +23,12 @@ def test_catalog_ids():
         "sine_1d",
         "cityscape_2d",
     }
-    with pytest.raises(ValueError, match="unknown scenario"):
+    with pytest.raises(ValueError, match="^scenario_id: unknown 'nope'"):
         sc.make_scenario("nope")
-    with pytest.raises(ValueError, match="bad parameters"):
+    with pytest.raises(ValueError, match="^wavelength: unknown parameter for sine_1d"):
         sc.make_scenario("sine_1d", wavelength=3)
+    with pytest.raises(ValueError, match="^noise: expected a finite number, got nan"):
+        sc.make_scenario("sine_1d", noise=float("nan"))
 
 
 @pytest.mark.parametrize("sid", ALL_IDS)
