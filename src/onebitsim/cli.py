@@ -30,6 +30,7 @@ from .harness import (
     ExperimentConfig,
     RiskReport,
     default_impossibility_config,
+    impossibility_arms,
     impossibility_demo,
     pool_workers,
     run_sweep,
@@ -367,8 +368,10 @@ def cmd_demo(args) -> int:
         config = defaults
         if args.seed is not None:
             config = dataclasses.replace(config, seed=args.seed)
-    if config.protocol != "reg_noabstain":
-        raise ConfigError("protocol: the demo requires reg_noabstain")
+    try:
+        impossibility_arms(config)
+    except ValueError as exc:
+        raise _config_error(exc) from None
     started = _now()
     demo = impossibility_demo(config, jobs=args.jobs)
     finished = _now()

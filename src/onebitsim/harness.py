@@ -5,7 +5,8 @@ independent replications (fresh training data each), with the conditional
 risk itself estimated over fresh test draws. Every random stream is
 derived from (master seed, n, replication), so replications are
 order-independent: a sweep is a pure function of its configuration no
-matter how many workers execute it.
+matter how many workers execute it. A replication may serve several arms
+(configs that differ only in protocol and amplitudes) with one training.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import predict
-from .predict import predict_batch
+from .predict import PredictionBatch, predict_batch
 from .protocols import (
     Schedule,
     ScheduleViolationWarning,
@@ -179,14 +180,7 @@ def train_network(
     d = scenario.dimension
     # the schedule starts at n = 1; an empty network has no radius
     r_n, c_n = schedule_eval(schedule, n) if n else (math.nan, math.nan)
-    verdict = validate_schedule(schedule, protocol, d)
-    if not verdict.ok:
-        warnings.warn(
-            f"schedule outside sufficient conditions for {protocol}: "
-            f"{verdict.reason}",
-            ScheduleViolationWarning,
-            stacklevel=2,
-        )
+    _warn_on_violation(schedule, protocol, d)
     data_rng = derived_rng(seed, _STREAM_TRAIN)
     centers = None
     untrainable = np.zeros(n, dtype=bool)
@@ -219,6 +213,13 @@ def train_network(
     )
 
 
+def _warn_on_violation(schedule: Schedule, protocol: str, d: int) -> None:
+    verdict = validate_schedule(schedule, protocol, d)
+    if not verdict.ok:
+        text = f"schedule outside sufficient conditions for {protocol}: {verdict.reason}"
+        warnings.warn(text, ScheduleViolationWarning, stacklevel=3)
+
+
 @dataclass(frozen=True)
 class RiskSample:
     """One replication's conditional risk estimate plus abstention telemetry."""
@@ -241,26 +242,26 @@ def evaluate_conditional_risk(
 
     Classification: misclassification fraction; regression: mean squared
     error. Fresh response coins are drawn per query where the protocol
-    requires them. ``_predict`` swaps in an alternative prediction function
-    (a testing seam for checking the estimator against known rules).
+    requires them. A tuple of regression arms gives one sample per arm.
+    ``_predict`` swaps in an alternative prediction function (a testing
+    seam for checking the estimator against known rules).
     """
     if test_points < 1:
         raise ValueError("test_points must be >= 1")
     xs, ys = scenario.sample(rng, test_points)
     coin_seed = int(rng.integers(2**63))
-    if _predict is not None:
-        values = np.asarray(_predict(xs))
-        batch = None
+    if _predict is not None:  # a plain function: one sensor that always answers
+        batch = PredictionBatch(np.asarray(_predict(xs)), np.ones(test_points), 1)
     else:
         batch = predict_batch(network, xs, coin_seed, default_label)
-        values = batch.values
-    if scenario.task == "classification":
-        risk = float(np.mean(values != ys))
-    else:
-        risk = float(np.mean((values - ys) ** 2))
-    if batch is None:
-        return RiskSample(risk, 0.0, 0.0)
-    return RiskSample(risk, batch.abstain_rate, batch.all_abstain_frac)
+    samples = []
+    for b in batch.arms() if isinstance(network, tuple) else [batch]:
+        if scenario.task == "classification":
+            risk = float(np.mean(b.values != ys))
+        else:
+            risk = float(np.mean((b.values - ys) ** 2))
+        samples.append(RiskSample(risk, b.abstain_rate, b.all_abstain_frac))
+    return tuple(samples) if isinstance(network, tuple) else samples[0]
 
 
 @dataclass(frozen=True)
@@ -290,36 +291,35 @@ class RiskReport:
     wall_time_s: float
 
 
-def _replication_sample(config: ExperimentConfig, n: int, rep: int) -> RiskSample:
-    scenario = config.scenario()
-    network = train_network(
-        config.protocol,
-        scenario,
-        n,
-        config.schedule,
-        derive_seed(config.seed, n, rep, _STREAM_TRAIN),
-        coin_mode=config.coin_mode,
-        family_c=config.family_c,
-    )
-    rng = derived_rng(config.seed, n, rep, _STREAM_EVAL)
-    return evaluate_conditional_risk(
-        network,
-        scenario,
-        config.test_points,
-        rng,
-        default_label=config.default_label,
-    )
+def _replication_sample(arms: tuple, n: int, rep: int) -> tuple[RiskSample, ...]:
+    """One sample per arm. The first arm trains the network; each other
+    arm answers with a copy that takes its protocol and amplitudes."""
+    first = arms[0]
+    scenario = first.scenario()
+    seed = derive_seed(first.seed, n, rep, _STREAM_TRAIN)
+    network = train_network(first.protocol, scenario, n, first.schedule, seed,
+                            coin_mode=first.coin_mode, family_c=first.family_c)
+    networks = (network,)
+    for arm in arms[1:]:
+        _warn_on_violation(arm.schedule, arm.protocol, scenario.dimension)
+        c_n = schedule_eval(arm.schedule, n)[1]
+        networks += (replace(network, protocol=arm.protocol, c_n=c_n, family_c=arm.family_c),)
+    rng = derived_rng(first.seed, n, rep, _STREAM_EVAL)
+    samples = evaluate_conditional_risk(networks if arms[1:] else network, scenario,
+                                        first.test_points, rng, default_label=first.default_label)
+    return samples if arms[1:] else (samples,)
 
 
-def _timed_replication(args) -> tuple[RiskSample, float]:
+def _timed_replication(args) -> tuple[tuple[RiskSample, ...], float]:
     """One replication and its own duration, measured where it runs. The
-    names the protocol's engine loads on first use are bound before the
-    clock starts, so that no duration includes their import."""
-    for name in protocol_spec(args[0].protocol).lazy_names:
-        getattr(predict, name)
+    names the arms' engines load on first use are bound before the clock
+    starts, so that no duration includes their import."""
+    for arm in args[0]:
+        for name in protocol_spec(arm.protocol).lazy_names:
+            getattr(predict, name)
     start = time.perf_counter()
-    sample = _replication_sample(*args)
-    return sample, time.perf_counter() - start
+    samples = _replication_sample(*args)
+    return samples, time.perf_counter() - start
 
 
 def pool_workers(jobs: int, tasks: int, cpus: Optional[int] = None) -> int:
@@ -384,13 +384,21 @@ def _cell_report(
 
 
 def _cell_reports(
-    config: ExperimentConfig, grid: tuple[int, ...], jobs: int
-) -> list[RiskReport]:
-    """Run every (n, replication) of ``grid`` through one worker pool (or
-    serially), then summarise each cell in grid order. The pool takes the
-    tasks in chunks, about four per worker, so that many tiny replications
-    do not pay one round trip each."""
-    tasks = [(config, n, rep) for n in grid for rep in range(config.replications)]
+    arms: tuple[ExperimentConfig, ...], grid: tuple[int, ...], jobs: int
+) -> list[list[RiskReport]]:
+    """Run every (n, replication) of ``grid`` for all ``arms`` (which must
+    agree on ``shared``) through one worker pool (or serially), and
+    summarise each arm's cells in grid order, charging each arm an equal
+    share of a replication's time. The pool takes the tasks in chunks, about
+    four per worker, so that tiny replications do not pay a round trip each."""
+    shared = ("scenario_id", "scenario_params", "seed", "n_grid", "replications",
+              "test_points", "r0", "beta", "coin_mode")
+    fields = [{**vars(arm), **vars(arm.schedule)} for arm in arms]
+    for name in shared:
+        if any(f[name] != fields[0][name] for f in fields):
+            raise ValueError(f"{name}: every arm must share the first arm's value")
+    reps = arms[0].replications
+    tasks = [(arms, n, rep) for n in grid for rep in range(reps)]
     workers = pool_workers(jobs, len(tasks))
     if workers > 1:
         chunksize = max(1, len(tasks) // (4 * workers))
@@ -398,11 +406,9 @@ def _cell_reports(
             timed = list(pool.map(_timed_replication, tasks, chunksize=chunksize))
     else:
         timed = [_timed_replication(t) for t in tasks]
-    reps = config.replications
-    return [
-        _cell_report(config, n, timed[i * reps:(i + 1) * reps])
-        for i, n in enumerate(grid)
-    ]
+    cells = [timed[i * reps:(i + 1) * reps] for i in range(len(grid))]
+    return [[_cell_report(arm, n, [(s[a], sec / len(arms)) for s, sec in cell])
+             for n, cell in zip(grid, cells)] for a, arm in enumerate(arms)]
 
 
 def estimate_expected_risk(
@@ -416,13 +422,13 @@ def estimate_expected_risk(
     """
     if n not in config.n_grid:
         raise ValueError(f"n={n} is not in the configured grid {config.n_grid}")
-    return _cell_reports(config, (n,), jobs)[0]
+    return _cell_reports((config,), (n,), jobs)[0][0]
 
 
 def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[RiskReport]:
     """One RiskReport per grid size, as ``estimate_expected_risk`` gives it,
     from one pool over all of the sweep's (n, replication) tasks."""
-    return _cell_reports(config, config.n_grid, jobs)
+    return _cell_reports((config,), config.n_grid, jobs)[0]
 
 
 @dataclass(frozen=True)
@@ -453,6 +459,17 @@ def default_impossibility_config(seed: int = 0) -> ExperimentConfig:
     )
 
 
+def impossibility_arms(config: ExperimentConfig) -> tuple[ExperimentConfig, ...]:
+    """``config`` (reg_noabstain on a 1-d scenario, else a field-named
+    ValueError) and its abstention contrast on the same radius schedule."""
+    if config.protocol != "reg_noabstain":
+        raise ValueError("protocol: the demo runs reg_noabstain")
+    if config.scenario().dimension != 1:
+        raise ValueError(f"scenario_id: {config.scenario_id} is not one-dimensional")
+    schedule = replace(config.schedule, c0=1.0, gamma=0.1, clamp=None)
+    return config, replace(config, protocol="reg_abstain", schedule=schedule)
+
+
 def impossibility_demo(
     config: Optional[ExperimentConfig] = None, jobs: int = 1
 ) -> ImpossibilityReport:
@@ -462,21 +479,13 @@ def impossibility_demo(
     Reports the sweep for both arms, the mean |estimate| over a 101-point
     query grid at the largest n (the collapse toward the constant 0), and
     the predicted MSE plateau E[Y^2] that the no-abstention arm settles at.
+    Both arms run in one pass: each replication trains once for the two.
     """
     if config is None:
         config = default_impossibility_config()
-    if config.protocol != "reg_noabstain":
-        raise ValueError("the demo runs the reg_noabstain protocol")
+    arms = impossibility_arms(config)
+    noabstain_reports, abstain_reports = map(tuple, _cell_reports(arms, config.n_grid, jobs))
     scenario = config.scenario()
-    if scenario.dimension != 1:
-        raise ValueError("the demo expects a one-dimensional scenario")
-    noabstain_reports = tuple(run_sweep(config, jobs))
-    contrast = replace(
-        config,
-        protocol="reg_abstain",
-        schedule=replace(config.schedule, c0=1.0, gamma=0.1, clamp=None),
-    )
-    abstain_reports = tuple(run_sweep(contrast, jobs))
     n_max = config.n_grid[-1]
     network = train_network(
         config.protocol,

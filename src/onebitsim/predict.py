@@ -17,10 +17,12 @@ Pairs are enumerated in the lookup's storage order: sorted by coordinate
 in one dimension, so a query's in-ball sensors are one contiguous run,
 and original order above it. Engines build their per-sensor tables (coin
 keys, biases, labels) in that order once per call, and read a chunk's
-pairs from a table through the chunk's ``gather``. In one dimension that
-concatenates the chunk's runs as slices of the table, so no per-pair
-position array is built; above it, it indexes the table with the KD-tree's
-neighbor lists.
+pairs from a table's last axis through the chunk's ``gather``. In one
+dimension that concatenates the chunk's runs as slices of the table, so no
+per-pair position array is built; above it, it indexes the table with the
+KD-tree's neighbor lists. The regression engine answers arms that share a
+training set at once: each in-ball coin, hashed once, meets one bias row
+per arm of an ``(arms, n)`` table.
 
 Per-query ``cls_noabstain`` has every sensor answer every query, so its
 vote total is counted in integers as three terms: the in-ball labels,
@@ -86,13 +88,9 @@ class PredictionBatch:
     n_sensors: int
 
     @property
-    def n_queries(self) -> int:
-        return self.values.shape[0]
-
-    @property
     def abstain_rate(self) -> float:
         """Abstaining (sensor, query) responses over all responses."""
-        total = self.n_sensors * self.n_queries
+        total = self.n_sensors * self.responders.size
         if total == 0:
             return 0.0
         return 1.0 - float(self.responders.sum()) / total
@@ -100,9 +98,13 @@ class PredictionBatch:
     @property
     def all_abstain_frac(self) -> float:
         """Fraction of queries on which every sensor abstained."""
-        if self.n_queries == 0:
+        if self.responders.size == 0:
             return 0.0
         return float(np.mean(self.responders == 0))
+
+    def arms(self) -> list["PredictionBatch"]:
+        """One batch per arm of a several-arm result (leading arm axis)."""
+        return [PredictionBatch(*arm, self.n_sensors) for arm in zip(self.values, self.responders)]
 
 
 class _BallLookup:
@@ -128,10 +130,10 @@ class _BallLookup:
         """KD-tree over all points (d >= 2), built on first use."""
         return cKDTree(self.points)
 
-    def stored(self, table: np.ndarray) -> np.ndarray:
-        """A per-point table permuted into storage order, as a new array
-        the caller may overwrite."""
-        return table.copy() if self.order is None else table[self.order]
+    def stored(self, table: np.ndarray, out=None) -> np.ndarray:
+        """A per-point table permuted into storage order, written to ``out``
+        (unbuffered, as every index is in range) or to a new array."""
+        return np.take(table, self.stored_ids(), out=out, mode="clip")
 
     def stored_ids(self) -> np.ndarray:
         """Original point index at each storage position."""
@@ -181,7 +183,7 @@ class _BallLookup:
         (point, query) pair, chunked so each chunk holds at most
         ~``_PAIR_BLOCK`` pairs (a single query may exceed it).
         ``gather(table)`` returns a storage-order table's entries at the
-        chunk's pairs, a query's pairs together."""
+        chunk's pairs along its last axis, a query's pairs together."""
         if self.d == 1:
             lo, hi = self._bounds(queries)
             counts = hi - lo
@@ -201,36 +203,36 @@ class _BallLookup:
             if self.d == 1:
                 # a query's in-ball points are one run of the sorted storage
                 runs = [slice(a, b) for a, b in zip(lo[sl].tolist(), hi[sl].tolist())]
-                gather = lambda table, runs=runs: np.concatenate([table[r] for r in runs])
+                gather = lambda table, runs=runs: np.concatenate([table[..., r] for r in runs], -1)
             else:
                 lists = self.tree.query_ball_point(queries[sl], self.radius)
                 idx = np.concatenate([np.asarray(v, dtype=np.int64) for v in lists])
-                gather = lambda table, idx=idx: table[idx]
+                gather = lambda table, idx=idx: table[..., idx]
             yield sl, gather, counts[sl]
             start = end
 
 
 def _segment_counts(flags: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """True flags in each consecutive run of ``counts`` entries."""
-    out = np.zeros(len(counts), dtype=np.int64)
+    """True flags in each consecutive run of ``counts`` entries (last axis)."""
+    out = np.zeros(flags.shape[:-1] + counts.shape, dtype=np.int64)
     nonempty = counts > 0
     if nonempty.any():
         starts = (np.cumsum(counts) - counts)[nonempty]
-        out[nonempty] = np.add.reduceat(flags, starts, dtype=np.int64)
+        out[..., nonempty] = np.add.reduceat(flags, starts, axis=-1, dtype=np.int64)
     return out
 
 
 def _in_ball_votes(lookup, coin, biases, queries):
-    """Per-query counts of in-ball sensors and of those whose coin at
-    (sensor, query) falls below the sensor's bias; ``biases`` is in the
-    lookup's storage order."""
+    """Per-query counts of in-ball sensors and, for each row of the (arms,
+    n) storage-order table ``biases``, of those whose coin at (sensor,
+    query), hashed once for all rows, falls below the row's bias."""
     keys = coin.sensor_keys(lookup.stored_ids())
     qkeys = query_keys(np.arange(len(queries)))
     counts = np.zeros(len(queries), dtype=np.int64)
-    votes = np.zeros(len(queries), dtype=np.int64)
+    votes = np.zeros((len(biases), len(queries)), dtype=np.int64)
     for sl, gather, chunk_counts in lookup.iter_pairs(queries):
         bits = pair_bits(gather(keys), np.repeat(qkeys[sl], chunk_counts))
-        votes[sl] = _segment_counts(to_unit(bits) < gather(biases), chunk_counts)
+        votes[:, sl] = _segment_counts(to_unit(bits) < gather(biases), chunk_counts)
         counts[sl] = chunk_counts
     return counts, votes
 
@@ -245,11 +247,14 @@ def predict_batch(
 
     ``coin_seed`` addresses all fresh response randomness; identical
     (network, queries, coin_seed) triples give identical output no matter
-    how the work is chunked or parallelized.
+    how the work is chunked or parallelized. A tuple of regression arms
+    gives ``values`` and ``responders`` a leading arm axis.
     """
     from .protocols import protocol_spec  # the table names this module's engines
 
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
+    if isinstance(network, tuple):  # regression arms share one engine
+        return batch_regression(network, queries, coin_seed, default_label)
     engine = protocol_spec(network.protocol).engine
     return engine(network, queries, coin_seed, default_label)
 
@@ -298,7 +303,7 @@ def _cls_noabstain_fresh(network, queries, coin_seed):
     coin = CoinSource(coin_seed)
     lookup = _BallLookup(network.xs, network.r_n)
     _, (labels_in,) = lookup.flag_counts(queries, [network.ys])
-    _, guesses_in = _in_ball_votes(lookup, coin, np.full(n, 0.5), queries)
+    _, (guesses_in,) = _in_ball_votes(lookup, coin, np.full((1, n), 0.5), queries)
     keys = coin.sensor_keys(np.arange(n))[None, :]
     qkeys = query_keys(np.arange(t))[:, None]
     guesses = np.empty(t, dtype=np.int64)
@@ -312,39 +317,56 @@ def _cls_noabstain_fresh(network, queries, coin_seed):
     return PredictionBatch(preds, np.full(t, n), n)
 
 
-def batch_reg_abstain(network, queries, coin_seed, default_label):
-    c = network.c_n
-    lookup = _BallLookup(network.xs, network.r_n)
-    # biases ys / 2c + 1/2 inside the clamp, 1/2 outside, built in place
-    biases = lookup.stored(network.ys)
-    inside = np.abs(biases) <= c
-    biases /= 2.0 * c
-    biases += 0.5
-    biases[~inside] = 0.5
-    counts, v = _in_ball_votes(lookup, CoinSource(coin_seed), biases, queries)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        est = 2.0 * c * (v / counts - 0.5)
-    estimates = np.where(counts > 0, est, 0.0)
-    return PredictionBatch(estimates, counts, network.n)
+def _reg_abstain_rule(network, row):
+    c = network.c_n  # biases ys / 2c + 1/2 inside the clamp, 1/2 outside
+    inside = np.abs(row) <= c
+    row /= 2.0 * c
+    row += 0.5
+    row[~inside] = 0.5
+
+    def fuse(counts, votes, coin):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            est = 2.0 * c * (votes / counts - 0.5)
+        return np.where(counts > 0, est, 0.0), counts
+    return fuse
 
 
-def batch_reg_noabstain(network, queries, coin_seed, default_label):
+def _reg_noabstain_rule(network, row):
+    c, n = network.family_c, network.n
+    row /= 2.0 * c
+    row += 0.5
+    np.clip(row, 0.0, 1.0, out=row)
+
+    def fuse(counts, votes_in, coin):
+        # fair-coin guessers: one Binomial(n - m, 1/2) draw per query (inverse CDF)
+        t = len(counts)
+        u_out = coin.uniform_array(np.uint64(n), np.arange(t, dtype=np.uint64))
+        votes_out = _module.binom.ppf(np.clip(u_out, _TINY, None), n - counts, 0.5)
+        if n == 0:
+            return np.zeros(t), counts
+        return 2.0 * c * ((votes_in + votes_out) / n - 0.5), np.full(t, n)
+    return fuse
+
+
+# each rule writes its arm's bias row in place and returns the arm's fusion
+_REGRESSION_RULES = {"reg_abstain": _reg_abstain_rule, "reg_noabstain": _reg_noabstain_rule}
+
+
+def batch_regression(network, queries, coin_seed, default_label):
+    """Both regression rules, for one network or a tuple of arms that share
+    one training set and radius (the result then has a leading arm axis)."""
+    arms = network if isinstance(network, tuple) else (network,)
+    first = arms[0]
+    rules = [_REGRESSION_RULES.get(a.protocol) for a in arms]
+    if None in rules or any(a.xs is not first.xs or a.r_n != first.r_n for a in arms[1:]):
+        raise ValueError("network: arms must be regression networks sharing xs and r_n")
     coin = CoinSource(coin_seed)
-    c = network.family_c
-    n = network.n
-    t = len(queries)
-    lookup = _BallLookup(network.xs, network.r_n)
-    biases = lookup.stored(network.ys)
-    biases /= 2.0 * c
-    biases += 0.5
-    np.clip(biases, 0.0, 1.0, out=biases)
-    counts, votes_in = _in_ball_votes(lookup, coin, biases, queries)
-    # fair-coin guessers, aggregated: one Binomial(n - m, 1/2) draw per query
-    # via inverse CDF on the uniform addressed by (sentinel n, query)
-    m_out = (n - counts).astype(np.int64)
-    u_out = coin.uniform_array(np.uint64(n), np.arange(t, dtype=np.uint64))
-    votes_out = _module.binom.ppf(np.clip(u_out, _TINY, None), m_out, 0.5)
-    if n == 0:
-        return PredictionBatch(np.zeros(t), counts, 0)
-    estimates = 2.0 * c * ((votes_in + votes_out) / n - 0.5)
-    return PredictionBatch(estimates, np.full(t, n), n)
+    lookup = _BallLookup(first.xs, first.r_n)
+    biases = np.empty((len(arms), first.n))
+    fuses = [rule(a, lookup.stored(a.ys, out=row)) for rule, a, row in zip(rules, arms, biases)]
+    counts, votes = _in_ball_votes(lookup, coin, biases, queries)
+    fused = [fuse(counts, v, coin) for fuse, v in zip(fuses, votes)]
+    values, responders = (np.array(x) for x in zip(*fused))
+    if not isinstance(network, tuple):
+        values, responders = values[0], responders[0]
+    return PredictionBatch(values, responders, first.n)

@@ -202,10 +202,10 @@ _SPECS = {
         predict.batch_cls_noabstain,
     ),
     "reg_abstain": ProtocolSpec(
-        "regression", True, _amplitude_condition, predict.batch_reg_abstain
+        "regression", True, _amplitude_condition, predict.batch_regression
     ),
     "reg_noabstain": ProtocolSpec(
-        "regression", False, None, predict.batch_reg_noabstain,
+        "regression", False, None, predict.batch_regression,
         lazy_names=("binom",),
     ),
     "specialists": ProtocolSpec(

@@ -193,7 +193,8 @@ def _suite_batch_engine() -> SuiteResult:
     """``predict_batch`` must match the scalar rules bit for bit for every
     protocol, scenario and coin mode, on small random networks with and
     without tied coordinates; reg_noabstain's mean must lie within 4
-    standard errors of the exact one."""
+    standard errors of the exact one, and a two-arm regression call must
+    give each arm's one-arm result."""
     rng = np.random.default_rng(31)
     checked = 0
     for protocol, sid, mode, ties in itertools.product(
@@ -225,6 +226,13 @@ def _suite_batch_engine() -> SuiteResult:
             reference = scalar_predict(net, queries, coin_seed, default_label)
             if not np.array_equal(batch.values, reference):
                 return SuiteResult("batch_engine", False, f"{case}: batch differs from scalar")
+        if protocol == "reg_abstain":  # both regression rules in one call
+            arms = (net, replace(net, protocol="reg_noabstain"))
+            for arm, got in zip(arms, predict.predict_batch(arms, queries, coin_seed).arms()):
+                alone = predict.predict_batch(arm, queries, coin_seed)
+                if not all(map(np.array_equal, (got.values, got.responders),
+                               (alone.values, alone.responders))):
+                    return SuiteResult("batch_engine", False, f"{case}: two-arm call differs")
         checked += 1
     return SuiteResult(
         "batch_engine",

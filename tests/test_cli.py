@@ -248,6 +248,13 @@ def test_jobs_below_one_is_rejected(tmp_path, capsys):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+def test_demo_rejects_another_protocol_at_config_time(tmp_path, capsys):
+    cfg = write(tmp_path, "[demo-impossibility]\nprotocol = reg_abstain\n")
+    assert cli.main(["demo-impossibility", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: protocol:")
+    assert not (tmp_path / "demo_impossibility.csv").exists()
+
+
 def test_report_names_missing_column(tmp_path, capsys):
     header = list(cli.CSV_COLUMNS)
     for column in ("protocol", "n", "excess_risk"):

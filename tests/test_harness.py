@@ -5,16 +5,19 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from onebitsim import harness as hn
+from onebitsim import predict
 from onebitsim.oracle import exact_conditional_error_at_x
 from onebitsim.predict import predict_batch
 from onebitsim.protocols import Schedule, ScheduleViolationWarning
 from onebitsim.scenarios import bayes_classifier, make_scenario
+from onebitsim.seeding import derive_seed, derived_rng
 
 PHI_MINUS_1 = 0.15865525393145707
 
@@ -304,6 +307,23 @@ def test_seed_changes_risk_columns_only():
     assert a.risk_mean != b.risk_mean
 
 
+def demo_config(**overrides):
+    """The small-scale demo config of ``test_impossibility_demo_small_scale``."""
+    base = dict(
+        protocol="reg_noabstain",
+        scenario_id="sine_1d",
+        scenario_params={"noise": 0.1},
+        schedule=Schedule(0.5, 0.3),
+        n_grid=(200, 2000),
+        replications=2,
+        test_points=400,
+        seed=3,
+        family_c=2.0,
+    )
+    base.update(overrides)
+    return hn.ExperimentConfig(**base)
+
+
 @pytest.mark.filterwarnings("ignore::onebitsim.protocols.ScheduleViolationWarning")
 def test_impossibility_demo_small_scale():
     cfg = hn.ExperimentConfig(
@@ -330,6 +350,98 @@ def test_impossibility_demo_small_scale():
     assert 0.0 <= demo.grid_mean_abs_estimate < 2.0
     with pytest.raises(ValueError, match="reg_noabstain"):
         hn.impossibility_demo(small_config())
+
+
+def _schedule_warnings(caught) -> set[str]:
+    return {str(w.message) for w in caught if w.category is ScheduleViolationWarning}
+
+
+# beta = 0.95 puts the abstention arm outside its conditions too
+@pytest.mark.parametrize("beta", [0.3, 0.95])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_demo_one_pass_gives_the_two_sweeps_reports(jobs, beta):
+    config = demo_config(schedule=Schedule(0.5, beta))
+    contrast = hn.impossibility_arms(config)[1]
+    with warnings.catch_warnings(record=True) as shared:
+        warnings.simplefilter("always")
+        demo = hn.impossibility_demo(config, jobs=jobs)
+    with warnings.catch_warnings(record=True) as separate:
+        warnings.simplefilter("always")
+        sweeps = hn.run_sweep(config, jobs), hn.run_sweep(contrast, jobs)
+    untimed = lambda reports: [dataclasses.replace(r, wall_time_s=0.0) for r in reports]
+    assert untimed(demo.noabstain_reports) == untimed(sweeps[0])
+    assert untimed(demo.abstain_reports) == untimed(sweeps[1])
+    if jobs == 1:  # a pool worker's warnings stay in the worker
+        assert _schedule_warnings(shared) == _schedule_warnings(separate)
+        assert any("reg_abstain" in m for m in _schedule_warnings(shared)) == (beta > 0.5)
+
+
+@pytest.mark.filterwarnings("ignore::onebitsim.protocols.ScheduleViolationWarning")
+def test_demo_hashes_each_in_ball_coin_once(monkeypatch):
+    config = demo_config()
+    hashed = []
+    real = predict.pair_bits
+
+    def counting(keys, qkeys):
+        bits = real(keys, qkeys)
+        hashed.append(bits.size)
+        return bits
+
+    monkeypatch.setattr(predict, "pair_bits", counting)
+    hn.impossibility_demo(config)
+    scenario = config.scenario()
+
+    def in_ball(n, rep, queries):
+        seed = derive_seed(config.seed, n, rep, hn._STREAM_TRAIN)
+        net = hn.train_network(config.protocol, scenario, n, config.schedule, seed)
+        return int(predict._BallLookup(net.xs, net.r_n).flag_counts(queries, [])[0].sum())
+
+    expected = sum(
+        in_ball(n, rep, scenario.sample(
+            derived_rng(config.seed, n, rep, hn._STREAM_EVAL), config.test_points)[0])
+        for n in config.n_grid for rep in range(config.replications)
+    )
+    expected += in_ball(config.n_grid[-1], 0, np.linspace(0.0, 1.0, 101)[:, None])
+    assert sum(hashed) == expected
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("scenario_params", {"noise": 0.2}),
+        ("seed", 4),
+        ("n_grid", (200, 3000)),
+        ("replications", 3),
+        ("test_points", 10),
+        ("coin_mode", "per_query"),
+        ("r0", 0.4),
+        ("beta", 0.2),
+    ],
+)
+def test_arms_must_share_training_and_test_draws(field, value):
+    config, contrast = hn.impossibility_arms(demo_config())
+    if field in ("r0", "beta"):
+        other = dataclasses.replace(
+            contrast, schedule=dataclasses.replace(contrast.schedule, **{field: value})
+        )
+    else:
+        other = dataclasses.replace(contrast, **{field: value})
+    with pytest.raises(ValueError, match=f"^{field}: every arm must share"):
+        hn._cell_reports((config, other), config.n_grid, 1)
+
+
+def test_each_arm_is_charged_an_equal_share_of_a_replication(monkeypatch):
+    arms = hn.impossibility_arms(demo_config())
+    sample = hn.RiskSample(0.6, 0.0, 0.0)
+    monkeypatch.setattr(hn, "_timed_replication", lambda task: ((sample, sample), 1.0))
+    noabstain, abstain = hn._cell_reports(arms, arms[0].n_grid, 1)
+    # two replications of 1 s per cell, half of each charged to each arm
+    assert [r.wall_time_s for r in noabstain + abstain] == [1.0] * 4
+
+
+def test_demo_preconditions_name_their_field():
+    with pytest.raises(ValueError, match="^protocol: the demo runs reg_noabstain"):
+        hn.impossibility_arms(demo_config(protocol="reg_abstain"))
 
 
 def test_abstention_telemetry_flows_into_report():

@@ -168,6 +168,51 @@ def test_1d_run_gather_edge_cases(protocol, sid, mode, block, monkeypatch):
     np.testing.assert_array_equal(batch.values.astype(float), expected)
 
 
+@pytest.mark.filterwarnings("ignore::onebitsim.protocols.ScheduleViolationWarning")
+@pytest.mark.parametrize("d", [1, 2])
+def test_two_arm_bias_table_matches_one_row_calls(d, monkeypatch):
+    monkeypatch.setattr(pd, "_PAIR_BLOCK", 17)
+    rng = np.random.default_rng(8)
+    net = train_network(
+        "reg_abstain", make_scenario("sine_1d"), 80, Schedule(0.2, 0.2, clamp=0.5), seed=6
+    )
+    net = dataclasses.replace(net, xs=rng.random((80, d)))  # d = 2 takes the KD-tree path
+    # the last two queries lie far outside the unit box: their balls are empty
+    queries = np.vstack([rng.random((40, d)), np.full((2, d), 5.0)])
+    lookup = pd._BallLookup(net.xs, net.r_n)
+    biases = rng.random((2, net.n))
+    counts, votes = pd._in_ball_votes(lookup, CoinSource(4), biases, queries)
+    assert counts[-2:].tolist() == [0, 0] and counts.sum() > 17
+    for row in range(2):
+        one_counts, one_votes = pd._in_ball_votes(
+            lookup, CoinSource(4), biases[row:row + 1], queries
+        )
+        np.testing.assert_array_equal(one_counts, counts)
+        np.testing.assert_array_equal(one_votes[0], votes[row])
+    # the engine: both regression rules in one call, each as it is alone
+    arms = (net, dataclasses.replace(net, protocol="reg_noabstain", family_c=0.7))
+    both = pd.predict_batch(arms, queries, coin_seed=4)
+    assert both.values.shape == both.responders.shape == (2, len(queries))
+    for arm, got in zip(arms, both.arms()):
+        alone = pd.predict_batch(arm, queries, coin_seed=4)
+        np.testing.assert_array_equal(got.values, alone.values)
+        np.testing.assert_array_equal(got.responders, alone.responders)
+
+
+def test_arms_must_share_one_training_set():
+    net = train_network(
+        "reg_abstain", make_scenario("sine_1d"), 30, Schedule(0.2, 0.2, 1.0, 0.1), seed=6
+    )
+    queries = np.array([[0.5]])
+    for other in (
+        dataclasses.replace(net, xs=net.xs.copy()),
+        dataclasses.replace(net, r_n=net.r_n / 2),
+        dataclasses.replace(net, protocol="cls_abstain"),
+    ):
+        with pytest.raises(ValueError, match="^network: arms must"):
+            pd.predict_batch((net, other), queries, coin_seed=1)
+
+
 def test_untrainable_specialists_are_silent():
     scen = make_scenario("cityscape_2d")
     net = train_network("specialists", scen, 40, Schedule(0.3, 0.2), seed=3)
