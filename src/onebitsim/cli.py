@@ -63,35 +63,17 @@ class ConfigError(Exception):
     """Invalid configuration; the message names the offending key."""
 
 
+# the CSV columns whose RiskReport field has another name
+_REPORT_FIELDS = {"scenario": "scenario_id", "d": "dimension"}
+
+
 def _fmt(value) -> str:
     """Full round-trip decimal text for numbers; plain text otherwise."""
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def report_row(report: RiskReport) -> dict:
-    return {
-        "protocol": report.protocol,
-        "scenario": report.scenario_id,
-        "d": report.dimension,
-        "n": report.n,
-        "r_n": report.r_n,
-        "c_n": report.c_n,
-        "schedule_validity": report.schedule_validity,
-        "replications": report.replications,
-        "test_points": report.test_points,
-        "risk_mean": report.risk_mean,
-        "risk_se": report.risk_se,
-        "bayes_risk": report.bayes_risk,
-        "excess_risk": report.excess_risk,
-        "bits_per_query": report.bits_per_query,
-        "abstain_rate": report.abstain_rate,
-        "all_abstain_frac": report.all_abstain_frac,
-        "seed": report.seed,
-    }
+    return {col: getattr(report, _REPORT_FIELDS.get(col, col)) for col in CSV_COLUMNS}
 
 
 def write_csv(path: Path, reports: list[RiskReport]) -> None:

@@ -72,8 +72,9 @@ class ExperimentConfig:
     family_c: float = 2.0
 
     def __post_init__(self):
-        for name in ("n_grid", "replications", "test_points", "family_c"):
-            check_finite(name, getattr(self, name))
+        for name in ("n_grid", "seed", "replications", "test_points"):
+            check_finite(name, getattr(self, name), integer=True)
+        check_finite("family_c", self.family_c)
         protocol_spec(self.protocol)
         check_coin_mode(self.coin_mode)
         if self.replications < 1:
@@ -170,9 +171,10 @@ def train_network(
     Specialist sensors first receive uniform random regions and then train
     on data conditioned to fall inside them; a region that carries no
     probability mass leaves its sensor untrainable (it will abstain
-    forever), which is telemetry rather than an error. A schedule outside
-    the sufficient consistency conditions warns but still trains --
-    violating runs are legitimate experiment subjects.
+    forever), which is telemetry rather than an error. Every schedule
+    trains, including one outside the sufficient consistency conditions:
+    violating runs are legitimate experiment subjects. Runs warn about
+    such a schedule; ``validate_schedule`` gives its verdict directly.
     """
     check_coin_mode(coin_mode)
     spec = protocol_spec(protocol)
@@ -180,7 +182,6 @@ def train_network(
     d = scenario.dimension
     # the schedule starts at n = 1; an empty network has no radius
     r_n, c_n = schedule_eval(schedule, n) if n else (math.nan, math.nan)
-    _warn_on_violation(schedule, protocol, d)
     data_rng = derived_rng(seed, _STREAM_TRAIN)
     centers = None
     untrainable = np.zeros(n, dtype=bool)
@@ -213,13 +214,6 @@ def train_network(
     )
 
 
-def _warn_on_violation(schedule: Schedule, protocol: str, d: int) -> None:
-    verdict = validate_schedule(schedule, protocol, d)
-    if not verdict.ok:
-        text = f"schedule outside sufficient conditions for {protocol}: {verdict.reason}"
-        warnings.warn(text, ScheduleViolationWarning, stacklevel=3)
-
-
 @dataclass(frozen=True)
 class RiskSample:
     """One replication's conditional risk estimate plus abstention telemetry."""
@@ -247,7 +241,7 @@ def evaluate_conditional_risk(
     seam for checking the estimator against known rules).
     """
     if test_points < 1:
-        raise ValueError("test_points must be >= 1")
+        raise ValueError("test_points: must be >= 1")
     xs, ys = scenario.sample(rng, test_points)
     coin_seed = int(rng.integers(2**63))
     if _predict is not None:  # a plain function: one sensor that always answers
@@ -301,7 +295,6 @@ def _replication_sample(arms: tuple, n: int, rep: int) -> tuple[RiskSample, ...]
                             coin_mode=first.coin_mode, family_c=first.family_c)
     networks = (network,)
     for arm in arms[1:]:
-        _warn_on_violation(arm.schedule, arm.protocol, scenario.dimension)
         c_n = schedule_eval(arm.schedule, n)[1]
         networks += (replace(network, protocol=arm.protocol, c_n=c_n, family_c=arm.family_c),)
     rng = derived_rng(first.seed, n, rep, _STREAM_EVAL)
@@ -334,7 +327,7 @@ def pool_workers(jobs: int, tasks: int, cpus: Optional[int] = None) -> int:
 
 
 def _cell_report(
-    config: ExperimentConfig, n: int, timed: list[tuple[RiskSample, float]]
+    config: ExperimentConfig, validity: str, n: int, timed: list[tuple[RiskSample, float]]
 ) -> RiskReport:
     samples = [sample for sample, _ in timed]
     risks = [s.risk for s in samples]
@@ -356,7 +349,6 @@ def _cell_report(
             "the estimator appears to beat the optimal rule, which points "
             "at a ground-truth bug"
         )
-    verdict = validate_schedule(config.schedule, config.protocol, scenario.dimension)
     r_n, c_n = schedule_eval(config.schedule, n)
     return RiskReport(
         protocol=config.protocol,
@@ -365,7 +357,7 @@ def _cell_report(
         n=n,
         r_n=r_n,
         c_n=c_n,
-        schedule_validity=verdict.status,
+        schedule_validity=validity,
         replications=config.replications,
         test_points=config.test_points,
         risk_mean=mean,
@@ -390,13 +382,24 @@ def _cell_reports(
     agree on ``shared``) through one worker pool (or serially), and
     summarise each arm's cells in grid order, charging each arm an equal
     share of a replication's time. The pool takes the tasks in chunks, about
-    four per worker, so that tiny replications do not pay a round trip each."""
+    four per worker, so that tiny replications do not pay a round trip each.
+    Each arm's schedule verdict is decided once, before any task runs: an
+    arm outside its conditions warns once, in this process, whatever
+    ``jobs`` is, naming the line that called the public entry point."""
     shared = ("scenario_id", "scenario_params", "seed", "n_grid", "replications",
               "test_points", "r0", "beta", "coin_mode")
     fields = [{**vars(arm), **vars(arm.schedule)} for arm in arms]
     for name in shared:
         if any(f[name] != fields[0][name] for f in fields):
             raise ValueError(f"{name}: every arm must share the first arm's value")
+    d = arms[0].scenario().dimension
+    validity = []
+    for arm in arms:
+        verdict = validate_schedule(arm.schedule, arm.protocol, d)
+        if not verdict.ok:
+            text = f"schedule outside sufficient conditions for {arm.protocol}: {verdict.reason}"
+            warnings.warn(text, ScheduleViolationWarning, stacklevel=3)
+        validity.append(verdict.status)
     reps = arms[0].replications
     tasks = [(arms, n, rep) for n in grid for rep in range(reps)]
     workers = pool_workers(jobs, len(tasks))
@@ -407,7 +410,7 @@ def _cell_reports(
     else:
         timed = [_timed_replication(t) for t in tasks]
     cells = [timed[i * reps:(i + 1) * reps] for i in range(len(grid))]
-    return [[_cell_report(arm, n, [(s[a], sec / len(arms)) for s, sec in cell])
+    return [[_cell_report(arm, validity[a], n, [(s[a], sec / len(arms)) for s, sec in cell])
              for n, cell in zip(grid, cells)] for a, arm in enumerate(arms)]
 
 

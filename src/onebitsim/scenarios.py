@@ -41,14 +41,19 @@ class IntegrationError(RuntimeError):
         self.achieved = achieved
 
 
-def check_finite(name: str, value) -> None:
+def check_finite(name: str, value, integer: bool = False) -> None:
     """Raise ``ValueError("<name>: expected a finite number, got ...")``
     unless ``value``, or each entry of a tuple, list or array ``value``, is
-    a finite real number."""
+    a finite real number; with ``integer``, also ``"expected an integer"``
+    for one that is not an integer type."""
     entries = np.ravel(value) if isinstance(value, np.ndarray) else value
     for v in entries if isinstance(entries, (tuple, list, np.ndarray)) else (value,):
-        if not (isinstance(v, numbers.Real) and math.isfinite(v)):
+        # an int is finite; math.isfinite overflows on one beyond float range
+        if not (isinstance(v, numbers.Integral)
+                or isinstance(v, numbers.Real) and math.isfinite(v)):
             raise ValueError(f"{name}: expected a finite number, got {v!r}")
+        if integer and not isinstance(v, numbers.Integral):
+            raise ValueError(f"{name}: expected an integer, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -74,7 +79,6 @@ class Scenario:
     id: str
     dimension: int
     task: str  # "classification" | "regression"
-    params: dict
 
     #: (lo, hi) corner arrays of an axis-aligned support box, or None.
     support_box: Optional[tuple[np.ndarray, np.ndarray]] = None
@@ -90,7 +94,9 @@ class Scenario:
         raise NotImplementedError
 
     def sample_y_given_x(self, xs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        raise NotImplementedError
+        """Bernoulli(eta(x)) labels, one uniform per row."""
+        xs = _as_points(xs, self.dimension)
+        return (rng.random(xs.shape[0]) < self.eta(xs)).astype(np.int64)
 
     # -- ground truth -----------------------------------------------------
 
@@ -154,7 +160,6 @@ class GaussianPairScenario(Scenario):
         self.mu = np.atleast_1d(np.asarray(mu, dtype=float))
         self.dimension = self.mu.shape[0]
         self.sigma = float(sigma)
-        self.params = {"sigma": self.sigma}
         self._mu_norm = float(np.linalg.norm(self.mu))
         if self._mu_norm <= 0:
             raise ValueError("mu: class means must be separated")
@@ -166,10 +171,6 @@ class GaussianPairScenario(Scenario):
         return signs[:, None] * self.mu + self.sigma * rng.standard_normal(
             (size, self.dimension)
         )
-
-    def sample_y_given_x(self, xs, rng):
-        xs = _as_points(xs, self.dimension)
-        return (rng.random(xs.shape[0]) < self.eta(xs)).astype(np.int64)
 
     def eta(self, xs):
         xs = _as_points(xs, self.dimension)
@@ -278,12 +279,7 @@ class CheckerboardScenario(UniformBoxScenario):
         self.k = int(k)
         self.p_on = float(p_on)
         self.p_off = float(p_off)
-        self.params = {"k": self.k, "p_on": self.p_on, "p_off": self.p_off}
         super().__init__()
-
-    def sample_y_given_x(self, xs, rng):
-        xs = _as_points(xs, 2)
-        return (rng.random(xs.shape[0]) < self.eta(xs)).astype(np.int64)
 
     def eta(self, xs):
         xs = _as_points(xs, 2)
@@ -331,17 +327,7 @@ class CityscapeScenario(UniformBoxScenario):
         self.threshold = float(threshold)
         self.flip = float(flip)
         self.zone_radius = self.spread * math.sqrt(2.0 * math.log(1.0 / self.threshold))
-        self.params = {
-            "center": tuple(self.center),
-            "spread": self.spread,
-            "threshold": self.threshold,
-            "flip": self.flip,
-        }
         super().__init__()
-
-    def sample_y_given_x(self, xs, rng):
-        xs = _as_points(xs, 2)
-        return (rng.random(xs.shape[0]) < self.eta(xs)).astype(np.int64)
 
     def eta(self, xs):
         xs = _as_points(xs, 2)
@@ -363,7 +349,6 @@ class SineScenario(UniformBoxScenario):
             raise ValueError("noise: must be nonnegative")
         self.id = "sine_1d"
         self.noise = float(noise)
-        self.params = {"noise": self.noise}
         super().__init__()
 
     def sample_y_given_x(self, xs, rng):

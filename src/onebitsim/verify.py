@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -208,9 +207,7 @@ def _suite_batch_engine() -> SuiteResult:
         schedule = Schedule(float(rng.uniform(0.05, 0.8)), 0.2, 1.0, 0.1)
         n = int(rng.integers(1, 40))
         seed, coin_seed = (int(v) for v in rng.integers(2**32, size=2))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # schedule verdicts are not checked here
-            net = train_network(protocol, scenario, n, schedule, seed, coin_mode=mode)
+        net = train_network(protocol, scenario, n, schedule, seed, coin_mode=mode)
         if ties:  # sensors on a 0.1 grid share coordinates
             centers = None if net.centers is None else np.round(net.centers, 1)
             net = replace(net, xs=np.round(net.xs, 1), centers=centers)

@@ -36,6 +36,23 @@ def small_config(**overrides):
     return hn.ExperimentConfig(**base)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("n_grid", (50.7, 100.2)), ("seed", 1.5), ("replications", 2.5), ("test_points", 20.5)],
+)
+def test_experiment_config_rejects_non_integral_counts(field, value):
+    # n_grid once ran as (50, 100); the others failed inside a replication
+    with pytest.raises(ValueError, match=f"^{field}: expected an integer, got"):
+        small_config(**{field: value})
+
+
+def test_evaluate_conditional_risk_names_test_points():
+    scen = make_scenario("gauss_mix_1d")
+    net = hn.train_network("cls_abstain", scen, 20, Schedule(0.5, 0.3), seed=1)
+    with pytest.raises(ValueError, match="^test_points: must be >= 1"):
+        hn.evaluate_conditional_risk(net, scen, 0, np.random.default_rng(0))
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="^protocol: unknown 'morse'"):
         small_config(protocol="morse")
@@ -116,12 +133,6 @@ def test_train_network_task_mismatch():
         hn.train_network(
             "specialists", make_scenario("gauss_mix_2d"), 10, Schedule(0.5, 0.3), seed=1
         )
-
-
-def test_train_network_schedule_warning():
-    scen = make_scenario("gauss_mix_1d")
-    with pytest.warns(ScheduleViolationWarning, match="sufficient"):
-        hn.train_network("cls_abstain", scen, 10, Schedule(0.5, 1.5), seed=1)
 
 
 def test_train_network_fixed_coins_only_when_needed():
@@ -371,9 +382,36 @@ def test_demo_one_pass_gives_the_two_sweeps_reports(jobs, beta):
     untimed = lambda reports: [dataclasses.replace(r, wall_time_s=0.0) for r in reports]
     assert untimed(demo.noabstain_reports) == untimed(sweeps[0])
     assert untimed(demo.abstain_reports) == untimed(sweeps[1])
-    if jobs == 1:  # a pool worker's warnings stay in the worker
-        assert _schedule_warnings(shared) == _schedule_warnings(separate)
-        assert any("reg_abstain" in m for m in _schedule_warnings(shared)) == (beta > 0.5)
+    assert _schedule_warnings(shared) == _schedule_warnings(separate)
+    assert any("reg_abstain" in m for m in _schedule_warnings(shared)) == (beta > 0.5)
+
+
+def _recorded_schedule_warnings(run) -> list:
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run()
+    return [w for w in caught if w.category is ScheduleViolationWarning]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_run_warns_once_per_violating_arm_in_the_caller(jobs):
+    # beta = 0.95 puts both demo arms outside their conditions; the verdict
+    # is decided before any replication runs, so jobs changes nothing
+    config = demo_config(schedule=Schedule(0.5, 0.95))
+    runs = [
+        (lambda: hn.run_sweep(config, jobs), ["reg_noabstain"]),
+        (lambda: hn.estimate_expected_risk(config, 200, jobs), ["reg_noabstain"]),
+        (lambda: hn.impossibility_demo(config, jobs), ["reg_noabstain", "reg_abstain"]),
+    ]
+    for run, protocols in runs:
+        caught = _recorded_schedule_warnings(run)
+        assert [str(w.message).split(": ")[0] for w in caught] == [
+            f"schedule outside sufficient conditions for {p}" for p in protocols
+        ]
+        assert {w.filename for w in caught} == {__file__}
+    # training alone trains the violating schedule without a word
+    assert _recorded_schedule_warnings(lambda: hn.train_network(
+        "reg_noabstain", config.scenario(), 200, config.schedule, seed=1)) == []
 
 
 @pytest.mark.filterwarnings("ignore::onebitsim.protocols.ScheduleViolationWarning")
@@ -430,6 +468,7 @@ def test_arms_must_share_training_and_test_draws(field, value):
         hn._cell_reports((config, other), config.n_grid, 1)
 
 
+@pytest.mark.filterwarnings("ignore::onebitsim.protocols.ScheduleViolationWarning")
 def test_each_arm_is_charged_an_equal_share_of_a_replication(monkeypatch):
     arms = hn.impossibility_arms(demo_config())
     sample = hn.RiskSample(0.6, 0.0, 0.0)

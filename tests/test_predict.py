@@ -80,7 +80,6 @@ def test_2d_label_counts_on_boundaries_and_ties(protocol, sid, monkeypatch):
         )
 
 
-@pytest.mark.filterwarnings("ignore::onebitsim.protocols.ScheduleViolationWarning")
 def test_batch_results_independent_of_chunking(monkeypatch):
     cases = []
     for protocol, sid, mode in [
@@ -140,7 +139,6 @@ def _scalar_reg_noabstain(net, queries, coin_seed):
     return 2.0 * c * ((votes_in + votes_out) / net.n - 0.5)
 
 
-@pytest.mark.filterwarnings("ignore::onebitsim.protocols.ScheduleViolationWarning")
 @pytest.mark.parametrize("block", [4, 1 << 15])
 @pytest.mark.parametrize(
     "protocol,sid,mode",
@@ -168,7 +166,6 @@ def test_1d_run_gather_edge_cases(protocol, sid, mode, block, monkeypatch):
     np.testing.assert_array_equal(batch.values.astype(float), expected)
 
 
-@pytest.mark.filterwarnings("ignore::onebitsim.protocols.ScheduleViolationWarning")
 @pytest.mark.parametrize("d", [1, 2])
 def test_two_arm_bias_table_matches_one_row_calls(d, monkeypatch):
     monkeypatch.setattr(pd, "_PAIR_BLOCK", 17)
@@ -240,7 +237,6 @@ def test_abstention_telemetry():
     assert batch.all_abstain_frac == pytest.approx(np.mean(expected_responders == 0))
 
 
-@pytest.mark.filterwarnings("ignore::onebitsim.protocols.ScheduleViolationWarning")
 @pytest.mark.parametrize(
     "protocol,sid,mode",
     CASES
@@ -258,7 +254,6 @@ def test_empty_network(protocol, sid, mode):
     assert batch.abstain_rate == 0.0  # no sensors, no responses to count
 
 
-@pytest.mark.filterwarnings("ignore::onebitsim.protocols.ScheduleViolationWarning")
 def test_reg_noabstain_matches_exact_moments():
     # the guess crowd is drawn in aggregate, so check the first two moments
     # of the estimate against the exact vote distribution at a fixed query
@@ -280,7 +275,6 @@ def test_reg_noabstain_matches_exact_moments():
     assert batch.values.var() == pytest.approx(var_exact, rel=0.1)
 
 
-@pytest.mark.filterwarnings("ignore::onebitsim.protocols.ScheduleViolationWarning")
 def test_reg_noabstain_mse_matches_exact_oracle():
     scen = make_scenario("sine_1d", noise=0.1)
     net = train_network(
@@ -330,7 +324,6 @@ def _golden_network(protocol, sid):
     return dataclasses.replace(base, protocol=protocol), scen
 
 
-@pytest.mark.filterwarnings("ignore::onebitsim.protocols.ScheduleViolationWarning")
 @pytest.mark.parametrize("protocol,sid", sorted(GOLDEN_DIGESTS))
 def test_batch_values_match_golden_digest(protocol, sid):
     net, scen = _golden_network(protocol, sid)
