@@ -176,11 +176,23 @@ def _config_error(exc: ValueError) -> ConfigError:
     return ConfigError(text)
 
 
-# ExperimentConfig's field defaults; None for the fields a config must set
+# ExperimentConfig's field defaults and the schedule's; None for keys a config must set
 _CONFIG_DEFAULTS = {
     f.name: None if f.default is dataclasses.MISSING else f.default
     for f in dataclasses.fields(ExperimentConfig)
+} | {"schedule": Schedule(0.5, 0.3), "scenario_params": {}}
+
+# config key: (ExperimentConfig or Schedule field, parse kind), in the order
+# their bad text is reported
+_KEYS = {
+    "protocol": ("protocol", str), "scenario": ("scenario_id", str),
+    "r0": ("r0", float), "beta": ("beta", float), "c0": ("c0", float),
+    "gamma": ("gamma", float), "clamp": ("clamp", float),
+    "replications": ("replications", int), "test_points": ("test_points", int),
+    "seed": ("seed", int), "default_label": ("default_label", int),
+    "coin_mode": ("coin_mode", str), "family_c": ("family_c", float),
 }
+_KIND_NAMES = {str: "text", int: "an integer", float: "a number"}
 
 
 def build_experiment_config(
@@ -193,85 +205,44 @@ def build_experiment_config(
     """Translate a config section into an ExperimentConfig.
 
     ``single_n`` selects between the ``n`` key (simulate) and ``n_grid``
-    (sweep). ``defaults`` pre-fills keys (used by the demo command). Only
-    the text is checked here; ``Schedule`` and ``ExperimentConfig`` check
-    the values.
+    (sweep). An unset key takes its value from ``defaults`` (used by the
+    demo command), else from ``ExperimentConfig`` and ``Schedule(0.5,
+    0.3)``. Only the text is checked here; ``Schedule`` and
+    ``ExperimentConfig`` check the values.
     """
     section = dict(section)
-
-    def take(key, fallback=None):
-        return section.pop(key, fallback)
-
-    def default(field):
-        return getattr(defaults, field) if defaults else _CONFIG_DEFAULTS[field]
-
-    protocol = take("protocol", default("protocol"))
-    if protocol is None:
-        raise ConfigError("protocol: required")
-    scenario = take("scenario", default("scenario_id"))
-    if scenario is None:
-        raise ConfigError("scenario: required")
-    params = dict(defaults.scenario_params) if defaults else {}
+    values = dict(vars(defaults) if defaults else _CONFIG_DEFAULTS)
+    schedule = values.pop("schedule")
+    values.update(vars(schedule), scenario_params=dict(values["scenario_params"]))
+    for key in ("protocol", "scenario"):
+        if section.get(key, values[_KEYS[key][0]]) is None:
+            raise ConfigError(f"{key}: required")
     for key in [k for k in section if k.startswith("scenario.")]:
-        params[key.split(".", 1)[1]] = _parse_param_value(section.pop(key))
+        values["scenario_params"][key.split(".", 1)[1]] = _parse_param_value(section.pop(key))
 
     if single_n:
-        raw_n = take("n")
-        if raw_n is None:
+        if "n" not in section:
             raise ConfigError("n: required")
-        grid = (_parse_scalar("n", raw_n, int, "an integer"),)
-    else:
-        raw_grid = take("n_grid")
-        if raw_grid is None and defaults is not None:
-            grid = defaults.n_grid
-        elif raw_grid is None:
-            raise ConfigError("n_grid: required")
-        else:
-            grid = tuple(
-                _parse_scalar("n_grid", part.strip(), int, "integers")
-                for part in raw_grid.split(",")
-                if part.strip()
-            )
-            if not grid:
-                raise ConfigError("n_grid: required")
+        values["n_grid"] = (_parse_scalar("n", section.pop("n"), int, "an integer"),)
+    elif "n_grid" in section:
+        values["n_grid"] = tuple(
+            _parse_scalar("n_grid", part.strip(), int, "integers")
+            for part in section.pop("n_grid").split(",")
+            if part.strip()
+        )
+    if not values["n_grid"]:
+        raise ConfigError("n_grid: required")
 
-    def int_key(key, fallback):
-        return _parse_scalar(key, take(key, fallback), int, "an integer")
-
-    def number_key(key, fallback):
-        raw = take(key)
-        return fallback if raw is None else _parse_scalar(key, raw, float, "a number")
-
-    sched_defaults = defaults.schedule if defaults else Schedule(0.5, 0.3)
-    schedule_kwargs = {
-        key: number_key(key, getattr(sched_defaults, key))
-        for key in ("r0", "beta", "c0", "gamma", "clamp")
-    }
-
-    replications = int_key("replications", default("replications"))
-    test_points = int_key("test_points", default("test_points"))
-    seed = int_key("seed", default("seed"))
-    default_label = int_key("default_label", default("default_label"))
-    coin_mode = take("coin_mode", default("coin_mode"))
-    family_c = number_key("family_c", default("family_c"))
+    for key, (field, kind) in _KEYS.items():
+        if key in section:
+            values[field] = _parse_scalar(key, section.pop(key), kind, _KIND_NAMES[kind])
     if seed_override is not None:
-        seed = seed_override
+        values["seed"] = seed_override
     if section:
         raise ConfigError(f"{sorted(section)[0]}: unknown key")
     try:
-        return ExperimentConfig(
-            protocol=protocol,
-            scenario_id=scenario,
-            scenario_params=params,
-            schedule=Schedule(**schedule_kwargs),
-            n_grid=grid,
-            replications=replications,
-            test_points=test_points,
-            seed=seed,
-            coin_mode=coin_mode,
-            default_label=default_label,
-            family_c=family_c,
-        )
+        schedule = Schedule(**{name: values.pop(name) for name in vars(schedule)})
+        return ExperimentConfig(schedule=schedule, **values)
     except ValueError as exc:
         raise _config_error(exc) from None
 
@@ -304,29 +275,36 @@ def _print_table(reports: list[RiskReport]) -> None:
         )
 
 
-def _check_jobs(args) -> None:
+def _read_config(args, command: str, single_n: bool, defaults=None) -> ExperimentConfig:
+    """The config from ``--config``, else from ``defaults``, with ``--seed`` applied."""
     if args.jobs < 1:
         raise ConfigError(f"jobs: must be >= 1, got {args.jobs}")
+    if args.config is None and defaults is None:
+        raise ConfigError("config: required (--config PATH)")
+    section = {} if args.config is None else load_config_section(args.config, command)
+    return build_experiment_config(section, single_n=single_n, seed_override=args.seed,
+                                   defaults=defaults)
+
+
+def _emit(args, command: str, config, reports, started, extra=None) -> Path:
+    """Write ``<stem>.csv`` and ``<stem>.json``, the stem being the command with
+    ``_`` for ``-``, and print the table; return the path without suffix."""
+    finished = _now()
+    out = _out_dir(args)
+    stem = command.replace("-", "_")
+    write_csv(out / f"{stem}.csv", reports)
+    manifest = _manifest(command, config, args.jobs, reports, started, finished, extra)
+    write_json(out / f"{stem}.json", manifest)
+    _print_table(reports)
+    return out / stem
 
 
 def _run_experiment(args, command: str, single_n: bool) -> int:
-    _check_jobs(args)
-    if args.config is None:
-        raise ConfigError("config: required (--config PATH)")
-    section = load_config_section(args.config, command)
-    config = build_experiment_config(
-        section, single_n=single_n, seed_override=args.seed
-    )
+    config = _read_config(args, command, single_n)
     started = _now()
     reports = run_sweep(config, jobs=args.jobs)
-    finished = _now()
-    out = _out_dir(args)
-    stem = command
-    write_csv(out / f"{stem}.csv", reports)
-    manifest = _manifest(command, config, args.jobs, reports, started, finished)
-    write_json(out / f"{stem}.json", manifest)
-    _print_table(reports)
-    print(f"wrote {out / (stem + '.csv')} and {out / (stem + '.json')}")
+    path = _emit(args, command, config, reports, started)
+    print(f"wrote {path}.csv and {path}.json")
     return 0
 
 
@@ -339,40 +317,20 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    _check_jobs(args)
-    defaults = default_impossibility_config()
-    if args.config is not None:
-        section = load_config_section(args.config, "demo-impossibility")
-        config = build_experiment_config(
-            section, single_n=False, seed_override=args.seed, defaults=defaults
-        )
-    else:
-        config = defaults
-        if args.seed is not None:
-            config = dataclasses.replace(config, seed=args.seed)
+    config = _read_config(args, "demo-impossibility", single_n=False,
+                          defaults=default_impossibility_config())
     try:
         impossibility_arms(config)
     except ValueError as exc:
         raise _config_error(exc) from None
     started = _now()
     demo = impossibility_demo(config, jobs=args.jobs)
-    finished = _now()
     reports = list(demo.noabstain_reports) + list(demo.abstain_reports)
-    out = _out_dir(args)
-    write_csv(out / "demo_impossibility.csv", reports)
-    summary = {
-        "grid_mean_abs_estimate": demo.grid_mean_abs_estimate,
-        "terminal_mse": demo.terminal_mse,
-        "predicted_plateau_mse": demo.predicted_plateau_mse,
-        "predicted_excess_plateau": demo.predicted_excess_plateau,
-        "bayes_risk": demo.bayes_risk,
-    }
-    write_json(
-        out / "demo_impossibility.json",
-        _manifest("demo-impossibility", config, args.jobs, reports, started, finished,
-                  extra={"summary": summary}),
-    )
-    _print_table(reports)
+    summary = {name: getattr(demo, name) for name in (
+        "grid_mean_abs_estimate", "terminal_mse", "predicted_plateau_mse",
+        "predicted_excess_plateau", "bayes_risk",
+    )}
+    _emit(args, "demo-impossibility", config, reports, started, extra={"summary": summary})
     print(f"mean |estimate| on query grid at n={config.n_grid[-1]}: "
           f"{demo.grid_mean_abs_estimate:.5f}")
     print(f"terminal one-bit MSE: {demo.terminal_mse:.5f} "
@@ -425,9 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", help="experiment config file (INI)")
+    def common(p):
+        p.add_argument("--config", help="experiment config file (INI)")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument(

@@ -72,6 +72,13 @@ class ExperimentConfig:
     family_c: float = 2.0
 
     def __post_init__(self):
+        for name, kind, what in (
+            ("n_grid", (tuple, list, np.ndarray), "a sequence of integers"),
+            ("scenario_params", dict, "a dict"),
+            ("schedule", Schedule, "a Schedule"),
+        ):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name}: expected {what}, got {getattr(self, name)!r}")
         for name in ("n_grid", "seed", "replications", "test_points"):
             check_finite(name, getattr(self, name), integer=True)
         check_finite("family_c", self.family_c)
@@ -320,7 +327,7 @@ def pool_workers(jobs: int, tasks: int, cpus: Optional[int] = None) -> int:
     task count and the CPU count (``os.cpu_count()`` unless given). One
     means the replications run serially in this process."""
     if jobs < 1:
-        raise ValueError("jobs must be >= 1")
+        raise ValueError(f"jobs: must be >= 1, got {jobs}")
     if cpus is None:
         cpus = os.cpu_count() or 1
     return max(1, min(jobs, tasks, cpus))
@@ -424,7 +431,7 @@ def estimate_expected_risk(
     report's ``wall_time_s`` is the sum of the replications' own durations.
     """
     if n not in config.n_grid:
-        raise ValueError(f"n={n} is not in the configured grid {config.n_grid}")
+        raise ValueError(f"n: {n} is not in n_grid {config.n_grid}")
     return _cell_reports((config,), (n,), jobs)[0][0]
 
 

@@ -14,7 +14,7 @@ import pytest
 from onebitsim import cli
 from onebitsim import predict
 from onebitsim import protocols
-from onebitsim.harness import ExperimentConfig
+from onebitsim.harness import ExperimentConfig, default_impossibility_config
 
 
 SWEEP_INI = """\
@@ -235,6 +235,42 @@ def test_library_names_the_bad_value_as_the_cli_does(keys, fields, message):
         )
         ExperimentConfig(schedule=schedule, **fields)
     assert str(caught.value).startswith(f"{field}:{reason}")
+
+
+def test_every_key_reads_into_the_field_the_library_takes(tmp_path):
+    text = (
+        "[sweep]\nprotocol = reg_abstain\nscenario = sine_1d\nscenario.noise = 0.2\n"
+        "n_grid = 10, 20\nr0 = 0.7\nbeta = 0.25\nc0 = 1.5\ngamma = 0.1\nclamp = 2.5\n"
+        "replications = 4\ntest_points = 30\nseed = 5\ndefault_label = 1\n"
+        "coin_mode = per_query\nfamily_c = 3.0\n"
+    )
+    section = cli.load_config_section(write(tmp_path, text), "sweep")
+    assert set(section) == set(cli._KEYS) | {"scenario.noise", "n_grid"}
+    assert cli.build_experiment_config(section, single_n=False) == ExperimentConfig(
+        protocol="reg_abstain", scenario_id="sine_1d", scenario_params={"noise": 0.2},
+        schedule=protocols.Schedule(0.7, 0.25, c0=1.5, gamma=0.1, clamp=2.5),
+        n_grid=(10, 20), replications=4, test_points=30, seed=5, default_label=1,
+        coin_mode="per_query", family_c=3.0,
+    )
+
+
+def test_demo_section_takes_unset_keys_from_the_defaults_and_leaves_them(tmp_path):
+    defaults = default_impossibility_config()
+    before = repr(defaults)
+    cfg = write(tmp_path, "[demo-impossibility]\nseed = 4\n")
+    section = cli.load_config_section(cfg, "demo-impossibility")
+    config = cli.build_experiment_config(section, single_n=False, defaults=defaults)
+    assert config == dataclasses.replace(defaults, seed=4)
+    section = {"scenario.noise": "0.2"}
+    config = cli.build_experiment_config(section, single_n=False, defaults=defaults)
+    assert config.scenario_params == {"noise": 0.2}
+    assert repr(defaults) == before
+
+
+def test_simulate_n_takes_one_integer(tmp_path, capsys):
+    cfg = write(tmp_path, SIMULATE_INI.replace("n = 300", "n = 3, 4"))
+    assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: n: expected an integer")
 
 
 def test_jobs_below_one_is_rejected(tmp_path, capsys):

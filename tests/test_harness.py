@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -43,6 +44,19 @@ def small_config(**overrides):
 def test_experiment_config_rejects_non_integral_counts(field, value):
     # n_grid once ran as (50, 100); the others failed inside a replication
     with pytest.raises(ValueError, match=f"^{field}: expected an integer, got"):
+        small_config(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field,value,expected",
+    [("n_grid", 5, "a sequence of integers"), ("scenario_params", "x", "a dict"),
+     ("scenario_params", None, "a dict"), ("schedule", None, "a Schedule"),
+     ("schedule", (0.5, 0.3), "a Schedule")],
+)
+def test_experiment_config_rejects_wrong_types_by_field(field, value, expected):
+    # these once escaped as unnamed TypeErrors, or built and failed in run_sweep
+    message = f"{field}: expected {expected}, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         small_config(**{field: value})
 
 
@@ -221,7 +235,7 @@ def test_estimate_expected_risk_report_fields():
     assert 0.0 <= report.abstain_rate <= 1.0
     assert not report.se_degenerate
     assert report.schedule_validity == "satisfies"
-    with pytest.raises(ValueError, match="not in the configured grid"):
+    with pytest.raises(ValueError, match=r"^n: 75 is not in n_grid \(50, 200\)$"):
         hn.estimate_expected_risk(cfg, 75)
 
 
@@ -497,5 +511,5 @@ def test_pool_workers_clamps_to_tasks_and_cpus():
     assert hn.pool_workers(4, 1, cpus=8) == 1
     assert hn.pool_workers(10**9, 10**9) <= (os.cpu_count() or 1)
     for jobs in (0, -1):
-        with pytest.raises(ValueError, match="jobs must be >= 1"):
+        with pytest.raises(ValueError, match=f"^jobs: must be >= 1, got {jobs}$"):
             hn.pool_workers(jobs, 4, cpus=2)
