@@ -21,7 +21,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import predict
 from .predict import PredictionBatch, predict_batch
 from .protocols import (
     Schedule,
@@ -311,12 +310,7 @@ def _replication_sample(arms: tuple, n: int, rep: int) -> tuple[RiskSample, ...]
 
 
 def _timed_replication(args) -> tuple[tuple[RiskSample, ...], float]:
-    """One replication and its own duration, measured where it runs. The
-    names the arms' engines load on first use are bound before the clock
-    starts, so that no duration includes their import."""
-    for arm in args[0]:
-        for name in protocol_spec(arm.protocol).lazy_names:
-            getattr(predict, name)
+    """One replication and its own duration, measured where it runs."""
     start = time.perf_counter()
     samples = _replication_sample(*args)
     return samples, time.perf_counter() - start

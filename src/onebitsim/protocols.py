@@ -175,8 +175,6 @@ class ProtocolSpec:
     makes consistent has none. ``engine(network, queries, coin_seed,
     default_label)`` answers a batch of queries (see ``predict``).
     ``regions`` marks the model in which sensors own random regions.
-    ``lazy_names`` are the names in ``predict`` that the engine calls and
-    that are bound on first use.
     """
 
     task: str
@@ -184,7 +182,6 @@ class ProtocolSpec:
     schedule_condition: Optional[Callable[[Schedule, float], Optional[str]]]
     engine: Callable
     regions: bool = False
-    lazy_names: tuple[str, ...] = ()
 
     @property
     def bits_per_query(self) -> float:
@@ -204,10 +201,7 @@ _SPECS = {
     "reg_abstain": ProtocolSpec(
         "regression", True, _amplitude_condition, predict.batch_regression
     ),
-    "reg_noabstain": ProtocolSpec(
-        "regression", False, None, predict.batch_regression,
-        lazy_names=("binom",),
-    ),
+    "reg_noabstain": ProtocolSpec("regression", False, None, predict.batch_regression),
     "specialists": ProtocolSpec(
         "classification", True, _beta_d_below(1, "1"), predict.batch_specialists,
         regions=True,

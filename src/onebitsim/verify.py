@@ -191,9 +191,15 @@ def _reg_noabstain_mean_z(net, x, coin_seed: int, rounds: int = 4000) -> float:
 def _suite_batch_engine() -> SuiteResult:
     """``predict_batch`` must match the scalar rules bit for bit for every
     protocol, scenario and coin mode, on small random networks with and
-    without tied coordinates; reg_noabstain's mean must lie within 4
-    standard errors of the exact one, and a two-arm regression call must
-    give each arm's one-arm result."""
+    without tied coordinates; reg_noabstain's guesser crowd must draw the
+    exact Binomial(m, 1/2) quantile, its mean must lie within 4 standard
+    errors of the exact one, and a two-arm regression call must give each
+    arm's one-arm result."""
+    u = np.random.default_rng(37).random(500)
+    for m in range(41):  # the first k whose exact CDF reaches u
+        cdf = np.cumsum(oracle.exact_vote_distribution(np.full(m, 0.5)).pmf)
+        if not np.array_equal(predict.binom.ppf(u, m), np.searchsorted(cdf, u)):
+            return SuiteResult("batch_engine", False, f"guesser quantile off at m = {m}")
     rng = np.random.default_rng(31)
     checked = 0
     for protocol, sid, mode, ties in itertools.product(
@@ -231,12 +237,8 @@ def _suite_batch_engine() -> SuiteResult:
                                (alone.values, alone.responders))):
                     return SuiteResult("batch_engine", False, f"{case}: two-arm call differs")
         checked += 1
-    return SuiteResult(
-        "batch_engine",
-        True,
-        f"{checked} random networks agree with the scalar rules "
-        "(reg_noabstain: mean within 4 SE)",
-    )
+    return SuiteResult("batch_engine", True, f"{checked} random networks agree with the scalar "
+                       "rules (reg_noabstain: exact guesser quantile, mean within 4 SE)")
 
 
 _SUITES = (

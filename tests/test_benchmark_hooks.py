@@ -49,8 +49,8 @@ def test_every_benchmark_hook_installs_and_records():
                 coin_mode="per_query",
             )
         )
-        # predict.binom is bound on first use; the engine must still call it
-        # through the module name the benchmark wraps
+        # the regression engine must call predict.binom through the module
+        # name the benchmark wraps
         hn.run_sweep(
             replace(
                 config,

@@ -159,7 +159,6 @@ def test_startup_leaves_scipy_stats_and_integrate_unloaded():
         timeout=120, check=True,
     )
     assert done.stdout.strip() == "[]"
-    assert predict.binom.ppf(0.5, 4, 0.5) == 2.0  # the lazy name still resolves
 
 
 def test_jobs_flag_does_not_change_results(tmp_path):
@@ -393,6 +392,20 @@ def test_verify_catches_corrupted_batch_engine(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL batch_engine" in out
     assert "PASS theorem1_equivalence" in out
+
+
+def test_verify_catches_a_wrong_guesser_quantile(monkeypatch, capsys):
+    # negative control: one Binomial(7, 1/2) quantile off by one
+    healthy = predict.binom
+
+    class OffByOne:
+        def ppf(self, u, m):
+            return healthy.ppf(u, m) + (m == 7)
+
+    monkeypatch.setattr(predict, "binom", OffByOne())
+    assert cli.main(["verify"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL batch_engine" in out and "guesser quantile off at m = 7" in out
 
 
 def test_report_emits_gnuplot_columns(tmp_path):

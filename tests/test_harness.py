@@ -288,11 +288,10 @@ def test_run_sweep_runs_every_cell_through_one_pool(monkeypatch):
     assert len(made) == 2
 
 
-def test_first_cell_time_excludes_the_lazy_binom_import():
-    # reg_noabstain binds predict.binom (scipy.stats, ~0.6 s to import)
-    # before its first timed replication, serially and in each pool worker;
-    # other protocols never import scipy.stats (jobs=1 runs the
-    # replications, and so any binding, in this process)
+def test_reg_noabstain_sweep_never_imports_scipy_stats():
+    # the guesser crowd's quantile comes from scipy.special, so no sweep,
+    # serial or pooled, loads scipy.stats, and no reg_noabstain first cell's
+    # time includes a ~0.6 s import
     src = str(Path(hn.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
@@ -302,21 +301,21 @@ import sys, warnings
 from onebitsim.harness import ExperimentConfig, run_sweep
 from onebitsim.protocols import Schedule
 warnings.simplefilter("ignore")
-def config(protocol, scenario_id):
-    return ExperimentConfig(protocol, scenario_id, Schedule(0.5, 0.3), (100, 200),
-                            replications=2, test_points=200)
-run_sweep(config("cls_abstain", "gauss_mix_1d"), jobs=1)
+for protocol, scenario_id in (("cls_abstain", "gauss_mix_1d"), ("reg_noabstain", "sine_1d")):
+    config = ExperimentConfig(protocol, scenario_id, Schedule(0.5, 0.3), (100, 200),
+                              replications=2, test_points=200)
+    first_cell = run_sweep(config, jobs=int(sys.argv[1]))[0].wall_time_s
+print(first_cell)
 print("scipy.stats" in sys.modules)
-for jobs in (2, 1):
-    print(run_sweep(config("reg_noabstain", "sine_1d"), jobs=jobs)[0].wall_time_s)
 """
-    done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-        timeout=120, check=True,
-    )
-    loaded, pooled, serial = done.stdout.split()
-    assert loaded == "False"
-    assert float(pooled) < 0.2 and float(serial) < 0.2
+    for jobs in (1, 2):
+        done = subprocess.run(
+            [sys.executable, "-c", probe, str(jobs)], env=env, capture_output=True,
+            text=True, timeout=120, check=True,
+        )
+        first_cell, loaded = done.stdout.split()
+        assert loaded == "False"
+        assert float(first_cell) < 0.2
 
 
 def test_run_sweep_single_point_grid():

@@ -291,6 +291,40 @@ def test_reg_noabstain_mse_matches_exact_oracle():
     assert abs(mc - exact) <= 0.02
 
 
+def test_binom_ppf_matches_scipy_stats():
+    # 2^20 draws with m log-uniform up to 1e8: half with u uniform, half
+    # with u in the log-uniform tails, all below 1 - 2^-30
+    rng = np.random.default_rng(8)
+    half = 1 << 19
+    m = np.floor(10.0 ** rng.uniform(0, 8, 2 * half)) - 1
+    tail = 2.0 ** -rng.uniform(1, 30, half)
+    u = np.concatenate([
+        rng.random(half) * (1 - 2.0**-30), np.where(rng.random(half) < 0.5, tail, 1 - tail)
+    ])
+    np.testing.assert_array_equal(pd.binom.ppf(u, m), binom.ppf(u, m, 0.5))
+
+
+def test_binom_ppf_of_no_guessers_is_zero():
+    np.testing.assert_array_equal(pd.binom.ppf([pd._TINY, 0.5, 1 - 2.0**-53], 0), 0.0)
+
+
+@pytest.mark.parametrize(
+    "m,u,exact",
+    [
+        # bdtr reads CDF(4,268,930) as 0.504526 >= u; it is 0.503959
+        (8_537_832, 0.5042, 4_268_931),
+        # upper tails, exact from the tail summed at 50 digits, where
+        # scipy.stats answers 219, 504,145, 504,079 and 4,281,030
+        (300, 1 - 2.0**-53, 220),
+        (10**6, 1 - 2.0**-53, 504_105),
+        (10**6, 1 - 2.0**-52, 504_063),
+        (8_537_832, 1 - 2.0**-53, 4_280_910),
+    ],
+)
+def test_binom_ppf_exact_values(m, u, exact):
+    assert pd.binom.ppf(u, m) == exact
+
+
 # sha256 of predict_batch(...).values as float64 bytes, pinned from the
 # engine that folded every (sensor, query) pair through the full seed path;
 # a changed coin, or a sensor paired with the wrong query, moves a digest
