@@ -190,7 +190,7 @@ _KEYS = {
     "gamma": ("gamma", float), "clamp": ("clamp", float),
     "replications": ("replications", int), "test_points": ("test_points", int),
     "seed": ("seed", int), "default_label": ("default_label", int),
-    "coin_mode": ("coin_mode", str), "family_c": ("family_c", float),
+    "coin_mode": ("coin_mode", str),
 }
 _KIND_NAMES = {str: "text", int: "an integer", float: "a number"}
 

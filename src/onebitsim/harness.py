@@ -68,7 +68,6 @@ class ExperimentConfig:
     seed: int = 0
     coin_mode: str = "per_sensor"
     default_label: int = 0
-    family_c: float = 2.0
 
     def __post_init__(self):
         for name, kind, what in (
@@ -80,7 +79,6 @@ class ExperimentConfig:
                 raise ValueError(f"{name}: expected {what}, got {getattr(self, name)!r}")
         for name in ("n_grid", "seed", "replications", "test_points"):
             check_finite(name, getattr(self, name), integer=True)
-        check_finite("family_c", self.family_c)
         protocol_spec(self.protocol)
         check_coin_mode(self.coin_mode)
         if self.replications < 1:
@@ -94,8 +92,6 @@ class ExperimentConfig:
             raise ValueError("n_grid: must be strictly increasing")
         if self.default_label not in (0, 1):
             raise ValueError("default_label: must be 0 or 1")
-        if self.family_c <= 0:
-            raise ValueError("family_c: must be positive")
         object.__setattr__(self, "n_grid", grid)
         scenario_parameters(self.scenario_id)  # an unknown id names scenario_id
         try:
@@ -115,10 +111,11 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class NetworkState:
-    """A trained network: one stored datum per sensor plus schedule values.
-
-    Treated as immutable after training; answering queries never mutates
-    it, so it is safe to share across evaluation workers.
+    """A trained network: one stored datum per sensor plus schedule values
+    (``c_n`` is both regression rules' amplitude). ``fixed_coins`` is None
+    where a fresh coin answers each query. Treated as immutable after
+    training; answering queries never mutates it, so it is safe to share
+    across evaluation workers.
     """
 
     protocol: str
@@ -128,10 +125,8 @@ class NetworkState:
     xs: np.ndarray
     ys: np.ndarray
     untrainable: np.ndarray
-    coin_mode: str = "per_sensor"
     fixed_coins: Optional[np.ndarray] = None
     centers: Optional[np.ndarray] = None
-    family_c: float = 2.0
 
     @property
     def dimension(self) -> int:
@@ -170,7 +165,6 @@ def train_network(
     seed: int,
     *,
     coin_mode: str = "per_sensor",
-    family_c: float = 2.0,
 ) -> NetworkState:
     """Distribute one training datum to each of n sensors.
 
@@ -180,7 +174,8 @@ def train_network(
     forever), which is telemetry rather than an error. Every schedule
     trains, including one outside the sufficient consistency conditions:
     violating runs are legitimate experiment subjects. Runs warn about
-    such a schedule; ``validate_schedule`` gives its verdict directly.
+    such a schedule; ``validate_schedule`` gives its verdict directly. Both
+    regression rules answer at the schedule's c_n.
     """
     check_coin_mode(coin_mode)
     spec = protocol_spec(protocol)
@@ -213,10 +208,8 @@ def train_network(
         xs=xs,
         ys=np.asarray(ys, dtype=float),
         untrainable=untrainable,
-        coin_mode=coin_mode,
         fixed_coins=fixed_coins,
         centers=centers,
-        family_c=family_c,
     )
 
 
@@ -293,16 +286,16 @@ class RiskReport:
 
 def _replication_sample(arms: tuple, n: int, rep: int) -> tuple[RiskSample, ...]:
     """One sample per arm. The first arm trains the network; each other
-    arm answers with a copy that takes its protocol and amplitudes."""
+    arm answers with a copy that takes its protocol and amplitude."""
     first = arms[0]
     scenario = first.scenario()
     seed = derive_seed(first.seed, n, rep, _STREAM_TRAIN)
     network = train_network(first.protocol, scenario, n, first.schedule, seed,
-                            coin_mode=first.coin_mode, family_c=first.family_c)
+                            coin_mode=first.coin_mode)
     networks = (network,)
     for arm in arms[1:]:
         c_n = schedule_eval(arm.schedule, n)[1]
-        networks += (replace(network, protocol=arm.protocol, c_n=c_n, family_c=arm.family_c),)
+        networks += (replace(network, protocol=arm.protocol, c_n=c_n),)
     rng = derived_rng(first.seed, n, rep, _STREAM_EVAL)
     samples = evaluate_conditional_risk(networks if arms[1:] else network, scenario,
                                         first.test_points, rng, default_label=first.default_label)
@@ -454,12 +447,11 @@ def default_impossibility_config(seed: int = 0) -> ExperimentConfig:
         protocol="reg_noabstain",
         scenario_id="sine_1d",
         scenario_params={"noise": 0.1},
-        schedule=Schedule(r0=0.5, beta=0.3),
+        schedule=Schedule(r0=0.5, beta=0.3, c0=2.0),
         n_grid=(10**4, 10**5, 10**6),
         replications=3,
         test_points=2000,
         seed=seed,
-        family_c=2.0,
     )
 
 
@@ -497,7 +489,6 @@ def impossibility_demo(
         n_max,
         config.schedule,
         derive_seed(config.seed, n_max, 0, _STREAM_TRAIN),
-        family_c=config.family_c,
     )
     lo, hi = scenario.support_box
     grid = np.linspace(lo[0], hi[0], 101)[:, None]

@@ -109,7 +109,7 @@ def exact_conditional_error_at_x(network: "NetworkState", scenario: Scenario, x)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     eta = float(scenario.eta(x[None, :])[0])
     if network.protocol == "cls_noabstain":
-        if network.coin_mode != "per_query":
+        if network.fixed_coins is not None:
             raise ValueError(
                 "exact conditional error needs per_query coins for cls_noabstain"
             )
@@ -134,7 +134,7 @@ def exact_conditional_error_at_x(network: "NetworkState", scenario: Scenario, x)
 
     if network.protocol == "reg_noabstain":
         m2 = float(scenario.conditional_second_moment(x[None, :])[0])
-        c = network.family_c
+        c = network.c_n
         inside = _in_ball_mask(network.xs, x, network.r_n)
         biases = np.where(
             inside, np.clip(network.ys / (2.0 * c) + 0.5, 0.0, 1.0), 0.5
@@ -144,7 +144,4 @@ def exact_conditional_error_at_x(network: "NetworkState", scenario: Scenario, x)
         estimates = 2.0 * c * (np.arange(n + 1) / n - 0.5)
         return float(np.sum(dist.pmf * (estimates**2 - 2.0 * estimates * eta)) + m2)
 
-    raise ValueError(
-        f"exact conditional error is not defined for {network.protocol!r} "
-        f"with coin_mode {getattr(network, 'coin_mode', None)!r}"
-    )
+    raise ValueError(f"exact conditional error is not defined for {network.protocol!r}")

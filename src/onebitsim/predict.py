@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 from scipy.spatial import cKDTree
-from scipy.special import bdtrik, betainc
+from scipy.special import betainc, ndtri
 
 from .seeding import CoinSource, pair_bits, query_keys, to_unit
 
@@ -65,9 +65,9 @@ class _FairBinomial:
     """Quantiles of X ~ Binomial(m, 1/2), exact at every m."""
 
     def ppf(self, u, m):
-        """The smallest k with P(X <= k) >= u, as a float array. From
-        ``bdtrik``'s guess, k steps on ``betainc``: the CDF below u = 1/2, and
-        above it the survival function against 1 - u, which is exact there."""
+        """The smallest k with P(X <= k) >= u, as a float array. From the
+        normal approximation's guess, k steps on ``betainc``: the CDF below
+        u = 1/2, and above it the survival function against 1 - u, exact there."""
         u = np.asarray(u, dtype=float)
         low = u < 0.5
 
@@ -75,7 +75,8 @@ class _FairBinomial:
             tail = betainc(np.where(low, m - k, k + 1), np.where(low, k + 1, m - k), 0.5)
             return (k >= m) | np.where(low, tail >= u, tail <= 1 - u)
 
-        k = np.clip(np.nan_to_num(np.ceil(bdtrik(u, m, 0.5))), 0, m)  # NaN at m = 0
+        # the guess is NaN only at m = 0 with u = 0 or 1, where the quantile is 0
+        k = np.clip(np.nan_to_num(np.ceil(m / 2 + np.sqrt(m) / 2 * ndtri(u) - 0.5)), 0, m)
         while (down := (k > 0) & covers(k - 1)).any():
             k = k - down
         while (up := ~covers(k)).any():
@@ -293,7 +294,7 @@ def batch_specialists(network, queries, coin_seed, default_label):
 
 
 def batch_cls_noabstain(network, queries, coin_seed, default_label):
-    if network.coin_mode == "per_query":
+    if network.fixed_coins is None:
         return _cls_noabstain_fresh(network, queries, coin_seed)
     # fixed coins: out-of-ball votes are the coins outside the ball
     lookup = _BallLookup(network.xs, network.r_n)
@@ -341,7 +342,7 @@ def _reg_abstain_rule(network, row):
 
 
 def _reg_noabstain_rule(network, row):
-    c, n = network.family_c, network.n
+    c, n = network.c_n, network.n
     row /= 2.0 * c
     row += 0.5
     np.clip(row, 0.0, 1.0, out=row)

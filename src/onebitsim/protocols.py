@@ -12,9 +12,9 @@ Five protocols, identified by the strings in :data:`PROTOCOLS`:
   bias (y / 2c + 1/2, censored to a fair coin when |y| > c); fusion shifts
   and scales the vote fraction back into label units.
 * ``reg_noabstain``  -- in-ball sensors vote with the clipped bias
-  clip(y / 2c + 1/2) at a fixed amplitude c, the rest guess with a fair
-  coin; the scaled-mean fusion rule is permutation invariant and
-  2c-Lipschitz in the average Hamming distance.
+  clip(y / 2c + 1/2) at the fixed amplitude c = c_n (gamma = 0 or a clamp),
+  the rest guess with a fair coin; the scaled-mean fusion rule is
+  permutation invariant and 2c-Lipschitz in the average Hamming distance.
 * ``specialists``    -- sensors own a random region, train on data
   conditioned to that region, and vote only for queries inside it.
 
@@ -90,7 +90,8 @@ class Schedule:
 
     r_n = r0 * n^(-beta) shrinks the ball radius; c_n = c0 * n^gamma grows
     the label amplitude bound, unless ``clamp`` pins c_n to a constant
-    (valid when |Y| is known to be bounded by it).
+    (valid when |Y| is known to be bounded by it). Both regression rules
+    encode at c_n; gamma = 0 or a clamp gives ``reg_noabstain`` a fixed c.
     """
 
     r0: float

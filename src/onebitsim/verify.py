@@ -146,7 +146,7 @@ _SCALAR_RULES = {
     ),
     "cls_noabstain": (
         lambda s, x, net, u: protocols.respond_cls_noabstain(
-            s if net.coin_mode == "per_sensor" else replace(s, fixed_coin=int(u < 0.5)),
+            s if net.fixed_coins is not None else replace(s, fixed_coin=int(u < 0.5)),
             x,
             net.r_n,
         ),
@@ -180,7 +180,7 @@ def scalar_predict(net, queries, coin_seed, default_label=0) -> np.ndarray:
 def _reg_noabstain_mean_z(net, x, coin_seed: int, rounds: int = 4000) -> float:
     """z-score of the engine's mean estimate at the query x against the
     exact mean 2c (mean bias - 1/2) of the vote distribution."""
-    c = net.family_c
+    c = net.c_n
     inside = np.linalg.norm(net.xs - x, axis=1) <= net.r_n
     biases = np.where(inside, np.clip(net.ys / (2.0 * c) + 0.5, 0.0, 1.0), 0.5)
     se = 2.0 * c / net.n * math.sqrt(np.sum(biases * (1.0 - biases)) / rounds)

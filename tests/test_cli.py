@@ -97,7 +97,7 @@ VALUE_CASES = [
         {"protocol": "reg_abstain", "scenario_id": "sine_1d", key: float(value)},
         f"{key}: expected a finite number",
     )
-    for key in ("r0", "beta", "c0", "gamma", "clamp", "family_c")
+    for key in ("r0", "beta", "c0", "gamma", "clamp")
     for value in ("nan", "inf", "-inf")
 ]
 
@@ -210,6 +210,11 @@ def test_bad_keys_and_values(tmp_path, capsys):
             "n_grid = 5, 10\nmax_rejects = 5\n",
             "max_rejects: unknown key",
         ),
+        (
+            "[sweep]\nprotocol = reg_noabstain\nscenario = sine_1d\n"
+            "n_grid = 5, 10\nfamily_c = 2.0\n",
+            "family_c: unknown key",
+        ),
     ] + [(sweep_ini(keys), message) for keys, _, message in VALUE_CASES]
     for text, message in cases:
         cfg = write(tmp_path, text)
@@ -241,7 +246,7 @@ def test_every_key_reads_into_the_field_the_library_takes(tmp_path):
         "[sweep]\nprotocol = reg_abstain\nscenario = sine_1d\nscenario.noise = 0.2\n"
         "n_grid = 10, 20\nr0 = 0.7\nbeta = 0.25\nc0 = 1.5\ngamma = 0.1\nclamp = 2.5\n"
         "replications = 4\ntest_points = 30\nseed = 5\ndefault_label = 1\n"
-        "coin_mode = per_query\nfamily_c = 3.0\n"
+        "coin_mode = per_query\n"
     )
     section = cli.load_config_section(write(tmp_path, text), "sweep")
     assert set(section) == set(cli._KEYS) | {"scenario.noise", "n_grid"}
@@ -249,7 +254,7 @@ def test_every_key_reads_into_the_field_the_library_takes(tmp_path):
         protocol="reg_abstain", scenario_id="sine_1d", scenario_params={"noise": 0.2},
         schedule=protocols.Schedule(0.7, 0.25, c0=1.5, gamma=0.1, clamp=2.5),
         n_grid=(10, 20), replications=4, test_points=30, seed=5, default_label=1,
-        coin_mode="per_query", family_c=3.0,
+        coin_mode="per_query",
     )
 
 

@@ -94,7 +94,7 @@ def test_schedule_rejects_non_finite_numbers(field, value):
 
 @pytest.mark.parametrize(
     "field,value",
-    [("family_c", math.nan), ("family_c", math.inf), ("replications", math.nan),
+    [("seed", math.nan), ("seed", math.inf), ("replications", math.nan),
      ("test_points", math.inf), ("n_grid", (100, math.inf))],
 )
 def test_experiment_config_rejects_non_finite_numbers(field, value):
@@ -337,15 +337,31 @@ def demo_config(**overrides):
         protocol="reg_noabstain",
         scenario_id="sine_1d",
         scenario_params={"noise": 0.1},
-        schedule=Schedule(0.5, 0.3),
+        schedule=Schedule(0.5, 0.3, c0=2.0),
         n_grid=(200, 2000),
         replications=2,
         test_points=400,
         seed=3,
-        family_c=2.0,
     )
     base.update(overrides)
     return hn.ExperimentConfig(**base)
+
+
+@pytest.mark.filterwarnings("ignore::onebitsim.protocols.ScheduleViolationWarning")
+def test_reg_noabstain_amplitude_follows_the_schedule():
+    # the rule encodes at the schedule's c_n, which every report names
+    def sweep(**amplitude):
+        return hn.run_sweep(demo_config(schedule=Schedule(0.5, 0.3, **amplitude)))
+
+    one, two, clamped = sweep(c0=1.0), sweep(c0=2.0), sweep(clamp=2.0)
+    assert [r.c_n for r in one + two + clamped] == [1.0] * 2 + [2.0] * 4
+    assert all(a.risk_mean != b.risk_mean for a, b in zip(one, two))
+    assert [r.risk_mean for r in clamped] == [r.risk_mean for r in two]
+    defaults = dataclasses.replace(
+        hn.default_impossibility_config(), n_grid=(200, 2000), replications=2, test_points=400
+    )
+    demo = hn.impossibility_demo(defaults)
+    assert [r.c_n for r in demo.noabstain_reports] == [2.0, 2.0]
 
 
 @pytest.mark.filterwarnings("ignore::onebitsim.protocols.ScheduleViolationWarning")
@@ -354,12 +370,11 @@ def test_impossibility_demo_small_scale():
         protocol="reg_noabstain",
         scenario_id="sine_1d",
         scenario_params={"noise": 0.1},
-        schedule=Schedule(0.5, 0.3),
+        schedule=Schedule(0.5, 0.3, c0=2.0),
         n_grid=(200, 2000),
         replications=2,
         test_points=400,
         seed=3,
-        family_c=2.0,
     )
     demo = hn.impossibility_demo(cfg)
     assert demo.predicted_plateau_mse == pytest.approx(0.51)

@@ -84,7 +84,7 @@ def test_vote_distribution_validation():
         oc.VoteDistribution(pmf=np.array([1.1, -0.1]), n=1)
 
 
-def _manual_network(protocol, xs, ys, r_n, c_n=1.0, coin_mode="per_query", family_c=2.0):
+def _manual_network(protocol, xs, ys, r_n, c_n=1.0, fixed_coins=None):
     xs = np.asarray(xs, dtype=float)
     if xs.ndim == 1:
         xs = xs[:, None]
@@ -96,8 +96,7 @@ def _manual_network(protocol, xs, ys, r_n, c_n=1.0, coin_mode="per_query", famil
         xs=xs,
         ys=np.asarray(ys, dtype=float),
         untrainable=np.zeros(xs.shape[0], dtype=bool),
-        coin_mode=coin_mode,
-        family_c=family_c,
+        fixed_coins=fixed_coins,
     )
 
 
@@ -120,7 +119,7 @@ def test_exact_error_unsupported_protocols():
     net = _manual_network("cls_abstain", [0.0], [1.0], r_n=0.1)
     with pytest.raises(ValueError, match="not defined"):
         oc.exact_conditional_error_at_x(net, scen, [0.0])
-    fixed = _manual_network("cls_noabstain", [0.0], [1.0], r_n=0.1, coin_mode="per_sensor")
+    fixed = _manual_network("cls_noabstain", [0.0], [1.0], r_n=0.1, fixed_coins=np.array([1]))
     with pytest.raises(ValueError, match="per_query"):
         oc.exact_conditional_error_at_x(fixed, scen, [0.0])
 

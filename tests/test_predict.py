@@ -126,7 +126,7 @@ def _scalar_reg_noabstain(net, queries, coin_seed):
     """reg_noabstain with every in-ball vote taken from its scalar coin; the
     guess crowd is drawn in aggregate, exactly as the engine defines it."""
     coins = CoinSource(coin_seed)
-    c = net.family_c
+    c = net.c_n
     biases = np.clip(net.ys / (2.0 * c) + 0.5, 0.0, 1.0)
     inside = np.abs(net.xs[:, 0][None, :] - queries[:, 0][:, None]) <= net.r_n
     votes_in = np.array([
@@ -187,7 +187,7 @@ def test_two_arm_bias_table_matches_one_row_calls(d, monkeypatch):
         np.testing.assert_array_equal(one_counts, counts)
         np.testing.assert_array_equal(one_votes[0], votes[row])
     # the engine: both regression rules in one call, each as it is alone
-    arms = (net, dataclasses.replace(net, protocol="reg_noabstain", family_c=0.7))
+    arms = (net, dataclasses.replace(net, protocol="reg_noabstain", c_n=0.7))
     both = pd.predict_batch(arms, queries, coin_seed=4)
     assert both.values.shape == both.responders.shape == (2, len(queries))
     for arm, got in zip(arms, both.arms()):
@@ -259,7 +259,7 @@ def test_reg_noabstain_matches_exact_moments():
     # of the estimate against the exact vote distribution at a fixed query
     scen = make_scenario("sine_1d", noise=0.1)
     net = train_network(
-        "reg_noabstain", scen, 25, Schedule(0.5, 0.3), seed=8, family_c=2.0
+        "reg_noabstain", scen, 25, Schedule(0.5, 0.3, c0=2.0), seed=8
     )
     x = np.array([0.3])
     rounds = 20_000
@@ -278,7 +278,7 @@ def test_reg_noabstain_matches_exact_moments():
 def test_reg_noabstain_mse_matches_exact_oracle():
     scen = make_scenario("sine_1d", noise=0.1)
     net = train_network(
-        "reg_noabstain", scen, 15, Schedule(0.5, 0.3), seed=10, family_c=2.0
+        "reg_noabstain", scen, 15, Schedule(0.5, 0.3, c0=2.0), seed=10
     )
     x = np.array([0.6])
     exact = exact_conditional_error_at_x(net, scen, x)
@@ -351,11 +351,15 @@ def _golden_network(protocol, sid):
         net = train_network(protocol, scen, 300, sched, seed=5, coin_mode="per_query")
         return net, scen
     if scen.task == "regression":
-        return train_network(protocol, scen, 300, sched, seed=5), scen
-    # no 2-d regression scenario exists: relabel a 2-d network so the
-    # regression engines run their KD-tree path on {0, 1} labels
-    base = train_network("cls_abstain", scen, 300, sched, seed=5)
-    return dataclasses.replace(base, protocol=protocol), scen
+        net = train_network(protocol, scen, 300, sched, seed=5)
+    else:
+        # no 2-d regression scenario exists: relabel a 2-d network so the
+        # regression engines run their KD-tree path on {0, 1} labels
+        base = train_network("cls_abstain", scen, 300, sched, seed=5)
+        net = dataclasses.replace(base, protocol=protocol)
+    if protocol == "reg_noabstain":  # the fixed amplitude the digests were pinned at
+        net = dataclasses.replace(net, c_n=2.0)
+    return net, scen
 
 
 @pytest.mark.parametrize("protocol,sid", sorted(GOLDEN_DIGESTS))
