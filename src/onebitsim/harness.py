@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .predict import PredictionBatch, predict_batch
+from .predict import predict_batch
 from .protocols import (
     Schedule,
     ScheduleViolationWarning,
@@ -229,24 +229,18 @@ def evaluate_conditional_risk(
     rng: np.random.Generator,
     *,
     default_label: int = 0,
-    _predict=None,
 ) -> RiskSample:
     """Estimate the trained network's conditional risk on fresh draws.
 
     Classification: misclassification fraction; regression: mean squared
     error. Fresh response coins are drawn per query where the protocol
     requires them. A tuple of regression arms gives one sample per arm.
-    ``_predict`` swaps in an alternative prediction function (a testing
-    seam for checking the estimator against known rules).
     """
     if test_points < 1:
         raise ValueError("test_points: must be >= 1")
     xs, ys = scenario.sample(rng, test_points)
     coin_seed = int(rng.integers(2**63))
-    if _predict is not None:  # a plain function: one sensor that always answers
-        batch = PredictionBatch(np.asarray(_predict(xs)), np.ones(test_points), 1)
-    else:
-        batch = predict_batch(network, xs, coin_seed, default_label)
+    batch = predict_batch(network, xs, coin_seed, default_label)
     samples = []
     for b in batch.arms() if isinstance(network, tuple) else [batch]:
         if scenario.task == "classification":

@@ -4,37 +4,35 @@ These engines answer whole batches of queries with numpy/scipy kernels but
 reproduce the per-sensor protocol semantics exactly: the response coin for
 sensor i on query q is always the addressable uniform at (i, q), so batch
 results match a sensor-by-sensor evaluation bit for bit wherever one is
-feasible. The one deliberate exception is the crowd of fair-coin guessers
-in ``reg_noabstain``: their vote total is drawn as one Binomial(m, 1/2)
-variate per query (``binom``'s inverse CDF, from ``scipy.special``, at an
-addressed uniform), which has exactly the right distribution and keeps
-million-sensor demos tractable.
+feasible. The one deliberate exception is the crowd of fresh fair-coin
+guessers outside the ball in both no-abstention rules (``reg_noabstain``
+and per-query ``cls_noabstain``): their vote total is drawn as one
+Binomial(m, 1/2) variate per query (``binom``'s inverse CDF, from
+``scipy.special``, at the uniform of the address (n, q)), which has
+exactly the right distribution and keeps million-sensor networks
+tractable.
 
 Ball search is a sorted-array bisection in one dimension and a KD-tree
-above it. The coin engines see in-ball (sensor, query) pairs only through
-``_BallLookup.iter_pairs``, in chunks of about ``_PAIR_BLOCK`` pairs, so
-peak memory stays bounded regardless of how many pairs a batch touches.
-Pairs are enumerated in the lookup's storage order: sorted by coordinate
-in one dimension, so a query's in-ball sensors are one contiguous run,
-and original order above it. Engines build their per-sensor tables (coin
-keys, biases, labels) in that order once per call, and read a chunk's
-pairs from a table's last axis through the chunk's ``gather``. In one
-dimension that concatenates the chunk's runs as slices of the table, so no
-per-pair position array is built; above it, it indexes the table with the
-KD-tree's neighbor lists. The regression engine answers arms that share a
-training set at once: each in-ball coin, hashed once, meets one bias row
-per arm of an ``(arms, n)`` table.
+above it. The regression engine sees in-ball (sensor, query) pairs only
+through ``_BallLookup.iter_pairs``, in chunks of about ``_PAIR_BLOCK``
+pairs, so peak memory stays bounded regardless of how many pairs a batch
+touches. Pairs are enumerated in the lookup's storage order: sorted by
+coordinate in one dimension, so a query's in-ball sensors are one
+contiguous run, and original order above it. The engine builds its
+per-sensor tables (coin keys, biases) in that order once per call, and
+reads a chunk's pairs from a table's last axis through the chunk's
+``gather``. In one dimension that concatenates the chunk's runs as slices
+of the table, so no per-pair position array is built; above it, it
+indexes the table with the KD-tree's neighbor lists. It answers arms that
+share a training set at once: each in-ball coin, hashed once, meets one
+bias row per arm of an ``(arms, n)`` table.
 
-Per-query ``cls_noabstain`` has every sensor answer every query, so its
-vote total is counted in integers as three terms: the in-ball labels,
-minus the in-ball guesses, plus every sensor's guess. Only the last term
-hashes all n * t pairs, in slabs of about ``_PAIR_BLOCK`` pairs.
-
-The rules without coins (``cls_abstain``, ``specialists``, fixed-coin
-``cls_noabstain``) need only counts of in-ball 0/1 flags, so they
-enumerate no pairs. In one dimension they take integer prefix sums over
-the sorted layout; above it, the points are split by flag pattern into
-one KD-tree per class, and each tree answers one length query
+The classification rules (``cls_abstain``, ``specialists`` and
+``cls_noabstain``, whose fixed coins or guesser crowd answer outside the
+ball) need only counts of in-ball 0/1 flags, so they enumerate no pairs.
+In one dimension they take integer prefix sums over the sorted layout;
+above it, the points are split by flag pattern into one KD-tree per
+class, and each tree answers one length query
 (``query_ball_point(..., return_length=True)``) for the whole batch.
 
 Coins are hashed with the key/counter split of ``seeding``: one sensor key
@@ -293,38 +291,28 @@ def batch_specialists(network, queries, coin_seed, default_label):
     )
 
 
+def _guesser_votes(coin, n, counts):
+    """Vote-1 count of the n - m fair guessers outside each query's ball of
+    m sensors: the Binomial(n - m, 1/2) quantile at the uniform of the
+    address (n, q), one past the last sensor."""
+    u = coin.uniform_array(np.uint64(n), np.arange(len(counts), dtype=np.uint64))
+    return binom.ppf(np.clip(u, _TINY, None), n - counts)
+
+
 def batch_cls_noabstain(network, queries, coin_seed, default_label):
-    if network.fixed_coins is None:
-        return _cls_noabstain_fresh(network, queries, coin_seed)
-    # fixed coins: out-of-ball votes are the coins outside the ball
+    # in-ball sensors vote their label; the rest vote their fixed coin, or
+    # with per-query coins guess as one crowd
+    n = network.n
     lookup = _BallLookup(network.xs, network.r_n)
     coins = network.fixed_coins
-    counts, (votes_in, coins_in) = lookup.flag_counts(queries, [network.ys, coins])
-    total = votes_in + int(np.count_nonzero(coins)) - coins_in
-    preds = (2 * total > network.n).astype(np.int64)
-    return PredictionBatch(preds, np.full(len(queries), network.n), network.n)
-
-
-def _cls_noabstain_fresh(network, queries, coin_seed):
-    # in-ball sensors vote their label, the rest guess with the uniform at
-    # their (sensor, query) address: votes = labels in - guesses in + guesses
-    n = network.n
-    t = len(queries)
-    coin = CoinSource(coin_seed)
-    lookup = _BallLookup(network.xs, network.r_n)
-    _, (labels_in,) = lookup.flag_counts(queries, [network.ys])
-    _, (guesses_in,) = _in_ball_votes(lookup, coin, np.full((1, n), 0.5), queries)
-    keys = coin.sensor_keys(np.arange(n))[None, :]
-    qkeys = query_keys(np.arange(t))[:, None]
-    guesses = np.empty(t, dtype=np.int64)
-    slab = max(1, _PAIR_BLOCK // max(n, 1))
-    for start in range(0, t, slab):
-        sl = slice(start, start + slab)
-        bits = pair_bits(keys, qkeys[sl])
-        guesses[sl] = np.count_nonzero(to_unit(bits) < 0.5, axis=1)
-    total = labels_in - guesses_in + guesses
-    preds = (2 * total > n).astype(np.int64)
-    return PredictionBatch(preds, np.full(t, n), n)
+    if coins is None:
+        counts, (votes_in,) = lookup.flag_counts(queries, [network.ys])
+        votes_out = _guesser_votes(CoinSource(coin_seed), n, counts)
+    else:
+        counts, (votes_in, coins_in) = lookup.flag_counts(queries, [network.ys, coins])
+        votes_out = int(np.count_nonzero(coins)) - coins_in
+    preds = (2 * (votes_in + votes_out) > n).astype(np.int64)
+    return PredictionBatch(preds, np.full(len(queries), n), n)
 
 
 def _reg_abstain_rule(network, row):
@@ -348,12 +336,10 @@ def _reg_noabstain_rule(network, row):
     np.clip(row, 0.0, 1.0, out=row)
 
     def fuse(counts, votes_in, coin):
-        # fair-coin guessers: one Binomial(n - m, 1/2) draw per query (inverse CDF)
         t = len(counts)
-        u_out = coin.uniform_array(np.uint64(n), np.arange(t, dtype=np.uint64))
-        votes_out = binom.ppf(np.clip(u_out, _TINY, None), n - counts)
         if n == 0:
             return np.zeros(t), counts
+        votes_out = _guesser_votes(coin, n, counts)
         return 2.0 * c * ((votes_in + votes_out) / n - 0.5), np.full(t, n)
     return fuse
 

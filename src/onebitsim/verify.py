@@ -2,9 +2,11 @@
 
 Each suite cross-checks one load-bearing equivalence with an independent
 oracle and reports pass/fail; the CLI exits nonzero if any suite fails.
-Suites resolve protocol functions and ``predict_batch`` through their
-modules at call time so a deliberately broken rule (a test fixture) is
-picked up.
+``scalar_predict`` is the exact reference for all five protocols, so
+``batch_engine`` holds the batch engines to it bit for bit and runs no
+statistical check. Suites resolve protocol functions and
+``predict_batch`` through their modules at call time so a deliberately
+broken rule (a test fixture) is picked up.
 """
 
 from __future__ import annotations
@@ -136,25 +138,28 @@ def _suite_fusion_properties() -> SuiteResult:
 
 
 # protocol -> (response of a sensor to the query x given the uniform u at
-# its (sensor, query) address, fusion of the responses) for every protocol
-# whose engine is exact per pair; reg_noabstain's engine draws its fair
-# guessers in aggregate instead
+# its (sensor, query) address, fusion of the responses) for every protocol;
+# a response of None marks a fresh fair guesser outside the ball, and
+# scalar_predict adds the guessers as one crowd
 _SCALAR_RULES = {
     "cls_abstain": (
         lambda s, x, net, u: protocols.respond_cls_abstain(s, x, net.r_n),
         lambda resp, net, default: protocols.fuse_cls_abstain(resp, default),
     ),
     "cls_noabstain": (
-        lambda s, x, net, u: protocols.respond_cls_noabstain(
-            s if net.fixed_coins is not None else replace(s, fixed_coin=int(u < 0.5)),
-            x,
-            net.r_n,
-        ),
+        lambda s, x, net, u: protocols.respond_cls_noabstain(s, x, net.r_n)
+        if net.fixed_coins is not None or protocols.in_ball(s.datum.x, x, net.r_n)
+        else None,
         lambda resp, net, default: protocols.fuse_cls_noabstain(resp),
     ),
     "reg_abstain": (
         lambda s, x, net, u: protocols.respond_reg_abstain(s, x, net.r_n, net.c_n, u),
         lambda resp, net, default: protocols.fuse_reg_abstain(resp, net.c_n),
+    ),
+    "reg_noabstain": (
+        lambda s, x, net, u: protocols.respond_reg_noabstain(s, x, net.r_n, net.c_n, u)
+        if protocols.in_ball(s.datum.x, x, net.r_n) else None,
+        lambda resp, net, default: protocols.fuse_reg_noabstain_scaledmean(resp, net.c_n),
     ),
     "specialists": (
         lambda s, x, net, u: protocols.respond_specialist(s, x, net.r_n),
@@ -165,7 +170,9 @@ _SCALAR_RULES = {
 
 def scalar_predict(net, queries, coin_seed, default_label=0) -> np.ndarray:
     """Reference path: one scalar respond call per sensor per query, then
-    the scalar fusion rule."""
+    the scalar fusion rule. The m fresh guessers of a query q vote as one
+    crowd: k of them vote 1, where k is the first index at which the exact
+    Binomial(m, 1/2) CDF reaches the uniform at the address (n, q)."""
     respond, fuse = _SCALAR_RULES[net.protocol]
     coins = CoinSource(coin_seed)
     out = []
@@ -173,27 +180,21 @@ def scalar_predict(net, queries, coin_seed, default_label=0) -> np.ndarray:
         responses = [
             respond(net.sensor(i), x, net, coins.uniform(i, q)) for i in range(net.n)
         ]
+        if m := responses.count(None):
+            cdf = np.cumsum(oracle.exact_vote_distribution(np.full(m, 0.5)).pmf)
+            u = max(coins.uniform(net.n, q), np.finfo(float).tiny)
+            k = min(int(np.searchsorted(cdf, u)), m)
+            responses = [r for r in responses if r is not None]
+            responses += [Response.VOTE1] * k + [Response.VOTE0] * (m - k)
         out.append(fuse(responses, net, default_label))
     return np.asarray(out, dtype=float)
 
 
-def _reg_noabstain_mean_z(net, x, coin_seed: int, rounds: int = 4000) -> float:
-    """z-score of the engine's mean estimate at the query x against the
-    exact mean 2c (mean bias - 1/2) of the vote distribution."""
-    c = net.c_n
-    inside = np.linalg.norm(net.xs - x, axis=1) <= net.r_n
-    biases = np.where(inside, np.clip(net.ys / (2.0 * c) + 0.5, 0.0, 1.0), 0.5)
-    se = 2.0 * c / net.n * math.sqrt(np.sum(biases * (1.0 - biases)) / rounds)
-    batch = predict.predict_batch(net, np.tile(x, (rounds, 1)), coin_seed)
-    return abs(batch.values.mean() - 2.0 * c * (biases.mean() - 0.5)) / se
-
-
 def _suite_batch_engine() -> SuiteResult:
-    """``predict_batch`` must match the scalar rules bit for bit for every
+    """``predict_batch`` must match ``scalar_predict`` bit for bit for every
     protocol, scenario and coin mode, on small random networks with and
-    without tied coordinates; reg_noabstain's guesser crowd must draw the
-    exact Binomial(m, 1/2) quantile, its mean must lie within 4 standard
-    errors of the exact one, and a two-arm regression call must give each
+    without tied coordinates; the guesser crowd must draw the exact
+    Binomial(m, 1/2) quantile, and a two-arm regression call must give each
     arm's one-arm result."""
     u = np.random.default_rng(37).random(500)
     for m in range(41):  # the first k whose exact CDF reaches u
@@ -219,16 +220,11 @@ def _suite_batch_engine() -> SuiteResult:
             net = replace(net, xs=np.round(net.xs, 1), centers=centers)
         queries, _ = scenario.sample(rng, 8)
         case = f"{protocol} on {sid}, {mode}, n={n}"
-        if protocol not in _SCALAR_RULES:
-            z = _reg_noabstain_mean_z(net, queries[0], coin_seed)
-            if not z <= 4.0:
-                return SuiteResult("batch_engine", False, f"{case}: mean off by z = {z:.2f}")
-        else:
-            default_label = int(rng.integers(2))
-            batch = predict.predict_batch(net, queries, coin_seed, default_label)
-            reference = scalar_predict(net, queries, coin_seed, default_label)
-            if not np.array_equal(batch.values, reference):
-                return SuiteResult("batch_engine", False, f"{case}: batch differs from scalar")
+        default_label = int(rng.integers(2))
+        batch = predict.predict_batch(net, queries, coin_seed, default_label)
+        reference = scalar_predict(net, queries, coin_seed, default_label)
+        if not np.array_equal(batch.values, reference):
+            return SuiteResult("batch_engine", False, f"{case}: batch differs from scalar")
         if protocol == "reg_abstain":  # both regression rules in one call
             arms = (net, replace(net, protocol="reg_noabstain"))
             for arm, got in zip(arms, predict.predict_batch(arms, queries, coin_seed).arms()):
@@ -238,7 +234,7 @@ def _suite_batch_engine() -> SuiteResult:
                     return SuiteResult("batch_engine", False, f"{case}: two-arm call differs")
         checked += 1
     return SuiteResult("batch_engine", True, f"{checked} random networks agree with the scalar "
-                       "rules (reg_noabstain: exact guesser quantile, mean within 4 SE)")
+                       "rules bit for bit, guesser crowds included")
 
 
 _SUITES = (

@@ -38,7 +38,7 @@ def test_every_benchmark_hook_installs_and_records():
             test_points=10,
         )
         hn.run_sweep(config)
-        # the 2-d coin engines must build and query their trees through the
+        # flag_counts must build and query its per-class trees through the
         # module-level predict.cKDTree name that the benchmark wraps
         hn.run_sweep(
             replace(

@@ -9,12 +9,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from onebitsim import cli
 from onebitsim import predict
 from onebitsim import protocols
 from onebitsim.harness import ExperimentConfig, default_impossibility_config
+from onebitsim.seeding import CoinSource
 
 
 SWEEP_INI = """\
@@ -411,6 +413,22 @@ def test_verify_catches_a_wrong_guesser_quantile(monkeypatch, capsys):
     assert cli.main(["verify"]) == 1
     out = capsys.readouterr().out
     assert "FAIL batch_engine" in out and "guesser quantile off at m = 7" in out
+
+
+def test_verify_catches_a_crowd_read_at_the_wrong_query(monkeypatch, capsys):
+    # negative control: the engine reads each query's guesser crowd at the
+    # uniform of query q + 1; the crowd's address is the one scalar sensor
+    healthy = CoinSource.uniform_array
+
+    def shifted(self, sensors, queries):
+        if np.ndim(sensors) == 0:
+            queries = np.asarray(queries, dtype=np.uint64) + np.uint64(1)
+        return healthy(self, sensors, queries)
+
+    monkeypatch.setattr(CoinSource, "uniform_array", shifted)
+    assert cli.main(["verify"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL batch_engine" in out and "differs from scalar" in out
 
 
 def test_report_emits_gnuplot_columns(tmp_path):

@@ -15,7 +15,7 @@ import pytest
 from onebitsim import harness as hn
 from onebitsim import predict
 from onebitsim.oracle import exact_conditional_error_at_x
-from onebitsim.predict import predict_batch
+from onebitsim.predict import PredictionBatch, predict_batch
 from onebitsim.protocols import Schedule, ScheduleViolationWarning
 from onebitsim.scenarios import bayes_classifier, make_scenario
 from onebitsim.seeding import derive_seed, derived_rng
@@ -179,16 +179,19 @@ def test_sensor_view_roundtrip():
     assert s.fixed_coin == net.fixed_coins[3]
 
 
-def test_evaluate_risk_of_bayes_predictor():
+def test_evaluate_risk_of_bayes_predictor(monkeypatch):
     # estimator check against a predictor that plays the optimal rule:
     # 3 sigma of a Bernoulli(PHI_MINUS_1) mean over 1e4 draws ~ 0.011
     scen = make_scenario("gauss_mix_1d")
     net = hn.train_network("cls_abstain", scen, 10, Schedule(0.5, 0.3), seed=1)
+
+    def bayes_batch(network, xs, coin_seed, default_label):
+        values = np.array([bayes_classifier(scen, x) for x in xs])
+        return PredictionBatch(values, np.ones(len(xs)), 1)
+
+    monkeypatch.setattr(hn, "predict_batch", bayes_batch)
     rng = np.random.default_rng(6)
-    sample = hn.evaluate_conditional_risk(
-        net, scen, 10**4, rng,
-        _predict=lambda xs: np.array([bayes_classifier(scen, x) for x in xs]),
-    )
+    sample = hn.evaluate_conditional_risk(net, scen, 10**4, rng)
     assert abs(sample.risk - PHI_MINUS_1) <= 0.011
 
 

@@ -8,6 +8,7 @@ import pytest
 from scipy.stats import binom
 
 from onebitsim import predict as pd
+from onebitsim import seeding
 from onebitsim.harness import train_network
 from onebitsim.oracle import exact_conditional_error_at_x
 from onebitsim.protocols import Schedule
@@ -23,6 +24,7 @@ CASES = [
     ("cls_noabstain", "gauss_mix_1d", "per_query"),
     ("cls_noabstain", "checkerboard_2d", "per_query"),
     ("reg_abstain", "sine_1d", "per_sensor"),
+    ("reg_noabstain", "sine_1d", "per_sensor"),
     ("specialists", "cityscape_2d", "per_sensor"),
 ]
 
@@ -80,6 +82,42 @@ def test_2d_label_counts_on_boundaries_and_ties(protocol, sid, monkeypatch):
         )
 
 
+@pytest.mark.parametrize("sid", ["gauss_mix_1d", "gauss_mix_2d"])
+def test_per_query_cls_noabstain_hashes_one_coin_per_query(sid, monkeypatch):
+    # the guesser crowd is the only coin: one per query, and no pairs. The
+    # points are random, not BOUNDARY_GRIDS': on the decimal 3-4-5 grid the
+    # KD-tree counts sensors whose math.dist is exactly r as outside the
+    # ball, and the crowd's size shows that where a label majority may not
+    def no_pairs(*args, **kwargs):
+        raise AssertionError("per-query cls_noabstain must not enumerate pairs")
+
+    hashed = []
+
+    def counted(module):
+        healthy = module.pair_bits
+
+        def pair_bits(skeys, qkeys):
+            bits = healthy(skeys, qkeys)
+            hashed.append(bits.size)
+            return bits
+        monkeypatch.setattr(module, "pair_bits", pair_bits)
+
+    monkeypatch.setattr(pd._BallLookup, "iter_pairs", no_pairs)
+    counted(pd)
+    counted(seeding)
+    scen = make_scenario(sid)
+    net = train_network(
+        "cls_noabstain", scen, 70, Schedule(0.4, 0.2, 1.0, 0.1), seed=13,
+        coin_mode="per_query",
+    )
+    queries, _ = scen.sample(np.random.default_rng(17), 40)
+    batch = pd.predict_batch(net, queries, coin_seed=5)
+    assert sum(hashed) == len(queries)
+    np.testing.assert_array_equal(
+        batch.values.astype(float), scalar_predict(net, queries, 5)
+    )
+
+
 def test_batch_results_independent_of_chunking(monkeypatch):
     cases = []
     for protocol, sid, mode in [
@@ -122,23 +160,6 @@ def _run_network(protocol, sid, mode):
     return dataclasses.replace(net, xs=RUN_SENSORS[order][:, None], r_n=0.05)
 
 
-def _scalar_reg_noabstain(net, queries, coin_seed):
-    """reg_noabstain with every in-ball vote taken from its scalar coin; the
-    guess crowd is drawn in aggregate, exactly as the engine defines it."""
-    coins = CoinSource(coin_seed)
-    c = net.c_n
-    biases = np.clip(net.ys / (2.0 * c) + 0.5, 0.0, 1.0)
-    inside = np.abs(net.xs[:, 0][None, :] - queries[:, 0][:, None]) <= net.r_n
-    votes_in = np.array([
-        sum(coins.uniform(i, q) < biases[i] for i in np.flatnonzero(row))
-        for q, row in enumerate(inside)
-    ], dtype=np.int64)
-    t = len(queries)
-    u_out = coins.uniform_array(np.uint64(net.n), np.arange(t, dtype=np.uint64))
-    votes_out = binom.ppf(np.clip(u_out, pd._TINY, None), net.n - inside.sum(axis=1), 0.5)
-    return 2.0 * c * ((votes_in + votes_out) / net.n - 0.5)
-
-
 @pytest.mark.parametrize("block", [4, 1 << 15])
 @pytest.mark.parametrize(
     "protocol,sid,mode",
@@ -159,11 +180,9 @@ def test_1d_run_gather_edge_cases(protocol, sid, mode, block, monkeypatch):
     else:
         assert chunks == [[2, 0, 1, 0, 2, 10, 0, 2, 0, 3]]
     batch = pd.predict_batch(net, queries, coin_seed=77)
-    if protocol == "reg_noabstain":
-        expected = _scalar_reg_noabstain(net, queries, 77)
-    else:
-        expected = scalar_predict(net, queries, 77)
-    np.testing.assert_array_equal(batch.values.astype(float), expected)
+    np.testing.assert_array_equal(
+        batch.values.astype(float), scalar_predict(net, queries, 77)
+    )
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -239,11 +258,7 @@ def test_abstention_telemetry():
 
 @pytest.mark.parametrize(
     "protocol,sid,mode",
-    CASES
-    + [
-        ("reg_noabstain", "sine_1d", "per_sensor"),
-        ("cls_noabstain", "gauss_mix_2d", "per_sensor"),
-    ],
+    CASES + [("cls_noabstain", "gauss_mix_2d", "per_sensor")],
 )
 def test_empty_network(protocol, sid, mode):
     scen = make_scenario(sid)
@@ -327,7 +342,10 @@ def test_binom_ppf_exact_values(m, u, exact):
 
 # sha256 of predict_batch(...).values as float64 bytes, pinned from the
 # engine that folded every (sensor, query) pair through the full seed path;
-# a changed coin, or a sensor paired with the wrong query, moves a digest
+# a changed coin, or a sensor paired with the wrong query, moves a digest.
+# The two per-query cls_noabstain digests pin the guesser crowd's draw, one
+# Binomial(m, 1/2) quantile per query, as re-pinned once the engine matched
+# scalar_predict
 GOLDEN_DIGESTS = {
     ("reg_abstain", "sine_1d"):
         "552f20088a451472c20e01892701cafdf74263b73f759f83fa0b44c0139eb918",
@@ -338,9 +356,9 @@ GOLDEN_DIGESTS = {
     ("reg_noabstain", "checkerboard_2d"):
         "bddea740008407fbbcdd9a69b1f5b9391ca3613e0b72765c39973baf8417925c",
     ("cls_noabstain", "gauss_mix_1d"):
-        "b662e7fb9aef1d86acd006ec1e9b0c774e12239d0479b044089d26b5c31e6fb8",
+        "96253fd1cea947cec56aedfc411d17e4840ba5f8077488c26b7967765a493f9f",
     ("cls_noabstain", "checkerboard_2d"):
-        "213b6d52437f607340370b924b287edc9b975e1521bbeca84b6952ba56e5ce58",
+        "f4b1ec471a0939c4a9be8e2ce822ed7a58a912b21bc378f6b8bd91990417c191",
 }
 
 
