@@ -26,7 +26,6 @@ from .oracle import (
     exact_conditional_error_at_x,
     exact_vote_distribution,
     naive_kernel_classify,
-    naive_kernel_regress,
 )
 from .predict import PredictionBatch, predict_batch
 from .protocols import (

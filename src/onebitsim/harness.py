@@ -37,6 +37,7 @@ from .scenarios import (
     Scenario,
     bayes_risk,
     check_finite,
+    in_ball,
     make_scenario,
     sample_conditional_batch,
     scenario_parameters,
@@ -191,8 +192,8 @@ def train_network(
         xs, ys, untrainable = sample_conditional_batch(scenario, centers, r_n, data_rng)
         trained = ~untrainable
         if trained.any():
-            gap = np.sum((xs[trained] - centers[trained]) ** 2, axis=1)
-            assert np.all(gap <= r_n * r_n), "trained datum escaped its region"
+            inside = in_ball(xs[trained], centers[trained], r_n)
+            assert inside.all(), "trained datum escaped its region"
     else:
         xs, ys = scenario.sample(data_rng, n)
     fixed_coins = None
@@ -278,9 +279,12 @@ class RiskReport:
     wall_time_s: float
 
 
-def _replication_sample(arms: tuple, n: int, rep: int) -> tuple[RiskSample, ...]:
+def _replication_sample(arms: tuple, n: int, rep: int, probe=None) -> tuple:
     """One sample per arm. The first arm trains the network; each other
-    arm answers with a copy that takes its protocol and amplitude."""
+    arm answers with a copy that takes its protocol and amplitude. Given
+    ``probe`` queries, the first arm's network answers them too, with the
+    coins of ``derive_seed(seed, n, rep, _STREAM_COINS)``, and the answers
+    follow the samples."""
     first = arms[0]
     scenario = first.scenario()
     seed = derive_seed(first.seed, n, rep, _STREAM_TRAIN)
@@ -293,10 +297,14 @@ def _replication_sample(arms: tuple, n: int, rep: int) -> tuple[RiskSample, ...]
     rng = derived_rng(first.seed, n, rep, _STREAM_EVAL)
     samples = evaluate_conditional_risk(networks if arms[1:] else network, scenario,
                                         first.test_points, rng, default_label=first.default_label)
-    return samples if arms[1:] else (samples,)
+    samples = samples if arms[1:] else (samples,)
+    if probe is None:
+        return samples
+    coin_seed = derive_seed(first.seed, n, rep, _STREAM_COINS)
+    return samples + (predict_batch(network, probe, coin_seed, first.default_label).values,)
 
 
-def _timed_replication(args) -> tuple[tuple[RiskSample, ...], float]:
+def _timed_replication(args) -> tuple[tuple, float]:
     """One replication and its own duration, measured where it runs."""
     start = time.perf_counter()
     samples = _replication_sample(*args)
@@ -364,12 +372,14 @@ def _cell_report(
 
 
 def _cell_reports(
-    arms: tuple[ExperimentConfig, ...], grid: tuple[int, ...], jobs: int
-) -> list[list[RiskReport]]:
+    arms: tuple[ExperimentConfig, ...], grid: tuple[int, ...], jobs: int, probe=None
+) -> tuple[list[list[RiskReport]], Optional[np.ndarray]]:
     """Run every (n, replication) of ``grid`` for all ``arms`` (which must
     agree on ``shared``) through one worker pool (or serially), and
     summarise each arm's cells in grid order, charging each arm an equal
-    share of a replication's time. The pool takes the tasks in chunks, about
+    share of a replication's time. Replication 0 at the largest n also
+    answers the ``probe`` queries, whose answers come back with the reports
+    (None without a probe). The pool takes the tasks in chunks, about
     four per worker, so that tiny replications do not pay a round trip each.
     Each arm's schedule verdict is decided once, before any task runs: an
     arm outside its conditions warns once, in this process, whatever
@@ -390,6 +400,9 @@ def _cell_reports(
         validity.append(verdict.status)
     reps = arms[0].replications
     tasks = [(arms, n, rep) for n in grid for rep in range(reps)]
+    last = len(tasks) - reps  # replication 0 at the largest n
+    if probe is not None:
+        tasks[last] += (probe,)
     workers = pool_workers(jobs, len(tasks))
     if workers > 1:
         chunksize = max(1, len(tasks) // (4 * workers))
@@ -398,8 +411,9 @@ def _cell_reports(
     else:
         timed = [_timed_replication(t) for t in tasks]
     cells = [timed[i * reps:(i + 1) * reps] for i in range(len(grid))]
-    return [[_cell_report(arm, validity[a], n, [(s[a], sec / len(arms)) for s, sec in cell])
-             for n, cell in zip(grid, cells)] for a, arm in enumerate(arms)]
+    reports = [[_cell_report(arm, validity[a], n, [(s[a], sec / len(arms)) for s, sec in cell])
+                for n, cell in zip(grid, cells)] for a, arm in enumerate(arms)]
+    return reports, None if probe is None else timed[last][0][-1]
 
 
 def estimate_expected_risk(
@@ -413,13 +427,15 @@ def estimate_expected_risk(
     """
     if n not in config.n_grid:
         raise ValueError(f"n: {n} is not in n_grid {config.n_grid}")
-    return _cell_reports((config,), (n,), jobs)[0][0]
+    reports, _ = _cell_reports((config,), (n,), jobs)
+    return reports[0][0]
 
 
 def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[RiskReport]:
     """One RiskReport per grid size, as ``estimate_expected_risk`` gives it,
     from one pool over all of the sweep's (n, replication) tasks."""
-    return _cell_reports((config,), config.n_grid, jobs)[0]
+    reports, _ = _cell_reports((config,), config.n_grid, jobs)
+    return reports[0]
 
 
 @dataclass(frozen=True)
@@ -469,35 +485,23 @@ def impossibility_demo(
     Reports the sweep for both arms, the mean |estimate| over a 101-point
     query grid at the largest n (the collapse toward the constant 0), and
     the predicted MSE plateau E[Y^2] that the no-abstention arm settles at.
-    Both arms run in one pass: each replication trains once for the two.
+    Both arms run in one pass: each replication trains once for the two,
+    and replication 0 at the largest n answers the query grid too.
     """
     if config is None:
         config = default_impossibility_config()
     arms = impossibility_arms(config)
-    noabstain_reports, abstain_reports = map(tuple, _cell_reports(arms, config.n_grid, jobs))
     scenario = config.scenario()
-    n_max = config.n_grid[-1]
-    network = train_network(
-        config.protocol,
-        scenario,
-        n_max,
-        config.schedule,
-        derive_seed(config.seed, n_max, 0, _STREAM_TRAIN),
-    )
     lo, hi = scenario.support_box
     grid = np.linspace(lo[0], hi[0], 101)[:, None]
-    batch = predict_batch(
-        network,
-        grid,
-        coin_seed=derive_seed(config.seed, n_max, 0, _STREAM_COINS),
-        default_label=config.default_label,
-    )
+    reports, values = _cell_reports(arms, config.n_grid, jobs, probe=grid)
+    noabstain_reports, abstain_reports = map(tuple, reports)
     lstar = bayes_risk(scenario)
     m2 = scenario.second_moment()
     return ImpossibilityReport(
         noabstain_reports=noabstain_reports,
         abstain_reports=abstain_reports,
-        grid_mean_abs_estimate=float(np.mean(np.abs(batch.values))),
+        grid_mean_abs_estimate=float(np.mean(np.abs(values))),
         terminal_mse=noabstain_reports[-1].risk_mean,
         predicted_plateau_mse=m2,
         predicted_excess_plateau=m2 - lstar,

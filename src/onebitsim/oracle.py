@@ -1,7 +1,7 @@
 """Centralized reference rules used to validate the distributed protocols.
 
-Two kinds of oracle live here: the plug-in naive-kernel rules that the
-abstention network must reproduce exactly, and the exact law of the vote
+Two kinds of oracle live here: the plug-in naive-kernel classifier that
+the abstention network must reproduce exactly, and the exact law of the vote
 count for randomized networks (a Poisson-binomial distribution), which
 turns conditional error probabilities into closed-form sums that Monte
 Carlo runs can be checked against.
@@ -15,8 +15,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .protocols import in_ball
-from .scenarios import Example, Scenario
+from .scenarios import Example, Scenario, in_ball
 
 if TYPE_CHECKING:  # pragma: no cover
     from .harness import NetworkState
@@ -34,20 +33,6 @@ def naive_kernel_classify(train: Sequence[Example], x, r: float, default_label: 
     if total == 0:
         return default_label
     return 1 if 2 * votes >= total else 0
-
-
-def naive_kernel_regress(train: Sequence[Example], x, r: float, default_value: float = 0.0) -> float:
-    """Mean label over the training points within r of x; an empty ball
-    yields the default (the unquantized reference for the one-bit rules)."""
-    total = 0.0
-    count = 0
-    for ex in train:
-        if in_ball(x, ex.x, r):
-            total += ex.y
-            count += 1
-    if count == 0:
-        return default_value
-    return total / count
 
 
 @dataclass(frozen=True)
@@ -93,11 +78,6 @@ def exact_vote_distribution(p: Sequence[float]) -> VoteDistribution:
     return VoteDistribution(pmf=pmf, n=p.size)
 
 
-def _in_ball_mask(xs: np.ndarray, x, r: float) -> np.ndarray:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return np.array([in_ball(x, xs[i], r) for i in range(xs.shape[0])])
-
-
 def exact_conditional_error_at_x(network: "NetworkState", scenario: Scenario, x) -> float:
     """Exact conditional risk at a fixed query, given the trained network.
 
@@ -113,7 +93,7 @@ def exact_conditional_error_at_x(network: "NetworkState", scenario: Scenario, x)
             raise ValueError(
                 "exact conditional error needs per_query coins for cls_noabstain"
             )
-        inside = _in_ball_mask(network.xs, x, network.r_n)
+        inside = in_ball(network.xs, x, network.r_n)
         p = np.where(inside, network.ys.astype(float), 0.5)
         dist = exact_vote_distribution(p)
         p_vote1 = dist.prob_majority()
@@ -121,7 +101,7 @@ def exact_conditional_error_at_x(network: "NetworkState", scenario: Scenario, x)
 
     if network.protocol == "reg_abstain":
         m2 = float(scenario.conditional_second_moment(x[None, :])[0])
-        inside = _in_ball_mask(network.xs, x, network.r_n)
+        inside = in_ball(network.xs, x, network.r_n)
         if not inside.any():
             return m2  # all abstain: the estimate is the default 0
         ys = network.ys[inside]
@@ -135,7 +115,7 @@ def exact_conditional_error_at_x(network: "NetworkState", scenario: Scenario, x)
     if network.protocol == "reg_noabstain":
         m2 = float(scenario.conditional_second_moment(x[None, :])[0])
         c = network.c_n
-        inside = _in_ball_mask(network.xs, x, network.r_n)
+        inside = in_ball(network.xs, x, network.r_n)
         biases = np.where(
             inside, np.clip(network.ys / (2.0 * c) + 0.5, 0.0, 1.0), 0.5
         )

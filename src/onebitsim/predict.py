@@ -12,20 +12,19 @@ Binomial(m, 1/2) variate per query (``binom``'s inverse CDF, from
 exactly the right distribution and keeps million-sensor networks
 tractable.
 
-Ball search is a sorted-array bisection in one dimension and a KD-tree
-above it. The regression engine sees in-ball (sensor, query) pairs only
-through ``_BallLookup.iter_pairs``, in chunks of about ``_PAIR_BLOCK``
-pairs, so peak memory stays bounded regardless of how many pairs a batch
-touches. Pairs are enumerated in the lookup's storage order: sorted by
-coordinate in one dimension, so a query's in-ball sensors are one
-contiguous run, and original order above it. The engine builds its
-per-sensor tables (coin keys, biases) in that order once per call, and
-reads a chunk's pairs from a table's last axis through the chunk's
-``gather``. In one dimension that concatenates the chunk's runs as slices
-of the table, so no per-pair position array is built; above it, it
-indexes the table with the KD-tree's neighbor lists. It answers arms that
-share a training set at once: each in-ball coin, hashed once, meets one
-bias row per arm of an ``(arms, n)`` table.
+Every engine uses the closed ball of ``scenarios.in_ball``: a sorted-array
+search in one dimension, and above it a KD-tree, which applies the same
+squared-distance test. The regression engine runs in one dimension (the
+one regression scenario, ``sine_1d``, has one) and sees in-ball (sensor,
+query) pairs only through ``_BallLookup.iter_pairs``, in chunks of about
+``_PAIR_BLOCK`` pairs, so peak memory stays bounded regardless of how many
+pairs a batch touches. The sensors are sorted by coordinate, so a query's
+in-ball sensors are one contiguous run. The engine builds its per-sensor
+tables (coin keys, biases) in that order once per call, and a chunk's
+``gather`` concatenates the chunk's runs as slices of a table's last axis,
+so no per-pair position array is built. It answers arms that share a
+training set at once: each in-ball coin, hashed once, meets one bias row
+per arm of an ``(arms, n)`` table.
 
 The classification rules (``cls_abstain``, ``specialists`` and
 ``cls_noabstain``, whose fixed coins or guesser crowd answer outside the
@@ -43,13 +42,13 @@ bit for bit the scalar ``CoinSource.uniform`` at the pair's address.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 from scipy.spatial import cKDTree
 from scipy.special import betainc, ndtri
 
+from .scenarios import in_ball
 from .seeding import CoinSource, pair_bits, query_keys, to_unit
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -116,43 +115,57 @@ class PredictionBatch:
 
 
 class _BallLookup:
-    """Closed-ball neighbor counting/enumeration over a fixed point set.
+    """Closed-ball neighbor counting over a fixed point set.
 
-    Points are addressed by their position in storage order: sorted by
-    coordinate in one dimension (``order`` maps position to original
-    index), original order above it (``order`` is None).
+    In one dimension the points are kept sorted by coordinate (``order``
+    maps each storage position to its original index), so the points in a
+    query's ball are one run of storage positions, which ``iter_pairs``
+    enumerates. Above it, only ``flag_counts`` answers, through KD-trees.
     """
 
     def __init__(self, points: np.ndarray, radius: float):
         self.points = points
         self.radius = radius
-        self.d = points.shape[1] if points.ndim == 2 else 1
-        self.order = None
+        self.d = points.shape[1]
         if self.d == 1:
             flat = points[:, 0]
             self.order = np.argsort(flat)
-            self.sorted_x = flat[self.order]
-
-    @cached_property
-    def tree(self):
-        """KD-tree over all points (d >= 2), built on first use."""
-        return cKDTree(self.points)
+            # the sorted coordinates between -inf and +inf sentinels, which
+            # no ball holds, so a run's neighbors always exist
+            self._padded = np.full(len(flat) + 2, np.inf)
+            self._padded[0] = -np.inf
+            self.sorted_x = np.take(flat, self.order, out=self._padded[1:-1])
 
     def stored(self, table: np.ndarray, out=None) -> np.ndarray:
-        """A per-point table permuted into storage order, written to ``out``
-        (unbuffered, as every index is in range) or to a new array."""
-        return np.take(table, self.stored_ids(), out=out, mode="clip")
-
-    def stored_ids(self) -> np.ndarray:
-        """Original point index at each storage position."""
-        return np.arange(len(self.points)) if self.order is None else self.order
+        """1-d: a per-point table permuted into storage order, written to
+        ``out`` (unbuffered, as every index is in range) or to a new array."""
+        return np.take(table, self.order, out=out, mode="clip")
 
     def _bounds(self, queries: np.ndarray):
-        """1-d: each query's in-ball run [lo, hi) in storage order."""
+        """1-d: each query's in-ball run [lo, hi) in storage order: exactly
+        the points ``in_ball`` admits. Bisection on q - r and q + r is the
+        first guess; then each end steps across one group of tied
+        coordinates at a time, outward while the point just outside the run
+        is in the ball, inward while the point just inside it is out on
+        that end's side of q."""
+        x, r = self.sorted_x, self.radius
         q = queries[:, 0]
-        lo = np.searchsorted(self.sorted_x, q - self.radius, side="left")
-        hi = np.searchsorted(self.sorted_x, q + self.radius, side="right")
-        return lo, hi
+        lo = np.searchsorted(x, q - r, side="left")
+        hi = np.searchsorted(x, q + r, side="right")
+        while True:
+            # the points at lo - 1, lo, hi - 1 and hi (sentinels past the
+            # ends): the outer two move when in the ball, the inner two when
+            # out of it on their own side of q
+            v = self._padded[np.array([lo, lo + 1, hi, hi + 1])]
+            moves = in_ball(v[..., None], q[:, None], r)
+            moves[1] = ~moves[1] & (v[1] < q)
+            moves[2] = ~moves[2] & (v[2] > q)
+            if not moves.any():
+                return lo, hi
+            lo = np.where(moves[0], np.searchsorted(x, v[0], side="left"), lo)
+            lo = np.where(moves[1], np.searchsorted(x, v[1], side="right"), lo)
+            hi = np.where(moves[2], np.searchsorted(x, v[2], side="left"), hi)
+            hi = np.where(moves[3], np.searchsorted(x, v[3], side="right"), hi)
 
     def flag_counts(self, queries: np.ndarray, flags: list[np.ndarray]):
         """Per-query count of in-ball points and, for each 0/1 vector in
@@ -187,18 +200,13 @@ class _BallLookup:
     def iter_pairs(
         self, queries: np.ndarray
     ) -> Iterator[tuple[slice, Callable[[np.ndarray], np.ndarray], np.ndarray]]:
-        """Yield (query slice, gather, per-query counts) over every in-ball
-        (point, query) pair, chunked so each chunk holds at most
+        """1-d: yield (query slice, gather, per-query counts) over every
+        in-ball (point, query) pair, chunked so each chunk holds at most
         ~``_PAIR_BLOCK`` pairs (a single query may exceed it).
         ``gather(table)`` returns a storage-order table's entries at the
-        chunk's pairs along its last axis, a query's pairs together."""
-        if self.d == 1:
-            lo, hi = self._bounds(queries)
-            counts = hi - lo
-        else:
-            counts = self.tree.query_ball_point(
-                queries, self.radius, return_length=True
-            ).astype(np.int64)
+        chunk's pairs along its last axis: the chunk's runs, concatenated."""
+        lo, hi = self._bounds(queries)
+        counts = hi - lo
         t = len(queries)
         start = 0
         while start < t:
@@ -208,14 +216,8 @@ class _BallLookup:
                 total += int(counts[end])
                 end += 1
             sl = slice(start, end)
-            if self.d == 1:
-                # a query's in-ball points are one run of the sorted storage
-                runs = [slice(a, b) for a, b in zip(lo[sl].tolist(), hi[sl].tolist())]
-                gather = lambda table, runs=runs: np.concatenate([table[..., r] for r in runs], -1)
-            else:
-                lists = self.tree.query_ball_point(queries[sl], self.radius)
-                idx = np.concatenate([np.asarray(v, dtype=np.int64) for v in lists])
-                gather = lambda table, idx=idx: table[..., idx]
+            runs = [slice(a, b) for a, b in zip(lo[sl].tolist(), hi[sl].tolist())]
+            gather = lambda table, runs=runs: np.concatenate([table[..., r] for r in runs], -1)
             yield sl, gather, counts[sl]
             start = end
 
@@ -234,7 +236,7 @@ def _in_ball_votes(lookup, coin, biases, queries):
     """Per-query counts of in-ball sensors and, for each row of the (arms,
     n) storage-order table ``biases``, of those whose coin at (sensor,
     query), hashed once for all rows, falls below the row's bias."""
-    keys = coin.sensor_keys(lookup.stored_ids())
+    keys = coin.sensor_keys(lookup.order)
     qkeys = query_keys(np.arange(len(queries)))
     counts = np.zeros(len(queries), dtype=np.int64)
     votes = np.zeros((len(biases), len(queries)), dtype=np.int64)
@@ -350,9 +352,14 @@ _REGRESSION_RULES = {"reg_abstain": _reg_abstain_rule, "reg_noabstain": _reg_noa
 
 def batch_regression(network, queries, coin_seed, default_label):
     """Both regression rules, for one network or a tuple of arms that share
-    one training set and radius (the result then has a leading arm axis)."""
+    one training set and radius (the result then has a leading arm axis).
+    The networks must be one-dimensional."""
     arms = network if isinstance(network, tuple) else (network,)
     first = arms[0]
+    if first.dimension != 1:
+        raise ValueError(
+            f"network: the regression engines run in one dimension, got d = {first.dimension}"
+        )
     rules = [_REGRESSION_RULES.get(a.protocol) for a in arms]
     if None in rules or any(a.xs is not first.xs or a.r_n != first.r_n for a in arms[1:]):
         raise ValueError("network: arms must be regression networks sharing xs and r_n")

@@ -36,7 +36,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import predict
-from .scenarios import Example, check_finite
+from .scenarios import Example, check_finite, in_ball
 
 COIN_MODES = ("per_sensor", "per_query")
 
@@ -69,12 +69,6 @@ def vote_response(label) -> Response:
     if label not in (0, 1):
         raise ValueError(f"vote label must be 0 or 1, got {label!r}")
     return Response.VOTE1 if label == 1 else Response.VOTE0
-
-
-def in_ball(x, center, radius: float) -> bool:
-    """Closed Euclidean ball membership; the one distance test used
-    everywhere so protocol and oracle decisions agree bit-for-bit."""
-    return math.dist(np.atleast_1d(x), np.atleast_1d(center)) <= radius
 
 
 def check_coin_mode(coin_mode: str) -> None:

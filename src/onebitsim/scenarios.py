@@ -56,6 +56,15 @@ def check_finite(name: str, value, integer: bool = False) -> None:
             raise ValueError(f"{name}: expected an integer, got {v!r}")
 
 
+def in_ball(points, center, radius: float):
+    """Closed Euclidean ball membership over the last axis:
+    ``sum((x - c)**2) <= r*r``, the test ``cKDTree.query_ball_point``
+    applies. Every ball in the simulator is this one, so engines and
+    references agree bit for bit where a point lies on a sphere."""
+    diff = np.subtract(points, center, dtype=float)
+    return np.add.reduce(diff * diff, axis=-1) <= radius * radius
+
+
 @dataclass(frozen=True)
 class Example:
     """One labeled training pair; ``x`` has shape (d,), ``y`` is 0/1 or real."""
@@ -221,17 +230,16 @@ class UniformBoxScenario(Scenario):
         lo = np.clip(centers - radius, 0.0, 1.0)
         hi = np.clip(centers + radius, 0.0, 1.0)
         nearest = np.clip(centers, 0.0, 1.0)
-        reachable = np.sum((nearest - centers) ** 2, axis=1) <= radius**2
+        reachable = in_ball(nearest, centers, radius)
         empty_box = np.any(hi < lo, axis=1)
         untrainable = ~reachable | empty_box | (radius <= 0)
         xs = np.full((n, d), np.nan)
         pending = np.flatnonzero(~untrainable)
-        r2 = radius**2
         while pending.size:
             prop = lo[pending] + rng.random((pending.size, d)) * (
                 hi[pending] - lo[pending]
             )
-            ok = np.sum((prop - centers[pending]) ** 2, axis=1) <= r2
+            ok = in_ball(prop, centers[pending], radius)
             xs[pending[ok]] = prop[ok]
             pending = pending[~ok]
         return xs, untrainable
@@ -331,7 +339,7 @@ class CityscapeScenario(UniformBoxScenario):
 
     def eta(self, xs):
         xs = _as_points(xs, 2)
-        inside = np.sum((xs - self.center) ** 2, axis=1) <= self.zone_radius**2
+        inside = in_ball(xs, self.center, self.zone_radius)
         return np.where(inside, 1.0 - self.flip, self.flip)
 
     def closed_form_bayes_risk(self):
@@ -444,10 +452,9 @@ def sample_conditional_batch(
         # rows from the joint law; every row gets at most max_rejects draws.
         xs = np.full((n, d), np.nan)
         pending = np.arange(n)
-        r2 = radius**2
         for _ in range(max_rejects):
             prop, _ = scenario.sample(rng, pending.size)
-            ok = np.sum((prop - centers[pending]) ** 2, axis=1) <= r2
+            ok = in_ball(prop, centers[pending], radius)
             xs[pending[ok]] = prop[ok]
             pending = pending[~ok]
             if not pending.size:

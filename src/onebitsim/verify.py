@@ -193,9 +193,9 @@ def scalar_predict(net, queries, coin_seed, default_label=0) -> np.ndarray:
 def _suite_batch_engine() -> SuiteResult:
     """``predict_batch`` must match ``scalar_predict`` bit for bit for every
     protocol, scenario and coin mode, on small random networks with and
-    without tied coordinates; the guesser crowd must draw the exact
-    Binomial(m, 1/2) quantile, and a two-arm regression call must give each
-    arm's one-arm result."""
+    without tied coordinates and points on ball boundaries; the guesser
+    crowd must draw the exact Binomial(m, 1/2) quantile, and a two-arm
+    regression call must give each arm's one-arm result."""
     u = np.random.default_rng(37).random(500)
     for m in range(41):  # the first k whose exact CDF reaches u
         cdf = np.cumsum(oracle.exact_vote_distribution(np.full(m, 0.5)).pmf)
@@ -215,10 +215,12 @@ def _suite_batch_engine() -> SuiteResult:
         n = int(rng.integers(1, 40))
         seed, coin_seed = (int(v) for v in rng.integers(2**32, size=2))
         net = train_network(protocol, scenario, n, schedule, seed, coin_mode=mode)
-        if ties:  # sensors on a 0.1 grid share coordinates
-            centers = None if net.centers is None else np.round(net.centers, 1)
-            net = replace(net, xs=np.round(net.xs, 1), centers=centers)
         queries, _ = scenario.sample(rng, 8)
+        if ties:  # sensors and queries on one 0.1 grid: shared coordinates, and
+            # decimal 3-4-5 offsets put points on the sphere of radius 0.5
+            centers = None if net.centers is None else np.round(net.centers, 1)
+            net = replace(net, xs=np.round(net.xs, 1), centers=centers, r_n=0.5)
+            queries = np.round(queries, 1)
         case = f"{protocol} on {sid}, {mode}, n={n}"
         default_label = int(rng.integers(2))
         batch = predict.predict_batch(net, queries, coin_seed, default_label)

@@ -415,6 +415,14 @@ def test_demo_one_pass_gives_the_two_sweeps_reports(jobs, beta):
     assert untimed(demo.abstain_reports) == untimed(sweeps[1])
     assert _schedule_warnings(shared) == _schedule_warnings(separate)
     assert any("reg_abstain" in m for m in _schedule_warnings(shared)) == (beta > 0.5)
+    # the query grid is answered by replication 0 at n_max: its network
+    # and its coins, trained anew here
+    n_max = config.n_grid[-1]
+    seed = derive_seed(config.seed, n_max, 0, hn._STREAM_TRAIN)
+    net = hn.train_network(config.protocol, config.scenario(), n_max, config.schedule, seed)
+    coin_seed = derive_seed(config.seed, n_max, 0, hn._STREAM_COINS)
+    values = predict_batch(net, np.linspace(0.0, 1.0, 101)[:, None], coin_seed).values
+    assert demo.grid_mean_abs_estimate == float(np.mean(np.abs(values)))
 
 
 def _recorded_schedule_warnings(run) -> list:
@@ -474,6 +482,21 @@ def test_demo_hashes_each_in_ball_coin_once(monkeypatch):
     assert sum(hashed) == expected
 
 
+@pytest.mark.filterwarnings("ignore::onebitsim.protocols.ScheduleViolationWarning")
+def test_demo_trains_each_network_once(monkeypatch):
+    config = demo_config()
+    trained = []
+    real = hn.train_network
+
+    def counting(*args, **kwargs):
+        trained.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hn, "train_network", counting)
+    hn.impossibility_demo(config)
+    assert trained == [n for n in config.n_grid for _ in range(config.replications)]
+
+
 @pytest.mark.parametrize(
     "field,value",
     [
@@ -504,7 +527,8 @@ def test_each_arm_is_charged_an_equal_share_of_a_replication(monkeypatch):
     arms = hn.impossibility_arms(demo_config())
     sample = hn.RiskSample(0.6, 0.0, 0.0)
     monkeypatch.setattr(hn, "_timed_replication", lambda task: ((sample, sample), 1.0))
-    noabstain, abstain = hn._cell_reports(arms, arms[0].n_grid, 1)
+    (noabstain, abstain), values = hn._cell_reports(arms, arms[0].n_grid, 1)
+    assert values is None  # no probe queries, no answers
     # two replications of 1 s per cell, half of each charged to each arm
     assert [r.wall_time_s for r in noabstain + abstain] == [1.0] * 4
 

@@ -19,13 +19,6 @@ def test_naive_kernel_classify_basic():
     assert oc.naive_kernel_classify(train, [0.5], 0.1) == 1  # tie -> 1
 
 
-def test_naive_kernel_regress():
-    assert oc.naive_kernel_regress([Example([0.5], 2.0)], [0.5], 0.1) == 2.0
-    train = [Example([0.5], 1.0), Example([0.52], 3.0), Example([0.9], 50.0)]
-    assert oc.naive_kernel_regress(train, [0.5], 0.1) == 2.0
-    assert oc.naive_kernel_regress(train, [0.2], 0.01) == 0.0  # empty ball
-
-
 def test_distributed_equals_naive_kernel_on_random_configs():
     rng = np.random.default_rng(12)
     for _ in range(150):

@@ -5,6 +5,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 from scipy.stats import binom
 
 from onebitsim import predict as pd
@@ -12,7 +13,7 @@ from onebitsim import seeding
 from onebitsim.harness import train_network
 from onebitsim.oracle import exact_conditional_error_at_x
 from onebitsim.protocols import Schedule
-from onebitsim.scenarios import make_scenario
+from onebitsim.scenarios import in_ball, make_scenario
 from onebitsim.seeding import CoinSource
 from onebitsim.verify import scalar_predict
 
@@ -76,18 +77,66 @@ def test_2d_label_counts_on_boundaries_and_ties(protocol, sid, monkeypatch):
             assert np.any(gap == r)
         field = "centers" if protocol == "specialists" else "xs"
         network = dataclasses.replace(net, r_n=r, **{field: points})
+        networks = [network]
+        if protocol == "cls_noabstain":  # and with the guesser crowd, whose
+            # size shows every sensor counted on the wrong side of a sphere
+            networks.append(dataclasses.replace(network, fixed_coins=None))
+        for network in networks:
+            batch = pd.predict_batch(network, queries, coin_seed=5)
+            np.testing.assert_array_equal(
+                batch.values.astype(float), scalar_predict(network, queries, 5)
+            )
+
+
+def _in_ball_counts(points, queries, r):
+    return in_ball(points[None, :, :], queries[:, None, :], r).sum(axis=1)
+
+
+@pytest.mark.parametrize(
+    "protocol,sid,mode",
+    [
+        ("cls_abstain", "gauss_mix_1d", "per_sensor"),
+        ("cls_noabstain", "gauss_mix_1d", "per_sensor"),
+        ("cls_noabstain", "gauss_mix_1d", "per_query"),
+        ("reg_abstain", "sine_1d", "per_sensor"),
+        ("reg_noabstain", "sine_1d", "per_sensor"),
+    ],
+)
+def test_1d_balls_on_boundaries_and_ties(protocol, sid, mode):
+    # sensors and queries on one 0.1 grid, where q - r and q + r round to
+    # either side of the coordinates that in_ball admits
+    scen = make_scenario(sid)
+    net = train_network(
+        protocol, scen, 70, Schedule(0.4, 0.2, clamp=0.5), seed=13, coin_mode=mode
+    )
+    rng = np.random.default_rng(19)
+    for r in (0.1, 0.3, 0.5, 0.7):
+        points = rng.integers(0, 21, size=(net.n, 1)) * 0.1
+        queries = rng.integers(0, 21, size=(40, 1)) * 0.1
+        network = dataclasses.replace(net, xs=points, r_n=r)
+        counts, _ = pd._BallLookup(points, r).flag_counts(queries, [])
+        np.testing.assert_array_equal(counts, _in_ball_counts(points, queries, r))
         batch = pd.predict_batch(network, queries, coin_seed=5)
         np.testing.assert_array_equal(
             batch.values.astype(float), scalar_predict(network, queries, 5)
         )
 
 
+def test_kdtree_applies_the_in_ball_test():
+    # the engines count balls above one dimension with scipy's KD-tree; the
+    # bit-for-bit claim holds only while its rounding is in_ball's
+    rng = np.random.default_rng(23)
+    for step, r in BOUNDARY_GRIDS:
+        cells = round(1 / step)
+        points = rng.integers(0, cells + 1, size=(200, 2)) * step
+        queries = rng.integers(0, cells + 1, size=(200, 2)) * step
+        got = cKDTree(points).query_ball_point(queries, r, return_length=True)
+        np.testing.assert_array_equal(got, _in_ball_counts(points, queries, r))
+
+
 @pytest.mark.parametrize("sid", ["gauss_mix_1d", "gauss_mix_2d"])
 def test_per_query_cls_noabstain_hashes_one_coin_per_query(sid, monkeypatch):
-    # the guesser crowd is the only coin: one per query, and no pairs. The
-    # points are random, not BOUNDARY_GRIDS': on the decimal 3-4-5 grid the
-    # KD-tree counts sensors whose math.dist is exactly r as outside the
-    # ball, and the crowd's size shows that where a label majority may not
+    # the guesser crowd is the only coin: one per query, and no pairs
     def no_pairs(*args, **kwargs):
         raise AssertionError("per-query cls_noabstain must not enumerate pairs")
 
@@ -185,16 +234,15 @@ def test_1d_run_gather_edge_cases(protocol, sid, mode, block, monkeypatch):
     )
 
 
-@pytest.mark.parametrize("d", [1, 2])
-def test_two_arm_bias_table_matches_one_row_calls(d, monkeypatch):
+def test_two_arm_bias_table_matches_one_row_calls(monkeypatch):
     monkeypatch.setattr(pd, "_PAIR_BLOCK", 17)
     rng = np.random.default_rng(8)
     net = train_network(
         "reg_abstain", make_scenario("sine_1d"), 80, Schedule(0.2, 0.2, clamp=0.5), seed=6
     )
-    net = dataclasses.replace(net, xs=rng.random((80, d)))  # d = 2 takes the KD-tree path
+    net = dataclasses.replace(net, xs=rng.random((80, 1)))
     # the last two queries lie far outside the unit box: their balls are empty
-    queries = np.vstack([rng.random((40, d)), np.full((2, d), 5.0)])
+    queries = np.vstack([rng.random((40, 1)), np.full((2, 1), 5.0)])
     lookup = pd._BallLookup(net.xs, net.r_n)
     biases = rng.random((2, net.n))
     counts, votes = pd._in_ball_votes(lookup, CoinSource(4), biases, queries)
@@ -229,6 +277,16 @@ def test_arms_must_share_one_training_set():
             pd.predict_batch((net, other), queries, coin_seed=1)
 
 
+def test_regression_engines_refuse_a_network_above_one_dimension():
+    net = train_network(
+        "reg_abstain", make_scenario("sine_1d"), 30, Schedule(0.2, 0.2, 1.0, 0.1), seed=6
+    )
+    flat = dataclasses.replace(net, xs=np.hstack([net.xs, net.xs]))
+    for network in (flat, (flat, dataclasses.replace(flat, protocol="reg_noabstain"))):
+        with pytest.raises(ValueError, match="^network: the regression engines run in one"):
+            pd.predict_batch(network, np.array([[0.5, 0.5]]), coin_seed=1)
+
+
 def test_untrainable_specialists_are_silent():
     scen = make_scenario("cityscape_2d")
     net = train_network("specialists", scen, 40, Schedule(0.3, 0.2), seed=3)
@@ -248,8 +306,7 @@ def test_abstention_telemetry():
     net = train_network("cls_abstain", scen, 50, Schedule(0.2, 0.3), seed=4)
     queries, _ = scen.sample(np.random.default_rng(5), 30)
     batch = pd.predict_batch(net, queries, coin_seed=2)
-    in_ball = np.abs(net.xs[:, 0][None, :] - queries[:, 0][:, None]) <= net.r_n
-    expected_responders = in_ball.sum(axis=1)
+    expected_responders = _in_ball_counts(net.xs, queries, net.r_n)
     np.testing.assert_array_equal(batch.responders, expected_responders)
     total = 50 * 30
     assert batch.abstain_rate == pytest.approx(1 - expected_responders.sum() / total)
@@ -280,7 +337,7 @@ def test_reg_noabstain_matches_exact_moments():
     rounds = 20_000
     queries = np.tile(x, (rounds, 1))
     batch = pd.predict_batch(net, queries, coin_seed=99)
-    inside = np.abs(net.xs[:, 0] - x[0]) <= net.r_n
+    inside = in_ball(net.xs, x, net.r_n)
     biases = np.where(inside, np.clip(net.ys / 4.0 + 0.5, 0, 1), 0.5)
     mean_exact = 2 * 2.0 * (biases.mean() - 0.5)
     var_exact = (2 * 2.0 / 25) ** 2 * np.sum(biases * (1 - biases))
@@ -349,12 +406,8 @@ def test_binom_ppf_exact_values(m, u, exact):
 GOLDEN_DIGESTS = {
     ("reg_abstain", "sine_1d"):
         "552f20088a451472c20e01892701cafdf74263b73f759f83fa0b44c0139eb918",
-    ("reg_abstain", "checkerboard_2d"):
-        "2bbdf5ed3cc757c253e5e98f256f429f1223a3442757df566f8fd510ee6641b5",
     ("reg_noabstain", "sine_1d"):
         "23a890151255089e6c97c0da4e2887e1b9b45f82199c489f7fb847ce1d8b6118",
-    ("reg_noabstain", "checkerboard_2d"):
-        "bddea740008407fbbcdd9a69b1f5b9391ca3613e0b72765c39973baf8417925c",
     ("cls_noabstain", "gauss_mix_1d"):
         "96253fd1cea947cec56aedfc411d17e4840ba5f8077488c26b7967765a493f9f",
     ("cls_noabstain", "checkerboard_2d"):
@@ -368,13 +421,7 @@ def _golden_network(protocol, sid):
     if protocol == "cls_noabstain":
         net = train_network(protocol, scen, 300, sched, seed=5, coin_mode="per_query")
         return net, scen
-    if scen.task == "regression":
-        net = train_network(protocol, scen, 300, sched, seed=5)
-    else:
-        # no 2-d regression scenario exists: relabel a 2-d network so the
-        # regression engines run their KD-tree path on {0, 1} labels
-        base = train_network("cls_abstain", scen, 300, sched, seed=5)
-        net = dataclasses.replace(base, protocol=protocol)
+    net = train_network(protocol, scen, 300, sched, seed=5)
     if protocol == "reg_noabstain":  # the fixed amplitude the digests were pinned at
         net = dataclasses.replace(net, c_n=2.0)
     return net, scen
