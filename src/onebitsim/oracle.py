@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .scenarios import Example, Scenario, in_ball
+from .scenarios import Example, Scenario, in_ball, regression_function
 
 if TYPE_CHECKING:  # pragma: no cover
     from .harness import NetworkState
@@ -87,41 +87,30 @@ def exact_conditional_error_at_x(network: "NetworkState", scenario: Scenario, x)
     distribution rather than simulation.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    eta = float(scenario.eta(x[None, :])[0])
+    eta = regression_function(scenario, x)
+    inside = in_ball(network.xs, x, network.r_n)
     if network.protocol == "cls_noabstain":
         if network.fixed_coins is not None:
             raise ValueError(
                 "exact conditional error needs per_query coins for cls_noabstain"
             )
-        inside = in_ball(network.xs, x, network.r_n)
         p = np.where(inside, network.ys.astype(float), 0.5)
         dist = exact_vote_distribution(p)
         p_vote1 = dist.prob_majority()
         return p_vote1 * (1.0 - eta) + (1.0 - p_vote1) * eta
 
+    # the regression rules differ only in who votes and with what bias
+    c = network.c_n
     if network.protocol == "reg_abstain":
-        m2 = float(scenario.conditional_second_moment(x[None, :])[0])
-        inside = in_ball(network.xs, x, network.r_n)
-        if not inside.any():
-            return m2  # all abstain: the estimate is the default 0
         ys = network.ys[inside]
-        c = network.c_n
-        biases = np.where(np.abs(ys) <= c, ys / (2.0 * c) + 0.5, 0.5)
-        dist = exact_vote_distribution(biases)
-        m = int(inside.sum())
-        estimates = 2.0 * c * (np.arange(m + 1) / m - 0.5)
-        return float(np.sum(dist.pmf * (estimates**2 - 2.0 * estimates * eta)) + m2)
-
-    if network.protocol == "reg_noabstain":
-        m2 = float(scenario.conditional_second_moment(x[None, :])[0])
-        c = network.c_n
-        inside = in_ball(network.xs, x, network.r_n)
-        biases = np.where(
-            inside, np.clip(network.ys / (2.0 * c) + 0.5, 0.0, 1.0), 0.5
-        )
-        dist = exact_vote_distribution(biases)
-        n = network.n
-        estimates = 2.0 * c * (np.arange(n + 1) / n - 0.5)
-        return float(np.sum(dist.pmf * (estimates**2 - 2.0 * estimates * eta)) + m2)
-
-    raise ValueError(f"exact conditional error is not defined for {network.protocol!r}")
+        p = np.where(np.abs(ys) <= c, ys / (2.0 * c) + 0.5, 0.5)
+    elif network.protocol == "reg_noabstain":
+        p = np.where(inside, np.clip(network.ys / (2.0 * c) + 0.5, 0.0, 1.0), 0.5)
+    else:
+        raise ValueError(f"exact conditional error is not defined for {network.protocol!r}")
+    m2 = float(scenario.conditional_second_moment(x[None, :])[0])
+    if p.size == 0:
+        return m2  # no sensor votes: the estimate is the default 0
+    dist = exact_vote_distribution(p)
+    estimates = 2.0 * c * (np.arange(p.size + 1) / p.size - 0.5)
+    return float(np.sum(dist.pmf * (estimates**2 - 2.0 * estimates * eta)) + m2)

@@ -15,13 +15,13 @@ tractable.
 Every engine uses the closed ball of ``scenarios.in_ball``: a sorted-array
 search in one dimension, and above it a KD-tree, which applies the same
 squared-distance test. The regression engine runs in one dimension (the
-one regression scenario, ``sine_1d``, has one) and sees in-ball (sensor,
-query) pairs only through ``_BallLookup.iter_pairs``, in chunks of about
+one regression scenario, ``sine_1d``, has one) and lists in-ball (sensor,
+query) pairs in one place, ``_in_ball_votes``, in chunks of about
 ``_PAIR_BLOCK`` pairs, so peak memory stays bounded regardless of how many
 pairs a batch touches. The sensors are sorted by coordinate, so a query's
 in-ball sensors are one contiguous run. The engine builds its per-sensor
 tables (coin keys, biases) in that order once per call, and a chunk's
-``gather`` concatenates the chunk's runs as slices of a table's last axis,
+pairs are the chunk's runs, concatenated as slices of a table's last axis,
 so no per-pair position array is built. It answers arms that share a
 training set at once: each in-ball coin, hashed once, meets one bias row
 per arm of an ``(arms, n)`` table.
@@ -42,7 +42,7 @@ bit for bit the scalar ``CoinSource.uniform`` at the pair's address.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -119,8 +119,8 @@ class _BallLookup:
 
     In one dimension the points are kept sorted by coordinate (``order``
     maps each storage position to its original index), so the points in a
-    query's ball are one run of storage positions, which ``iter_pairs``
-    enumerates. Above it, only ``flag_counts`` answers, through KD-trees.
+    query's ball are one run of storage positions, which ``_bounds``
+    returns. Above it, only ``flag_counts`` answers, through KD-trees.
     """
 
     def __init__(self, points: np.ndarray, radius: float):
@@ -197,30 +197,6 @@ class _BallLookup:
                     out += got
         return counts, sums
 
-    def iter_pairs(
-        self, queries: np.ndarray
-    ) -> Iterator[tuple[slice, Callable[[np.ndarray], np.ndarray], np.ndarray]]:
-        """1-d: yield (query slice, gather, per-query counts) over every
-        in-ball (point, query) pair, chunked so each chunk holds at most
-        ~``_PAIR_BLOCK`` pairs (a single query may exceed it).
-        ``gather(table)`` returns a storage-order table's entries at the
-        chunk's pairs along its last axis: the chunk's runs, concatenated."""
-        lo, hi = self._bounds(queries)
-        counts = hi - lo
-        t = len(queries)
-        start = 0
-        while start < t:
-            end = start + 1
-            total = int(counts[start])
-            while end < t and total + counts[end] <= _PAIR_BLOCK:
-                total += int(counts[end])
-                end += 1
-            sl = slice(start, end)
-            runs = [slice(a, b) for a, b in zip(lo[sl].tolist(), hi[sl].tolist())]
-            gather = lambda table, runs=runs: np.concatenate([table[..., r] for r in runs], -1)
-            yield sl, gather, counts[sl]
-            start = end
-
 
 def _segment_counts(flags: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """True flags in each consecutive run of ``counts`` entries (last axis)."""
@@ -235,15 +211,31 @@ def _segment_counts(flags: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def _in_ball_votes(lookup, coin, biases, queries):
     """Per-query counts of in-ball sensors and, for each row of the (arms,
     n) storage-order table ``biases``, of those whose coin at (sensor,
-    query), hashed once for all rows, falls below the row's bias."""
+    query), hashed once for all rows, falls below the row's bias.
+
+    Whole queries go in chunks of at most ~``_PAIR_BLOCK`` in-ball pairs (a
+    single query may exceed it); a chunk's pairs are its queries' runs of
+    storage positions, concatenated."""
+    t = len(queries)
     keys = coin.sensor_keys(lookup.order)
-    qkeys = query_keys(np.arange(len(queries)))
-    counts = np.zeros(len(queries), dtype=np.int64)
-    votes = np.zeros((len(biases), len(queries)), dtype=np.int64)
-    for sl, gather, chunk_counts in lookup.iter_pairs(queries):
-        bits = pair_bits(gather(keys), np.repeat(qkeys[sl], chunk_counts))
-        votes[:, sl] = _segment_counts(to_unit(bits) < gather(biases), chunk_counts)
-        counts[sl] = chunk_counts
+    qkeys = query_keys(np.arange(t))
+    lo, hi = lookup._bounds(queries)
+    counts = hi - lo
+    votes = np.zeros((len(biases), t), dtype=np.int64)
+    start = 0
+    while start < t:
+        end = start + 1
+        total = int(counts[start])
+        while end < t and total + counts[end] <= _PAIR_BLOCK:
+            total += int(counts[end])
+            end += 1
+        sl = slice(start, end)
+        runs = [slice(a, b) for a, b in zip(lo[sl].tolist(), hi[sl].tolist())]
+        pair_keys = np.concatenate([keys[r] for r in runs])
+        bits = pair_bits(pair_keys, np.repeat(qkeys[sl], counts[sl]))
+        below = to_unit(bits) < np.concatenate([biases[:, r] for r in runs], axis=1)
+        votes[:, sl] = _segment_counts(below, counts[sl])
+        start = end
     return counts, votes
 
 

@@ -104,7 +104,6 @@ class Scenario:
 
     def sample_y_given_x(self, xs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Bernoulli(eta(x)) labels, one uniform per row."""
-        xs = _as_points(xs, self.dimension)
         return (rng.random(xs.shape[0]) < self.eta(xs)).astype(np.int64)
 
     # -- ground truth -----------------------------------------------------
@@ -146,13 +145,6 @@ class Scenario:
         raise NotImplementedError
 
 
-def _as_points(xs, d):
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim == 1 and d == 1:
-        return xs[:, None]
-    return xs
-
-
 class GaussianPairScenario(Scenario):
     """Equal-prior pair of isotropic Gaussians at ``+-mu``.
 
@@ -182,7 +174,6 @@ class GaussianPairScenario(Scenario):
         )
 
     def eta(self, xs):
-        xs = _as_points(xs, self.dimension)
         return expit(2.0 * (xs @ self.mu) / self.sigma**2)
 
     def closed_form_bayes_risk(self):
@@ -225,7 +216,6 @@ class UniformBoxScenario(Scenario):
         # propose uniformly in the clipped bounding box, accept inside the
         # ball. Acceptance is bounded below (~pi/4 in 2-d), so a handful of
         # rounds settles every row.
-        centers = np.atleast_2d(np.asarray(centers, dtype=float))
         n, d = centers.shape
         lo = np.clip(centers - radius, 0.0, 1.0)
         hi = np.clip(centers + radius, 0.0, 1.0)
@@ -290,7 +280,6 @@ class CheckerboardScenario(UniformBoxScenario):
         super().__init__()
 
     def eta(self, xs):
-        xs = _as_points(xs, 2)
         cells = np.clip((xs * self.k).astype(np.int64), 0, self.k - 1)
         even = (cells.sum(axis=1) % 2) == 0
         return np.where(even, self.p_on, self.p_off)
@@ -338,7 +327,6 @@ class CityscapeScenario(UniformBoxScenario):
         super().__init__()
 
     def eta(self, xs):
-        xs = _as_points(xs, 2)
         inside = in_ball(xs, self.center, self.zone_radius)
         return np.where(inside, 1.0 - self.flip, self.flip)
 
@@ -360,15 +348,12 @@ class SineScenario(UniformBoxScenario):
         super().__init__()
 
     def sample_y_given_x(self, xs, rng):
-        xs = _as_points(xs, 1)
         return self.eta(xs) + self.noise * rng.standard_normal(xs.shape[0])
 
     def eta(self, xs):
-        xs = _as_points(xs, 1)
         return np.sin(2.0 * math.pi * xs[:, 0])
 
     def noise_variance(self, xs):
-        xs = _as_points(xs, 1)
         return np.full(xs.shape[0], self.noise**2)
 
     def closed_form_bayes_risk(self):
@@ -484,7 +469,8 @@ def bayes_classifier(scenario: Scenario, x) -> int:
 def numerical_bayes_risk(scenario: Scenario, tol: float = 1e-6) -> float:
     """Optimal risk by quadrature: E[min(eta, 1-eta)] or E[Var(Y|X)]."""
     if scenario.task == "classification":
-        f = lambda x: float(np.minimum(scenario.eta(x[None, :]), 1 - scenario.eta(x[None, :]))[0])
+        eta = lambda x: regression_function(scenario, x)
+        f = lambda x: min(eta(x), 1 - eta(x))
     else:
         f = lambda x: float(scenario.noise_variance(x[None, :])[0])
     return scenario.integrate_mean(f, tol)
@@ -494,7 +480,7 @@ def numerical_classifier_risk(scenario: Scenario, tol: float = 1e-5) -> float:
     """Zero-one risk of the bayes_classifier code path, by quadrature."""
 
     def f(x):
-        e = float(scenario.eta(x[None, :])[0])
+        e = regression_function(scenario, x)
         return 1.0 - e if bayes_classifier(scenario, x) == 1 else e
 
     return scenario.integrate_mean(f, tol)

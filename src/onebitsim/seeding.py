@@ -46,13 +46,10 @@ def _mix(z: np.ndarray) -> np.ndarray:
 
 
 def _fold(seed: int, parts: tuple) -> np.ndarray:
-    """Absorb integer path components (scalars or arrays) into a state."""
+    """Absorb integer path components into a state."""
     state = _mix(np.asarray(seed & _MASK, dtype=np.uint64))
     for part in parts:
-        if isinstance(part, np.ndarray):
-            part = part.astype(np.uint64, copy=False)
-        else:
-            part = np.asarray(int(part) & _MASK, dtype=np.uint64)
+        part = np.asarray(int(part) & _MASK, dtype=np.uint64)
         state = _mix(state ^ _mix(part))
     return state
 

@@ -18,7 +18,7 @@ from onebitsim import oracle as oc
 from onebitsim import protocols as pr
 from onebitsim.predict import predict_batch
 from onebitsim.protocols import Response, Schedule
-from onebitsim.scenarios import Example, make_scenario
+from onebitsim.scenarios import Example, in_ball, make_scenario
 
 R = Response
 
@@ -245,9 +245,7 @@ def test_criterion_7_specialists_consistency_trend():
     net = hn.train_network(
         "specialists", scen, 10**5, config.schedule, seed=123
     )
-    in_region = np.all(
-        np.linalg.norm(net.xs - net.centers, axis=1) <= net.r_n
-    )
+    in_region = np.all(in_ball(net.xs, net.centers, net.r_n))
     decreasing = _strictly_decreasing(excess)
     terminal = excess[-1] <= 0.05
     ok = decreasing and terminal and in_region and net.untrainable_count == 0

@@ -17,7 +17,7 @@ from onebitsim import predict
 from onebitsim.oracle import exact_conditional_error_at_x
 from onebitsim.predict import PredictionBatch, predict_batch
 from onebitsim.protocols import Schedule, ScheduleViolationWarning
-from onebitsim.scenarios import bayes_classifier, make_scenario
+from onebitsim.scenarios import bayes_classifier, in_ball, make_scenario
 from onebitsim.seeding import derive_seed, derived_rng
 
 PHI_MINUS_1 = 0.15865525393145707
@@ -166,8 +166,7 @@ def test_specialists_training_is_in_region():
     scen = make_scenario("cityscape_2d")
     net = hn.train_network("specialists", scen, 10**4, Schedule(0.5, 0.2), seed=5)
     assert net.untrainable_count == 0
-    gap = np.linalg.norm(net.xs - net.centers, axis=1)
-    assert np.all(gap <= net.r_n)
+    assert np.all(in_ball(net.xs, net.centers, net.r_n))
 
 
 def test_sensor_view_roundtrip():

@@ -8,7 +8,8 @@ import pytest
 
 from onebitsim import oracle as oc
 from onebitsim import protocols as pr
-from onebitsim.harness import NetworkState
+from onebitsim.harness import NetworkState, train_network
+from onebitsim.predict import predict_batch
 from onebitsim.scenarios import Example, make_scenario
 
 
@@ -166,6 +167,16 @@ def test_exact_error_reg_abstain_monte_carlo_cross_check():
     y_draws = np.sin(2 * np.pi * x[0]) + 0.1 * rng.standard_normal(rounds)
     mc = np.mean((estimates - y_draws) ** 2)
     assert abs(exact - mc) <= 0.01
+
+
+def test_exact_error_reg_noabstain_empty_network_returns_prior_mse():
+    # no sensor votes, so the engine's estimate is 0
+    scen = make_scenario("sine_1d", noise=0.1)
+    net = train_network("reg_noabstain", scen, 0, pr.Schedule(0.5, 0.3), seed=1)
+    x = np.array([0.25])
+    assert predict_batch(net, x[None, :]).values.tolist() == [0.0]
+    m2 = float(scen.conditional_second_moment(x[None, :])[0])
+    assert oc.exact_conditional_error_at_x(net, scen, x) == pytest.approx(m2)
 
 
 def test_exact_error_reg_abstain_all_abstain_returns_prior_mse():

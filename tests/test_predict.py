@@ -64,7 +64,7 @@ def test_2d_label_counts_on_boundaries_and_ties(protocol, sid, monkeypatch):
     def no_pairs(*args, **kwargs):
         raise AssertionError("label-count engines must not enumerate pairs")
 
-    monkeypatch.setattr(pd._BallLookup, "iter_pairs", no_pairs)
+    monkeypatch.setattr(pd, "_in_ball_votes", no_pairs)
     scen = make_scenario(sid)
     net = train_network(protocol, scen, 70, Schedule(0.4, 0.2, 1.0, 0.1), seed=13)
     rng = np.random.default_rng(17)
@@ -151,7 +151,7 @@ def test_per_query_cls_noabstain_hashes_one_coin_per_query(sid, monkeypatch):
             return bits
         monkeypatch.setattr(module, "pair_bits", pair_bits)
 
-    monkeypatch.setattr(pd._BallLookup, "iter_pairs", no_pairs)
+    monkeypatch.setattr(pd, "_in_ball_votes", no_pairs)
     counted(pd)
     counted(seeding)
     scen = make_scenario(sid)
@@ -219,16 +219,25 @@ def _run_network(protocol, sid, mode):
     ],
 )
 def test_1d_run_gather_edge_cases(protocol, sid, mode, block, monkeypatch):
+    # each chunk of in-ball pairs meets _segment_counts once, with its counts
+    chunks = []
+    healthy = pd._segment_counts
+
+    def segment_counts(flags, counts):
+        chunks.append(counts.tolist())
+        return healthy(flags, counts)
+
+    monkeypatch.setattr(pd, "_segment_counts", segment_counts)
     monkeypatch.setattr(pd, "_PAIR_BLOCK", block)
     net = _run_network(protocol, sid, mode)
     queries = RUN_QUERIES[:, None]
-    lookup = pd._BallLookup(net.xs, net.r_n)
-    chunks = [c.tolist() for _, _, c in lookup.iter_pairs(queries)]
-    if block == 4:
+    batch = pd.predict_batch(net, queries, coin_seed=77)
+    if protocol == "cls_noabstain":  # counts labels: no pairs, no chunks
+        assert chunks == []
+    elif block == 4:
         assert chunks == [[2, 0, 1, 0], [2], [10], [0, 2, 0], [3]]
     else:
         assert chunks == [[2, 0, 1, 0, 2, 10, 0, 2, 0, 3]]
-    batch = pd.predict_batch(net, queries, coin_seed=77)
     np.testing.assert_array_equal(
         batch.values.astype(float), scalar_predict(net, queries, 77)
     )

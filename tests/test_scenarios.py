@@ -134,7 +134,7 @@ def test_conditional_sample_stays_in_region():
     for scen in _direct_and_rejection("checkerboard_2d"):
         xs, ys, untrainable = sc.sample_conditional_batch(scen, centers, 0.1, rng)
         assert not untrainable.any()
-        assert np.all(np.linalg.norm(xs - centers, axis=1) <= 0.1)
+        assert np.all(sc.in_ball(xs, centers, 0.1))
         assert set(np.unique(ys)) <= {0, 1}
 
 
