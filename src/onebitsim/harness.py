@@ -93,6 +93,12 @@ class ExperimentConfig:
             raise ValueError("n_grid: must be strictly increasing")
         if self.default_label not in (0, 1):
             raise ValueError("default_label: must be 0 or 1")
+        try:  # c_n grows with n, so the largest n decides
+            c_max = schedule_eval(self.schedule, grid[-1])[1]
+        except OverflowError:
+            c_max = math.inf
+        if not math.isfinite(c_max):
+            raise ValueError(f"gamma: c_n = c0 * n^gamma overflows at n = {grid[-1]}")
         object.__setattr__(self, "n_grid", grid)
         scenario_parameters(self.scenario_id)  # an unknown id names scenario_id
         try:

@@ -130,10 +130,9 @@ class _BallLookup:
         if self.d == 1:
             flat = points[:, 0]
             self.order = np.argsort(flat)
-            # the sorted coordinates between -inf and +inf sentinels, which
-            # no ball holds, so a run's neighbors always exist
-            self._padded = np.full(len(flat) + 2, np.inf)
-            self._padded[0] = -np.inf
+            # the sorted coordinates between NaN sentinels, which no ball
+            # holds even once r * r overflows, so a run's neighbors exist
+            self._padded = np.full(len(flat) + 2, np.nan)
             self.sorted_x = np.take(flat, self.order, out=self._padded[1:-1])
 
     def stored(self, table: np.ndarray, out=None) -> np.ndarray:

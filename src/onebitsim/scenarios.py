@@ -1,9 +1,9 @@
 """Synthetic joint distributions with analytically known Bayes behavior.
 
 Each scenario fixes a joint law of (X, Y) for which the regression
-function eta(x) = E[Y | X=x] is available in closed form and the optimal
-risk is available either in closed form or through adaptive quadrature.
-That makes every simulated network checkable against exact ground truth.
+function eta(x) = E[Y | X=x] and the optimal risk are available in closed
+form. That makes every simulated network checkable against exact ground
+truth.
 
 Catalog (ids accepted by :func:`make_scenario`):
 
@@ -22,35 +22,23 @@ from __future__ import annotations
 import inspect
 import math
 import numbers
+import sys
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.special import expit, ndtr
 
 
-class IntegrationError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
-
-    def __init__(self, requested: float, achieved: float):
-        super().__init__(
-            f"quadrature reached absolute error {achieved:.3e}, "
-            f"requested {requested:.3e}"
-        )
-        self.requested = requested
-        self.achieved = achieved
-
-
 def check_finite(name: str, value, integer: bool = False) -> None:
     """Raise ``ValueError("<name>: expected a finite number, got ...")``
     unless ``value``, or each entry of a tuple, list or array ``value``, is
-    a finite real number; with ``integer``, also ``"expected an integer"``
-    for one that is not an integer type."""
+    a real number within float range; with ``integer``, also ``"expected an
+    integer"`` for one that is not an integer type."""
     entries = np.ravel(value) if isinstance(value, np.ndarray) else value
     for v in entries if isinstance(entries, (tuple, list, np.ndarray)) else (value,):
-        # an int is finite; math.isfinite overflows on one beyond float range
-        if not (isinstance(v, numbers.Integral)
-                or isinstance(v, numbers.Real) and math.isfinite(v)):
+        # within float range, compared exactly: no NaN, inf or int beyond it
+        if not (isinstance(v, numbers.Real) and abs(v) <= sys.float_info.max):
             raise ValueError(f"{name}: expected a finite number, got {v!r}")
         if integer and not isinstance(v, numbers.Integral):
             raise ValueError(f"{name}: expected an integer, got {v!r}")
@@ -112,8 +100,9 @@ class Scenario:
         """Regression function E[Y | X=x], vectorized over rows of ``xs``."""
         raise NotImplementedError
 
-    def closed_form_bayes_risk(self) -> Optional[float]:
-        return None
+    def closed_form_bayes_risk(self) -> float:
+        """Optimal risk: E[min(eta, 1 - eta)] or E[Var(Y | X)]."""
+        raise NotImplementedError
 
     def noise_variance(self, xs: np.ndarray) -> np.ndarray:
         """Var(Y | X=x); defined for regression scenarios."""
@@ -125,23 +114,6 @@ class Scenario:
 
     def second_moment(self) -> float:
         """E[Y^2]; available for regression scenarios."""
-        raise NotImplementedError
-
-    def integrate_mean(self, f: Callable[[np.ndarray], float], tol: float) -> float:
-        """E[f(X)] by adaptive quadrature to absolute tolerance ``tol``."""
-        raise NotImplementedError
-
-    # -- conditional sampling ---------------------------------------------
-
-    #: set True by scenarios registering a direct conditional X sampler.
-    has_direct_conditional = False
-
-    def direct_conditional_x(self, centers, radius, rng):
-        """Draw one X per row of ``centers`` from P_X given X in the ball.
-
-        Returns (xs, untrainable_mask); only available when
-        ``has_direct_conditional`` is True.
-        """
         raise NotImplementedError
 
 
@@ -164,7 +136,6 @@ class GaussianPairScenario(Scenario):
         self._mu_norm = float(np.linalg.norm(self.mu))
         if self._mu_norm <= 0:
             raise ValueError("mu: class means must be separated")
-        self._axis = self.mu / self._mu_norm
 
     def sample_x(self, rng, size):
         labels = rng.random(size) < 0.5
@@ -179,30 +150,9 @@ class GaussianPairScenario(Scenario):
     def closed_form_bayes_risk(self):
         return float(ndtr(-self._mu_norm / self.sigma))
 
-    def _t_density(self, t):
-        # distribution of <X, mu/||mu||>: mixture of two 1-d Gaussians
-        m, s = self._mu_norm, self.sigma
-        return 0.5 * (
-            np.exp(-0.5 * ((t - m) / s) ** 2) + np.exp(-0.5 * ((t + m) / s) ** 2)
-        ) / (s * math.sqrt(2 * math.pi))
-
-    def integrate_mean(self, f, tol):
-        # Integrands of interest depend on x only through its projection on
-        # the class axis; integrate along that line against the pushforward.
-        from scipy import integrate  # loaded on first use: ~0.2 s at start-up
-
-        g = lambda t: f(t * self._axis) * self._t_density(t)
-        lo, err_lo = integrate.quad(g, -np.inf, 0.0, epsabs=tol / 4, limit=300)
-        hi, err_hi = integrate.quad(g, 0.0, np.inf, epsabs=tol / 4, limit=300)
-        if err_lo + err_hi > tol:
-            raise IntegrationError(tol, err_lo + err_hi)
-        return lo + hi
-
 
 class UniformBoxScenario(Scenario):
     """Common machinery for X uniform on the unit box [0,1]^d."""
-
-    has_direct_conditional = True
 
     def __init__(self):
         d = self.dimension
@@ -212,6 +162,8 @@ class UniformBoxScenario(Scenario):
         return rng.random((size, self.dimension))
 
     def direct_conditional_x(self, centers, radius, rng):
+        """One X per row of ``centers`` from P_X given X in the ball, and
+        the mask of balls that hold no mass (their rows NaN)."""
         # Uniform X conditioned on a ball is uniform on ball-intersect-box:
         # propose uniformly in the clipped bounding box, accept inside the
         # ball. Acceptance is bounded below (~pi/4 in 2-d), so a handful of
@@ -234,34 +186,13 @@ class UniformBoxScenario(Scenario):
             pending = pending[~ok]
         return xs, untrainable
 
-    def integrate_mean(self, f, tol):
-        from scipy import integrate  # loaded on first use: ~0.2 s at start-up
-
-        if self.dimension == 1:
-            val, err = integrate.quad(
-                lambda x: f(np.array([x])), 0.0, 1.0, epsabs=tol / 2, limit=300
-            )
-        elif self.dimension == 2:
-            val, err = integrate.dblquad(
-                lambda y, x: f(np.array([x, y])),
-                0.0,
-                1.0,
-                0.0,
-                1.0,
-                epsabs=tol / 2,
-            )
-        else:
-            raise NotImplementedError("quadrature beyond d=2 not supported")
-        if err > tol:
-            raise IntegrationError(tol, err)
-        return val
-
 
 class CheckerboardScenario(UniformBoxScenario):
     """k x k checkerboard on the unit square with two posterior levels.
 
     Cells where floor(k x1) + floor(k x2) is even carry P(Y=1|x) = p_on,
-    odd cells carry p_off.
+    odd cells carry p_off. k is at most 2**53, up to which a float holds
+    every integer, so that each cell index floor(k x) fits an int64.
     """
 
     task = "classification"
@@ -270,6 +201,8 @@ class CheckerboardScenario(UniformBoxScenario):
     def __init__(self, k: int = 4, p_on: float = 0.8, p_off: float = 0.2):
         if k < 1 or k != int(k):
             raise ValueError("k: must be an integer >= 1")
+        if k > 2**53:
+            raise ValueError("k: must be at most 2**53")
         for name, level in (("p_on", p_on), ("p_off", p_off)):
             if not 0 <= level <= 1:
                 raise ValueError(f"{name}: posterior level must lie in [0,1]")
@@ -335,7 +268,8 @@ class CityscapeScenario(UniformBoxScenario):
 
 
 class SineScenario(UniformBoxScenario):
-    """Regression: X uniform on [0,1], Y = sin(2 pi X) + N(0, noise^2)."""
+    """Regression: X uniform on [0,1], Y = sin(2 pi X) + N(0, noise^2);
+    noise <= 1e75 keeps the risks' variance (order noise^4) a finite float."""
 
     task = "regression"
     dimension = 1
@@ -343,6 +277,8 @@ class SineScenario(UniformBoxScenario):
     def __init__(self, noise: float = 0.1):
         if noise < 0:
             raise ValueError("noise: must be nonnegative")
+        if noise > 1e75:
+            raise ValueError("noise: must be at most 1e75")
         self.id = "sine_1d"
         self.noise = float(noise)
         super().__init__()
@@ -420,33 +356,14 @@ def sample_conditional_batch(
     centers: np.ndarray,
     radius: float,
     rng: np.random.Generator,
-    max_rejects: int = 10_000,
 ):
-    """Per-row conditional draws: one (X, Y) per center, shared radius.
+    """Per-row conditional draws: one (X, Y) per center, shared radius,
+    from the unit-box scenario's ``direct_conditional_x``.
 
     Returns (xs, ys, untrainable_mask); untrainable rows hold NaN.
     """
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    n, d = centers.shape
-    if n == 0:
-        return np.empty((0, d)), np.empty(0), np.zeros(0, dtype=bool)
-    if scenario.has_direct_conditional:
-        xs, untrainable = scenario.direct_conditional_x(centers, radius, rng)
-    else:
-        # Batched generic rejection: each round redraws the still-pending
-        # rows from the joint law; every row gets at most max_rejects draws.
-        xs = np.full((n, d), np.nan)
-        pending = np.arange(n)
-        for _ in range(max_rejects):
-            prop, _ = scenario.sample(rng, pending.size)
-            ok = in_ball(prop, centers[pending], radius)
-            xs[pending[ok]] = prop[ok]
-            pending = pending[~ok]
-            if not pending.size:
-                break
-        untrainable = np.zeros(n, dtype=bool)
-        untrainable[pending] = True
-    ys = np.full(n, np.nan)
+    xs, untrainable = scenario.direct_conditional_x(centers, radius, rng)
+    ys = np.full(len(xs), np.nan)
     trained = ~untrainable
     if trained.any():
         ys[trained] = scenario.sample_y_given_x(xs[trained], rng)
@@ -466,29 +383,6 @@ def bayes_classifier(scenario: Scenario, x) -> int:
     return int(regression_function(scenario, x) >= 0.5)
 
 
-def numerical_bayes_risk(scenario: Scenario, tol: float = 1e-6) -> float:
-    """Optimal risk by quadrature: E[min(eta, 1-eta)] or E[Var(Y|X)]."""
-    if scenario.task == "classification":
-        eta = lambda x: regression_function(scenario, x)
-        f = lambda x: min(eta(x), 1 - eta(x))
-    else:
-        f = lambda x: float(scenario.noise_variance(x[None, :])[0])
-    return scenario.integrate_mean(f, tol)
-
-
-def numerical_classifier_risk(scenario: Scenario, tol: float = 1e-5) -> float:
-    """Zero-one risk of the bayes_classifier code path, by quadrature."""
-
-    def f(x):
-        e = regression_function(scenario, x)
-        return 1.0 - e if bayes_classifier(scenario, x) == 1 else e
-
-    return scenario.integrate_mean(f, tol)
-
-
-def bayes_risk(scenario: Scenario, tol: float = 1e-6) -> float:
-    """Optimal expected loss: closed form when known, else quadrature."""
-    closed = scenario.closed_form_bayes_risk()
-    if closed is not None:
-        return closed
-    return numerical_bayes_risk(scenario, tol)
+def bayes_risk(scenario: Scenario) -> float:
+    """Optimal expected loss, in the scenario's closed form."""
+    return scenario.closed_form_bayes_risk()

@@ -90,7 +90,25 @@ VALUE_CASES = [
         {"scenario_id": "cityscape_2d", "scenario_params": {"center": 0.5}},
         "scenario.center: expected 2 coordinates",
     ),
+    (
+        {"scenario": "checkerboard_2d", "scenario.k": "1e160"},
+        {"scenario_id": "checkerboard_2d", "scenario_params": {"k": 1e160}},
+        "scenario.k: must be at most 2**53",
+    ),
+    (
+        {"protocol": "reg_abstain", "scenario": "sine_1d", "scenario.noise": "1e200"},
+        {
+            "protocol": "reg_abstain", "scenario_id": "sine_1d",
+            "scenario_params": {"noise": 1e200},
+        },
+        "scenario.noise: must be at most 1e75",
+    ),
     ({"r0": "-1"}, {"r0": -1.0}, "r0: must be positive"),
+    (  # c_n = 10^1000 at n = 10
+        {"protocol": "reg_abstain", "scenario": "sine_1d", "gamma": "1000"},
+        {"protocol": "reg_abstain", "scenario_id": "sine_1d", "gamma": 1000.0},
+        "gamma: c_n = c0 * n^gamma overflows at n = 10",
+    ),
     ({"coin_mode": "weekly"}, {"coin_mode": "weekly"}, "coin_mode: unknown"),
     ({"replications": "0"}, {"replications": 0}, "replications: must be >= 1"),
 ] + [
@@ -146,8 +164,9 @@ def test_sweep_rerun_is_byte_identical(tmp_path):
 
 
 def test_startup_leaves_scipy_stats_and_integrate_unloaded():
-    # every command pays for what importing the CLI loads; scipy.stats and
-    # scipy.integrate are loaded on first use instead
+    # every command pays for what importing the CLI loads; the library
+    # imports neither scipy.stats nor scipy.integrate, which only the tests'
+    # references use
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p

@@ -95,7 +95,8 @@ def test_schedule_rejects_non_finite_numbers(field, value):
 @pytest.mark.parametrize(
     "field,value",
     [("seed", math.nan), ("seed", math.inf), ("replications", math.nan),
-     ("test_points", math.inf), ("n_grid", (100, math.inf))],
+     ("test_points", math.inf), ("n_grid", (100, math.inf)),
+     ("n_grid", (100, 10**400))],  # an int beyond float range
 )
 def test_experiment_config_rejects_non_finite_numbers(field, value):
     with pytest.raises(ValueError, match=f"^{field}: expected a finite number"):
@@ -107,7 +108,8 @@ def test_experiment_config_rejects_non_finite_numbers(field, value):
     [("cls_abstain", "gauss_mix_1d", {"sigma": math.nan}),
      ("reg_abstain", "sine_1d", {"noise": math.nan}),
      ("specialists", "cityscape_2d", {"spread": math.nan}),
-     ("specialists", "cityscape_2d", {"center": (0.5, math.inf)})],
+     ("specialists", "cityscape_2d", {"center": (0.5, math.inf)}),
+     ("cls_abstain", "gauss_mix_1d", {"sigma": 10**400})],
 )
 def test_scenario_params_reject_non_finite_numbers(protocol, scenario_id, params):
     # a gauss_mix_1d sweep with sigma = nan once ran and reported risk 0.0

@@ -104,13 +104,14 @@ def _in_ball_counts(points, queries, r):
 )
 def test_1d_balls_on_boundaries_and_ties(protocol, sid, mode):
     # sensors and queries on one 0.1 grid, where q - r and q + r round to
-    # either side of the coordinates that in_ball admits
+    # either side of the coordinates that in_ball admits; at r = 1e200, r * r
+    # is inf and every ball holds every sensor
     scen = make_scenario(sid)
     net = train_network(
         protocol, scen, 70, Schedule(0.4, 0.2, clamp=0.5), seed=13, coin_mode=mode
     )
     rng = np.random.default_rng(19)
-    for r in (0.1, 0.3, 0.5, 0.7):
+    for r in (0.1, 0.3, 0.5, 0.7, 1e200):
         points = rng.integers(0, 21, size=(net.n, 1)) * 0.1
         queries = rng.integers(0, 21, size=(40, 1)) * 0.1
         network = dataclasses.replace(net, xs=points, r_n=r)

@@ -1,5 +1,6 @@
 """Scenario catalog: sampling contracts and Bayes ground truth."""
 
+import functools
 import math
 
 import numpy as np
@@ -8,6 +9,8 @@ from scipy.integrate import quad
 from scipy.stats import kstest, ks_2samp, norm
 
 from onebitsim import scenarios as sc
+
+import scenario_reference as ref
 
 ALL_IDS = sc.SCENARIO_IDS
 CLS_IDS = [s for s in ALL_IDS if sc.make_scenario(s).task == "classification"]
@@ -99,15 +102,14 @@ def test_bayes_risk_values():
 def test_closed_form_matches_quadrature(sid):
     scen = sc.make_scenario(sid)
     closed = scen.closed_form_bayes_risk()
-    assert closed is not None
-    assert abs(closed - sc.numerical_bayes_risk(scen, tol=1e-6)) <= 1e-6
+    assert abs(closed - ref.numerical_bayes_risk(scen, tol=1e-6)) <= 1e-6
 
 
 @pytest.mark.parametrize("sid", CLS_IDS)
 def test_bayes_classifier_risk_matches_bayes_risk(sid):
     # the integrated risk of the implemented classifier, not of the formula
     scen = sc.make_scenario(sid)
-    assert abs(sc.numerical_classifier_risk(scen) - sc.bayes_risk(scen)) <= 1e-5
+    assert abs(ref.numerical_classifier_risk(scen) - sc.bayes_risk(scen)) <= 1e-5
 
 
 def test_sine_second_moment_quadrature_cross_check():
@@ -121,18 +123,12 @@ def test_sine_second_moment_quadrature_cross_check():
 # conditional sampling
 
 
-def _direct_and_rejection(sid):
-    """The scenario, and a copy forced onto the generic rejection path."""
-    forced = sc.make_scenario(sid)
-    forced.has_direct_conditional = False
-    return sc.make_scenario(sid), forced
-
-
 def test_conditional_sample_stays_in_region():
     rng = np.random.default_rng(4)
     centers = np.tile([0.5, 0.4], (200, 1))
-    for scen in _direct_and_rejection("checkerboard_2d"):
-        xs, ys, untrainable = sc.sample_conditional_batch(scen, centers, 0.1, rng)
+    scen = sc.make_scenario("checkerboard_2d")
+    for sample in (sc.sample_conditional_batch, ref.rejection_conditional_batch):
+        xs, ys, untrainable = sample(scen, centers, 0.1, rng)
         assert not untrainable.any()
         assert np.all(sc.in_ball(xs, centers, 0.1))
         assert set(np.unique(ys)) <= {0, 1}
@@ -141,10 +137,10 @@ def test_conditional_sample_stays_in_region():
 def test_conditional_sample_zero_mass_region():
     rng = np.random.default_rng(5)
     centers = np.array([[0.5], [5.0]])  # the far ball misses [0, 1]
-    for scen in _direct_and_rejection("sine_1d"):
-        xs, ys, untrainable = sc.sample_conditional_batch(
-            scen, centers, 0.1, rng, max_rejects=1000
-        )
+    scen = sc.make_scenario("sine_1d")
+    rejection = functools.partial(ref.rejection_conditional_batch, max_rejects=1000)
+    for sample in (sc.sample_conditional_batch, rejection):
+        xs, ys, untrainable = sample(scen, centers, 0.1, rng)
         np.testing.assert_array_equal(untrainable, [False, True])
         assert np.isnan(xs[1]).all() and np.isnan(ys[1])
         assert abs(xs[0, 0] - 0.5) <= 0.1
@@ -169,13 +165,10 @@ def test_conditional_uniform_is_uniform_on_intersection():
 ])
 def test_direct_sampler_matches_rejection(sid, center, radius):
     scen = sc.make_scenario(sid)
-    assert scen.has_direct_conditional
     rng = np.random.default_rng(7)
     centers = np.tile(np.asarray(center, dtype=float), (10**5, 1))
     direct, _, un_d = sc.sample_conditional_batch(scen, centers, radius, rng)
-    forced = sc.make_scenario(sid)
-    forced.has_direct_conditional = False  # force the generic rejection path
-    rejected, _, un_r = sc.sample_conditional_batch(forced, centers, radius, rng)
+    rejected, _, un_r = ref.rejection_conditional_batch(scen, centers, radius, rng)
     assert not un_d.any() and not un_r.any()
     for axis in range(scen.dimension):
         assert ks_2samp(direct[:, axis], rejected[:, axis]).pvalue > 0.001
