@@ -20,11 +20,14 @@ query) pairs in one place, ``_in_ball_votes``, in chunks of about
 ``_PAIR_BLOCK`` pairs, so peak memory stays bounded regardless of how many
 pairs a batch touches. The sensors are sorted by coordinate, so a query's
 in-ball sensors are one contiguous run. The engine builds its per-sensor
-tables (coin keys, biases) in that order once per call, and a chunk's
-pairs are the chunk's runs, concatenated as slices of a table's last axis,
-so no per-pair position array is built. It answers arms that share a
-training set at once: each in-ball coin, hashed once, meets one bias row
-per arm of an ``(arms, n)`` table.
+tables (coin keys, biases) in that order once per call. A chunk's coins
+fill two reused buffers: each query's run of sensor keys is hashed with
+the query's key in place (``run_bits``), and each run's coins then meet
+the same run of each bias row, so no pair-sized key, bias or position
+array is built. It answers arms that share a training set at once: each
+in-ball coin, hashed once, meets one row per arm of an ``(arms, n)`` bias
+table, which ``batch_regression`` scales by 2^53 in place so that a coin's
+top 53 bits compare with it exactly (``_in_ball_votes`` says why).
 
 The classification rules (``cls_abstain``, ``specialists`` and
 ``cls_noabstain``, whose fixed coins or guesser crowd answer outside the
@@ -49,7 +52,7 @@ from scipy.spatial import cKDTree
 from scipy.special import betainc, ndtri
 
 from .scenarios import in_ball
-from .seeding import CoinSource, pair_bits, query_keys, to_unit
+from .seeding import CoinSource, query_keys, run_bits
 
 if TYPE_CHECKING:  # pragma: no cover
     from .harness import NetworkState
@@ -197,30 +200,25 @@ class _BallLookup:
         return counts, sums
 
 
-def _segment_counts(flags: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """True flags in each consecutive run of ``counts`` entries (last axis)."""
-    out = np.zeros(flags.shape[:-1] + counts.shape, dtype=np.int64)
-    nonempty = counts > 0
-    if nonempty.any():
-        starts = (np.cumsum(counts) - counts)[nonempty]
-        out[..., nonempty] = np.add.reduceat(flags, starts, axis=-1, dtype=np.int64)
-    return out
-
-
-def _in_ball_votes(lookup, coin, biases, queries):
+def _in_ball_votes(lookup, coin, scaled, queries):
     """Per-query counts of in-ball sensors and, for each row of the (arms,
-    n) storage-order table ``biases``, of those whose coin at (sensor,
-    query), hashed once for all rows, falls below the row's bias.
+    n) storage-order table ``scaled`` (biases times 2^53), of those whose
+    coin at (sensor, query), hashed once for all rows, falls below the
+    row's bias.
 
     Whole queries go in chunks of at most ~``_PAIR_BLOCK`` in-ball pairs (a
-    single query may exceed it); a chunk's pairs are its queries' runs of
-    storage positions, concatenated."""
+    single query may exceed it), hashed into one reused buffer. A coin's
+    top 53 bits k, cast once to float (exact, as k < 2^53), meet each
+    row's slice for the same run. The coin's uniform is u = k * 2^-53, and
+    scaling by a power of two is exact, so k < b * 2^53 exactly when u < b."""
     t = len(queries)
     keys = coin.sensor_keys(lookup.order)
     qkeys = query_keys(np.arange(t))
     lo, hi = lookup._bounds(queries)
     counts = hi - lo
-    votes = np.zeros((len(biases), t), dtype=np.int64)
+    votes = np.zeros((len(scaled), t), dtype=np.int64)
+    size = max(_PAIR_BLOCK, int(counts.max(initial=0)))  # the largest chunk
+    bits, ks = np.empty(size, dtype=np.uint64), np.empty(size)
     start = 0
     while start < t:
         end = start + 1
@@ -228,12 +226,17 @@ def _in_ball_votes(lookup, coin, biases, queries):
         while end < t and total + counts[end] <= _PAIR_BLOCK:
             total += int(counts[end])
             end += 1
-        sl = slice(start, end)
-        runs = [slice(a, b) for a, b in zip(lo[sl].tolist(), hi[sl].tolist())]
-        pair_keys = np.concatenate([keys[r] for r in runs])
-        bits = pair_bits(pair_keys, np.repeat(qkeys[sl], counts[sl]))
-        below = to_unit(bits) < np.concatenate([biases[:, r] for r in runs], axis=1)
-        votes[:, sl] = _segment_counts(below, counts[sl])
+        los, his = lo[start:end].tolist(), hi[start:end].tolist()
+        coins = run_bits(keys, qkeys[start:end], los, his, bits)
+        np.right_shift(coins, 11, out=coins)  # k, each coin's top 53 bits
+        k = ks[:coins.size]
+        k[:] = coins  # exact: k < 2^53
+        pos = 0
+        for q, a, b in zip(range(start, end), los, his):
+            run = k[pos:pos + b - a]
+            for arm, row in enumerate(scaled):
+                votes[arm, q] = np.count_nonzero(run < row[a:b])
+            pos += b - a
         start = end
     return counts, votes
 
@@ -358,6 +361,7 @@ def batch_regression(network, queries, coin_seed, default_label):
     lookup = _BallLookup(first.xs, first.r_n)
     biases = np.empty((len(arms), first.n))
     fuses = [rule(a, lookup.stored(a.ys, out=row)) for rule, a, row in zip(rules, arms, biases)]
+    biases *= 2.0**53  # exact: the kernel compares integer coin bits
     counts, votes = _in_ball_votes(lookup, coin, biases, queries)
     fused = [fuse(counts, v, coin) for fuse, v in zip(fuses, votes)]
     values, responders = (np.array(x) for x in zip(*fused))

@@ -18,8 +18,9 @@ per-sensor key ``K[s] = _mix(_mix(seed) ^ _mix(s))`` and a per-query key
 ``Q[q] = _mix(q)``: the key/counter split of counter-based generators
 (Salmon et al., SC'11) over the splitmix64 finalizer (Steele et al.,
 OOPSLA'14). Batch engines compute ``K`` once per sensor and ``Q`` once per
-query and pay one ``_mix`` per pair (``pair_bits``), bit for bit equal to
-the scalar ``uniform``, which folds the full path and stays the reference.
+query and pay one ``_mix`` per pair (``pair_bits``, or ``run_bits`` for
+runs of sensors against one query each), bit for bit equal to the scalar
+``uniform``, which folds the full path and stays the reference.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def query_keys(queries) -> np.ndarray:
 
 
 def _mix_inplace(z: np.ndarray) -> np.ndarray:
-    """``_mix`` run in place on a new contiguous uint64 array ``z``, a block
+    """``_mix`` run in place on a contiguous uint64 array ``z``, a block
     of ``_MIX_BLOCK`` entries at a time, so the one scratch array stays
     cache-sized whatever the size of ``z``."""
     flat = z.ravel(order="K")  # a view: z is C- or F-contiguous
@@ -107,6 +108,18 @@ def pair_bits(skeys: np.ndarray, qkeys: np.ndarray) -> np.ndarray:
     this copy.
     """
     return _mix_inplace(np.asarray(np.bitwise_xor(skeys, qkeys)))
+
+
+def run_bits(keys: np.ndarray, qkeys, lo, hi, out: np.ndarray) -> np.ndarray:
+    """``pair_bits`` of the runs ``keys[lo[j]:hi[j]]`` against ``qkeys[j]``,
+    written run after run into the head of the uint64 buffer ``out``, which
+    is returned: each query's key meets its run in place, so the chunk's
+    pairs are hashed without building their concatenated keys."""
+    pos = 0
+    for q, a, b in zip(qkeys, lo, hi):
+        np.bitwise_xor(keys[a:b], q, out=out[pos:pos + b - a])
+        pos += b - a
+    return _mix_inplace(out[:pos])
 
 
 @dataclass(frozen=True)

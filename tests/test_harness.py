@@ -458,14 +458,14 @@ def test_a_run_warns_once_per_violating_arm_in_the_caller(jobs):
 def test_demo_hashes_each_in_ball_coin_once(monkeypatch):
     config = demo_config()
     hashed = []
-    real = predict.pair_bits
+    real = predict.run_bits
 
-    def counting(keys, qkeys):
-        bits = real(keys, qkeys)
+    def counting(*args):
+        bits = real(*args)
         hashed.append(bits.size)
         return bits
 
-    monkeypatch.setattr(predict, "pair_bits", counting)
+    monkeypatch.setattr(predict, "run_bits", counting)
     hn.impossibility_demo(config)
     scenario = config.scenario()
 

@@ -2,6 +2,8 @@
 
 import dataclasses
 import hashlib
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from onebitsim.harness import train_network
 from onebitsim.oracle import exact_conditional_error_at_x
 from onebitsim.protocols import Schedule
 from onebitsim.scenarios import in_ball, make_scenario
-from onebitsim.seeding import CoinSource
+from onebitsim.seeding import CoinSource, to_unit
 from onebitsim.verify import scalar_predict
 
 
@@ -143,18 +145,18 @@ def test_per_query_cls_noabstain_hashes_one_coin_per_query(sid, monkeypatch):
 
     hashed = []
 
-    def counted(module):
-        healthy = module.pair_bits
+    def counted(module, name):
+        healthy = getattr(module, name)
 
-        def pair_bits(skeys, qkeys):
-            bits = healthy(skeys, qkeys)
+        def hashing(*args):
+            bits = healthy(*args)
             hashed.append(bits.size)
             return bits
-        monkeypatch.setattr(module, "pair_bits", pair_bits)
+        monkeypatch.setattr(module, name, hashing)
 
     monkeypatch.setattr(pd, "_in_ball_votes", no_pairs)
-    counted(pd)
-    counted(seeding)
+    counted(pd, "run_bits")
+    counted(seeding, "pair_bits")
     scen = make_scenario(sid)
     net = train_network(
         "cls_noabstain", scen, 70, Schedule(0.4, 0.2, 1.0, 0.1), seed=13,
@@ -220,15 +222,16 @@ def _run_network(protocol, sid, mode):
     ],
 )
 def test_1d_run_gather_edge_cases(protocol, sid, mode, block, monkeypatch):
-    # each chunk of in-ball pairs meets _segment_counts once, with its counts
+    # each chunk of in-ball pairs is hashed by one run_bits call, whose
+    # runs give the chunk's per-query counts
     chunks = []
-    healthy = pd._segment_counts
+    healthy = pd.run_bits
 
-    def segment_counts(flags, counts):
-        chunks.append(counts.tolist())
-        return healthy(flags, counts)
+    def run_bits(keys, qkeys, lo, hi, out):
+        chunks.append([b - a for a, b in zip(lo, hi)])
+        return healthy(keys, qkeys, lo, hi, out)
 
-    monkeypatch.setattr(pd, "_segment_counts", segment_counts)
+    monkeypatch.setattr(pd, "run_bits", run_bits)
     monkeypatch.setattr(pd, "_PAIR_BLOCK", block)
     net = _run_network(protocol, sid, mode)
     queries = RUN_QUERIES[:, None]
@@ -254,7 +257,7 @@ def test_two_arm_bias_table_matches_one_row_calls(monkeypatch):
     # the last two queries lie far outside the unit box: their balls are empty
     queries = np.vstack([rng.random((40, 1)), np.full((2, 1), 5.0)])
     lookup = pd._BallLookup(net.xs, net.r_n)
-    biases = rng.random((2, net.n))
+    biases = rng.random((2, net.n)) * 2.0**53  # the kernel takes biases scaled by 2^53
     counts, votes = pd._in_ball_votes(lookup, CoinSource(4), biases, queries)
     assert counts[-2:].tolist() == [0, 0] and counts.sum() > 17
     for row in range(2):
@@ -271,6 +274,82 @@ def test_two_arm_bias_table_matches_one_row_calls(monkeypatch):
         alone = pd.predict_batch(arm, queries, coin_seed=4)
         np.testing.assert_array_equal(got.values, alone.values)
         np.testing.assert_array_equal(got.responders, alone.responders)
+
+
+def test_integer_bias_test_is_the_uniform_test(monkeypatch):
+    # the kernel tests k < b * 2^53 (k: a coin's top 53 bits, b * 2^53: the
+    # table batch_regression scales in place); that is to_unit(bits) < b at
+    # the biases where a rounding would show, and at biases out of [0, 1]
+    rng = np.random.default_rng(12)
+    top = 2**53 - 1
+    biases, coins = [], []
+    for b in (
+        0.0, 5e-324, 2.0**-53, np.nextafter(0.5, 0), 0.5, np.nextafter(0.5, 1),
+        1 - 2.0**-53, 1.0, -0.25, 1.5,
+    ):
+        edge = math.ceil(b * 2.0**53)
+        for k in (edge - 1, edge, 0, top):
+            if 0 <= k <= top:  # random low 11 bits, which the test must ignore
+                biases.append(b)
+                coins.append(k << 11 | int(rng.integers(1 << 11)))
+    biases, coins = np.array(biases), np.array(coins, dtype=np.uint64)
+
+    def run_bits(keys, qkeys, lo, hi, out):  # query j's run is sensor j
+        assert list(zip(lo, hi)) == [(j, j + 1) for j in range(len(coins))]
+        out[:len(coins)] = coins
+        return out[:len(coins)]
+
+    monkeypatch.setattr(pd, "run_bits", run_bits)
+    xs = np.arange(len(coins), dtype=float)[:, None]
+    counts, votes = pd._in_ball_votes(
+        pd._BallLookup(xs, 0.25), CoinSource(0), biases[None, :] * 2.0**53, xs
+    )
+    expected = to_unit(coins) < biases
+    assert counts.tolist() == [1] * len(coins) and 0 < expected.sum() < len(coins)
+    np.testing.assert_array_equal(votes[0], expected)
+
+
+# sha256 of a two-arm predict_batch's values (both arms, float64 bytes) on
+# 200,000 sensors, pinned from the engine that concatenated each chunk's
+# pairs: the ~335k in-ball pairs span about ten _PAIR_BLOCK chunks, and at
+# the clamp c_n = 0.5 most labels lie outside it, where reg_abstain's bias
+# is 1/2 and reg_noabstain's is clipped to 0 or 1
+MULTI_CHUNK_DIGEST = "13367dc1b19568ed5686ebc4c76c09c9544c4d7b709b7497e28cdc6b95e7c37b"
+
+
+def _two_arm_network(n, r0, beta, seed):
+    net = train_network(
+        "reg_noabstain", make_scenario("sine_1d"), n, Schedule(r0, beta, clamp=0.5), seed
+    )
+    return net, dataclasses.replace(net, protocol="reg_abstain")
+
+
+def test_multi_chunk_two_arm_values_match_golden_digest():
+    arms = _two_arm_network(200_000, 0.2, 0.35, seed=31)
+    queries, _ = make_scenario("sine_1d").sample(np.random.default_rng(32), 300)
+    both = pd.predict_batch(arms, queries, coin_seed=2**63 + 33)
+    assert both.responders[1].sum() > 8 * pd._PAIR_BLOCK
+    digest = hashlib.sha256(np.asarray(both.values, dtype=np.float64).tobytes()).hexdigest()
+    assert digest == MULTI_CHUNK_DIGEST
+
+
+def test_two_arm_prediction_memory_is_its_n_tables_and_chunk_buffers():
+    # one call holds its n-sized tables (sort order, padded coordinates,
+    # sensor keys and the two-row bias table: 5 * 8n bytes) and a few
+    # _PAIR_BLOCK buffers; a second bias table (2 * 8n) or any array over
+    # the call's ~10M pairs breaks the bound
+    n, t = 200_000, 2_000
+    net, twin = _two_arm_network(n, 0.2, 0.2, seed=7)
+    arms = tuple(dataclasses.replace(a, r_n=0.0125) for a in (net, twin))
+    queries, _ = make_scenario("sine_1d").sample(np.random.default_rng(8), t)
+    tracemalloc.start()
+    try:
+        batch = pd.predict_batch(arms, queries, coin_seed=9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert batch.responders[1].sum() > 9_000_000
+    assert peak < 5 * 8 * n + 8 * (8 * pd._PAIR_BLOCK)
 
 
 def test_arms_must_share_one_training_set():
