@@ -86,8 +86,8 @@ def write_csv(path: Path, reports: list[RiskReport]) -> None:
 
 
 def _environment(config: ExperimentConfig, jobs: int) -> dict:
-    """Interpreter, library and machine facts, plus the worker count each
-    sweep's pool gets for ``jobs``."""
+    """Interpreter, library and machine facts, plus the number of
+    processes (this one included) that run each sweep's tasks for ``jobs``."""
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,

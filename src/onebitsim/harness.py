@@ -317,10 +317,15 @@ def _timed_replication(args) -> tuple[tuple, float]:
     return samples, time.perf_counter() - start
 
 
+def _timed_chunk(tasks: list) -> list[tuple[tuple, float]]:
+    return [_timed_replication(t) for t in tasks]
+
+
 def pool_workers(jobs: int, tasks: int, cpus: Optional[int] = None) -> int:
-    """Worker processes for ``tasks`` replications: ``jobs`` clamped to the
-    task count and the CPU count (``os.cpu_count()`` unless given). One
-    means the replications run serially in this process."""
+    """Processes that run ``tasks`` replications: ``jobs`` clamped to the
+    task count and the CPU count (``os.cpu_count()`` unless given), this
+    process included. One means the replications run serially here, with
+    no pool; more means this process and a pool of one fewer."""
     if jobs < 1:
         raise ValueError(f"jobs: must be >= 1, got {jobs}")
     if cpus is None:
@@ -381,12 +386,19 @@ def _cell_reports(
     arms: tuple[ExperimentConfig, ...], grid: tuple[int, ...], jobs: int, probe=None
 ) -> tuple[list[list[RiskReport]], Optional[np.ndarray]]:
     """Run every (n, replication) of ``grid`` for all ``arms`` (which must
-    agree on ``shared``) through one worker pool (or serially), and
+    agree on ``shared``) in one pass over ``pool_workers`` processes, and
     summarise each arm's cells in grid order, charging each arm an equal
     share of a replication's time. Replication 0 at the largest n also
     answers the ``probe`` queries, whose answers come back with the reports
-    (None without a probe). The pool takes the tasks in chunks, about
-    four per worker, so that tiny replications do not pay a round trip each.
+    (None without a probe).
+
+    With more than one worker, the tasks go in chunks, about four per
+    worker, so that tiny replications do not pay a round trip each, to a
+    pool of one worker fewer; this process is the last worker. Walking
+    from the back of the queue, it runs each chunk that it can still
+    cancel (it is warm, where a forked worker's first task is not), and
+    then gathers every result in task order. A failing chunk cancels what
+    is still queued, and its error propagates once the pool has exited.
     Each arm's schedule verdict is decided once, before any task runs: an
     arm outside its conditions warns once, in this process, whatever
     ``jobs`` is, naming the line that called the public entry point."""
@@ -411,11 +423,22 @@ def _cell_reports(
         tasks[last] += (probe,)
     workers = pool_workers(jobs, len(tasks))
     if workers > 1:
-        chunksize = max(1, len(tasks) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            timed = list(pool.map(_timed_replication, tasks, chunksize=chunksize))
+        size = max(1, len(tasks) // (4 * workers))
+        chunks = [tasks[i:i + size] for i in range(0, len(tasks), size)]
+        pool = ProcessPoolExecutor(max_workers=workers - 1)
+        try:
+            futures = [pool.submit(_timed_chunk, chunk) for chunk in chunks]
+            mine = {}
+            for i in reversed(range(len(chunks))):
+                if not futures[i].cancel():
+                    break
+                mine[i] = _timed_chunk(chunks[i])
+            timed = [t for i, f in enumerate(futures)
+                     for t in (mine[i] if i in mine else f.result())]
+        finally:
+            pool.shutdown(cancel_futures=True)
     else:
-        timed = [_timed_replication(t) for t in tasks]
+        timed = _timed_chunk(tasks)
     cells = [timed[i * reps:(i + 1) * reps] for i in range(len(grid))]
     reports = [[_cell_report(arm, validity[a], n, [(s[a], sec / len(arms)) for s, sec in cell])
                 for n, cell in zip(grid, cells)] for a, arm in enumerate(arms)]

@@ -51,7 +51,6 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.special import betainc, ndtri
 
-from .scenarios import in_ball
 from .seeding import CoinSource, query_keys, run_bits
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -149,25 +148,34 @@ class _BallLookup:
         first guess; then each end steps across one group of tied
         coordinates at a time, outward while the point just outside the run
         is in the ball, inward while the point just inside it is out on
-        that end's side of q."""
-        x, r = self.sorted_x, self.radius
+        that end's side of q.
+
+        The test is ``in_ball``'s, on signed squares s = d * |d| of
+        d = x - q (exactly +-d*d), without its reduce over a trailing axis.
+        The outer point stays on its end's side of q, so s >= -r*r (left)
+        and s <= r*r (right) put it in the ball; s < -r*r and s > r*r put
+        an inner point out of it on its own side. NaN sentinels past the
+        ends fail every comparison, so they never move."""
+        x, r, pad = self.sorted_x, self.radius, self._padded
         q = queries[:, 0]
         lo = np.searchsorted(x, q - r, side="left")
         hi = np.searchsorted(x, q + r, side="right")
+        t, rr = len(q), r * r
+        qq = np.concatenate((q, q))
         while True:
-            # the points at lo - 1, lo, hi - 1 and hi (sentinels past the
-            # ends): the outer two move when in the ball, the inner two when
-            # out of it on their own side of q
-            v = self._padded[np.array([lo, lo + 1, hi, hi + 1])]
-            moves = in_ball(v[..., None], q[:, None], r)
-            moves[1] = ~moves[1] & (v[1] < q)
-            moves[2] = ~moves[2] & (v[2] > q)
-            if not moves.any():
+            ends = np.concatenate((lo, hi))
+            before = pad.take(ends)     # the points at lo - 1 and hi - 1
+            after = pad[1:].take(ends)  # at lo and hi
+            a, b = before - qq, after - qq
+            a *= np.abs(a)
+            b *= np.abs(b)
+            moves = (a[:t] >= -rr, b[:t] < -rr, a[t:] > rr, b[t:] <= rr)
+            if not any(map(np.count_nonzero, moves)):
                 return lo, hi
-            lo = np.where(moves[0], np.searchsorted(x, v[0], side="left"), lo)
-            lo = np.where(moves[1], np.searchsorted(x, v[1], side="right"), lo)
-            hi = np.where(moves[2], np.searchsorted(x, v[2], side="left"), hi)
-            hi = np.where(moves[3], np.searchsorted(x, v[3], side="right"), hi)
+            lo = np.where(moves[0], np.searchsorted(x, before[:t], side="left"), lo)
+            lo = np.where(moves[1], np.searchsorted(x, after[:t], side="right"), lo)
+            hi = np.where(moves[2], np.searchsorted(x, before[t:], side="left"), hi)
+            hi = np.where(moves[3], np.searchsorted(x, after[t:], side="right"), hi)
 
     def flag_counts(self, queries: np.ndarray, flags: list[np.ndarray]):
         """Per-query count of in-ball points and, for each 0/1 vector in

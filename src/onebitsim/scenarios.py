@@ -314,6 +314,10 @@ _CATALOG = {
 
 SCENARIO_IDS = tuple(sorted(_CATALOG))
 
+# each entry's keyword parameters, read once: ``inspect.signature`` costs
+# tens of microseconds, and every replication builds its scenario
+_PARAMETERS = {sid: inspect.signature(f).parameters for sid, f in _CATALOG.items()}
+
 
 def scenario_parameters(scenario_id: str) -> tuple[str, ...]:
     """Keyword parameters ``make_scenario`` accepts for ``scenario_id``;
@@ -322,7 +326,7 @@ def scenario_parameters(scenario_id: str) -> tuple[str, ...]:
         raise ValueError(
             f"scenario_id: unknown {scenario_id!r}; known: {', '.join(SCENARIO_IDS)}"
         )
-    return tuple(inspect.signature(_CATALOG[scenario_id]).parameters)
+    return tuple(_PARAMETERS[scenario_id])
 
 
 def make_scenario(scenario_id: str, **params) -> Scenario:
@@ -334,7 +338,7 @@ def make_scenario(scenario_id: str, **params) -> Scenario:
     range checks refuse.
     """
     known = scenario_parameters(scenario_id)
-    defaults = inspect.signature(_CATALOG[scenario_id]).parameters
+    defaults = _PARAMETERS[scenario_id]
     for name, value in params.items():
         if name not in known:
             raise ValueError(

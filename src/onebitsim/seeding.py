@@ -17,10 +17,14 @@ The coin hash ``_fold(seed, (s, q))`` is ``_mix(K[s] ^ Q[q])`` with a
 per-sensor key ``K[s] = _mix(_mix(seed) ^ _mix(s))`` and a per-query key
 ``Q[q] = _mix(q)``: the key/counter split of counter-based generators
 (Salmon et al., SC'11) over the splitmix64 finalizer (Steele et al.,
-OOPSLA'14). Batch engines compute ``K`` once per sensor and ``Q`` once per
-query and pay one ``_mix`` per pair (``pair_bits``, or ``run_bits`` for
-runs of sensors against one query each), bit for bit equal to the scalar
-``uniform``, which folds the full path and stays the reference.
+OOPSLA'14). It is plain 64-bit integer arithmetic, so the scalar path
+(``_mix``, ``derive_seed``, ``uniform``) runs it in Python integers masked
+to 64 bits, a few times cheaper per call than numpy scalars. Batch engines
+compute ``K`` once per sensor and ``Q`` once per query and pay one mix per
+pair, run in place on uint64 arrays (``_mix_inplace``, under ``pair_bits``,
+or ``run_bits`` for runs of sensors against one query each), bit for bit
+equal to the scalar ``uniform``, which folds the full path and stays the
+reference: the two share no code.
 """
 
 from __future__ import annotations
@@ -30,28 +34,27 @@ from dataclasses import dataclass
 import numpy as np
 
 _U64 = np.uint64
-_GOLDEN = _U64(0x9E3779B97F4A7C15)
-_MIX1 = _U64(0xBF58476D1CE4E5B9)
-_MIX2 = _U64(0x94D049BB133111EB)
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 _MASK = (1 << 64) - 1
 _MIX_BLOCK = 1 << 15  # entries per in-place mixing step
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer over uint64 arrays (wraparound intended)."""
-    with np.errstate(over="ignore"):
-        z = z + _GOLDEN
-        z = (z ^ (z >> _U64(30))) * _MIX1
-        z = (z ^ (z >> _U64(27))) * _MIX2
-        return z ^ (z >> _U64(31))
+def _mix(z: int) -> int:
+    """splitmix64 finalizer of one integer in [0, 2^64), in Python ints
+    masked to 64 bits (the wraparound of uint64 arithmetic)."""
+    z = (z + _GOLDEN) & _MASK
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+    return z ^ (z >> 31)
 
 
-def _fold(seed: int, parts: tuple) -> np.ndarray:
-    """Absorb integer path components into a state."""
-    state = _mix(np.asarray(seed & _MASK, dtype=np.uint64))
+def _fold(seed: int, parts: tuple) -> int:
+    """Absorb integer path components, each taken modulo 2^64, into a state."""
+    state = _mix(int(seed) & _MASK)
     for part in parts:
-        part = np.asarray(int(part) & _MASK, dtype=np.uint64)
-        state = _mix(state ^ _mix(part))
+        state = _mix(state ^ _mix(int(part) & _MASK))
     return state
 
 
@@ -61,7 +64,7 @@ def derive_seed(seed: int, *path: int) -> int:
     Distinct paths give (statistically) independent child seeds; the same
     path always gives the same child.
     """
-    return int(_fold(seed, path))
+    return _fold(seed, path)
 
 
 def derived_rng(seed: int, *path: int) -> np.random.Generator:
@@ -75,8 +78,9 @@ def to_unit(bits: np.ndarray) -> np.ndarray:
 
 
 def query_keys(queries) -> np.ndarray:
-    """Per-query keys ``Q[q] = _mix(q)``."""
-    return _mix(np.asarray(queries, dtype=np.uint64))
+    """Per-query keys ``Q[q] = _mix(q)``, mixed in place on a fresh copy,
+    so the caller's array is left as it was."""
+    return _mix_inplace(np.array(queries, dtype=np.uint64))
 
 
 def _mix_inplace(z: np.ndarray) -> np.ndarray:
@@ -88,8 +92,8 @@ def _mix_inplace(z: np.ndarray) -> np.ndarray:
     for start in range(0, flat.size, _MIX_BLOCK):
         b = flat[start:start + _MIX_BLOCK]
         tmp = scratch[:b.size]
-        np.add(b, _GOLDEN, out=b)
-        for shift, mult in ((30, _MIX1), (27, _MIX2)):
+        np.add(b, _U64(_GOLDEN), out=b)
+        for shift, mult in ((30, _U64(_MIX1)), (27, _U64(_MIX2))):
             np.right_shift(b, _U64(shift), out=tmp)
             np.bitwise_xor(b, tmp, out=b)
             np.multiply(b, mult, out=b)
@@ -103,9 +107,9 @@ def pair_bits(skeys: np.ndarray, qkeys: np.ndarray) -> np.ndarray:
     ``to_unit`` of them is the uniform at each (sensor, query) address.
 
     Runs ``_mix``'s steps in place, so a pair costs its output and no
-    more. ``_mix`` itself stays the plain expression the scalar
-    ``CoinSource.uniform`` uses, which keeps the reference independent of
-    this copy.
+    more. ``_mix`` itself, in Python integers, is what the scalar
+    ``CoinSource.uniform`` folds with, which keeps the reference
+    independent of this copy.
     """
     return _mix_inplace(np.asarray(np.bitwise_xor(skeys, qkeys)))
 
@@ -134,13 +138,13 @@ class CoinSource:
     seed: int
 
     def uniform(self, sensor: int, query: int) -> float:
-        return float(to_unit(_fold(self.seed, (sensor, query))))
+        return (_fold(self.seed, (sensor, query)) >> 11) * 2.0**-53  # exact: < 2^53
 
     def sensor_keys(self, sensors) -> np.ndarray:
         """Per-sensor keys ``K[s] = _mix(_mix(seed) ^ _mix(s))``, mixed in
         place like ``pair_bits``: they cost the keys array and no more."""
         k = _mix_inplace(np.array(sensors, dtype=np.uint64))
-        np.bitwise_xor(k, _mix(_U64(self.seed & _MASK)), out=k)
+        np.bitwise_xor(k, _U64(_mix(int(self.seed) & _MASK)), out=k)
         return _mix_inplace(k)
 
     def uniform_array(self, sensors, queries) -> np.ndarray:

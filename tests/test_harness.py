@@ -1,11 +1,14 @@
 """Training, risk estimation, sweeps, and the impossibility demo."""
 
 import dataclasses
+import inspect
 import math
+import multiprocessing
 import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -279,7 +282,7 @@ def test_run_sweep_runs_every_cell_through_one_pool(monkeypatch):
     monkeypatch.setattr(hn.os, "cpu_count", lambda: 2)
     cfg = small_config(n_grid=(50, 100, 200))
     pooled = hn.run_sweep(cfg, jobs=2)
-    assert made == [2]
+    assert made == [1]  # the caller is the second worker
     strip = lambda r: dataclasses.replace(r, wall_time_s=0.0)
     serial = hn.run_sweep(cfg)
     assert [strip(r) for r in pooled] == [strip(r) for r in serial]
@@ -290,6 +293,71 @@ def test_run_sweep_runs_every_cell_through_one_pool(monkeypatch):
     with pytest.raises(RuntimeError, match=f"excess risk {first:.6g} .*ground-truth"):
         hn.run_sweep(cfg, jobs=2)
     assert len(made) == 2
+
+
+def _log_replications(monkeypatch, log, *, slow_workers=False, slow_caller=False, fail=None):
+    """Append each replication's pid, n and index to ``log`` (forked pool
+    workers inherit the patch). The slow side sleeps 50 ms a replication,
+    so the other one claims chunks first; replication ``fail`` = (n, rep)
+    raises once it is logged."""
+    caller, real = os.getpid(), hn._replication_sample
+
+    def sample(arms, n, rep, probe=None):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {n} {rep}\n")
+        if slow_caller if os.getpid() == caller else slow_workers:
+            time.sleep(0.05)
+        if (n, rep) == fail:
+            raise ZeroDivisionError(f"replication {n}, {rep}")
+        return real(arms, n, rep, probe)
+
+    monkeypatch.setattr(hn, "_replication_sample", sample)
+    monkeypatch.setattr(hn.os, "cpu_count", lambda: 2)
+    return lambda: [tuple(map(int, line.split())) for line in Path(log).read_text().splitlines()]
+
+
+def test_the_caller_runs_chunks_from_the_back_of_the_pool_queue(monkeypatch, tmp_path):
+    # 9 tasks at jobs=2 make 9 one-task chunks for the caller and a
+    # one-process pool; the slow worker leaves the caller the last chunk
+    cfg = small_config(n_grid=(50, 100, 200))
+    serial = hn.run_sweep(cfg)
+    logged = _log_replications(monkeypatch, tmp_path / "log", slow_workers=True)
+    pooled = hn.run_sweep(cfg, jobs=2)
+    strip = lambda r: dataclasses.replace(r, wall_time_s=0.0)
+    assert [strip(r) for r in pooled] == [strip(r) for r in serial]
+    runs = logged()
+    assert sorted((n, rep) for _, n, rep in runs) == [
+        (n, rep) for n in cfg.n_grid for rep in range(cfg.replications)
+    ]  # each replication ran once
+    mine = [(n, rep) for pid, n, rep in runs if pid == os.getpid()]
+    assert (200, 2) in mine
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("fail,by_caller", [((50, 0), False), ((200, 2), True)])
+def test_a_failing_replication_propagates_and_leaves_no_worker(monkeypatch, tmp_path, fail,
+                                                               by_caller):
+    # the first chunk goes to the pool's worker, the last to the caller
+    cfg = small_config(n_grid=(50, 100, 200))
+    logged = _log_replications(monkeypatch, tmp_path / "log", fail=fail,
+                               slow_workers=by_caller, slow_caller=not by_caller)
+    with pytest.raises(ZeroDivisionError, match=f"replication {fail[0]}, {fail[1]}"):
+        hn.run_sweep(cfg, jobs=2)
+    assert multiprocessing.active_children() == []
+    ran_by = [pid for pid, n, rep in logged() if (n, rep) == fail]
+    assert len(ran_by) == 1
+    assert (ran_by[0] == os.getpid()) == by_caller
+
+
+def test_a_sweep_reads_no_signature(monkeypatch):
+    # the scenario catalog's parameters are read once, at import
+    calls = []
+    real = inspect.signature
+    monkeypatch.setattr(inspect, "signature", lambda *a, **k: calls.append(a) or real(*a, **k))
+    cfg = small_config(replications=2)
+    hn.run_sweep(cfg)
+    assert hn.make_scenario("gauss_mix_1d", mu=2.0).dimension == 1
+    assert calls == []
 
 
 def test_reg_noabstain_sweep_never_imports_scipy_stats():

@@ -3,7 +3,9 @@
 import numpy as np
 
 from onebitsim.seeding import (
+    _MASK,
     CoinSource,
+    _mix,
     derive_seed,
     derived_rng,
     pair_bits,
@@ -99,3 +101,54 @@ def test_key_split_matches_scalar_on_random_addresses():
         u = to_unit(pair_bits(cs.sensor_keys(sensors), query_keys(queries)))
         for s, q, value in zip(sensors, queries, u):
             assert value == cs.uniform(int(s), int(q))
+
+
+# (seed, path) -> derive_seed(seed, *path), recorded from the numpy-scalar
+# fold this integer one replaced: negative, 2**63 and 10**30 parts and
+# seeds, all taken modulo 2**64
+GOLDEN_SEEDS = [
+    (0, (), 16294208416658607535),
+    (0, (2**63,), 6600752032320735575),
+    (0, (0, 2**63, -3, 10**30), 978863007691104071),
+    (-1, (0,), 4007111439069458218),
+    (-1, (-3,), 12989683958067131073),
+    (-1, (7, 3, 1), 1008356533106776615),
+    (2**64 + 5, (), 7134611160154358618),
+    (2**64 + 5, (10**30,), 15377848545899066164),
+    (2**64 + 5, (0, 2**63, -3, 10**30), 15919500379567710626),
+]
+
+
+def test_golden_seeds():
+    for seed, path, expected in GOLDEN_SEEDS:
+        assert derive_seed(seed, *path) == expected
+        # a numpy integer folds as its value (it once overflowed in ``& _MASK``)
+        assert derive_seed(np.int64(seed % 2**63), *path) == derive_seed(seed % 2**63, *path)
+    assert [u.hex() for u in derived_rng(9, 4, 2).random(3)] == [
+        "0x1.4c8f7aefe6e00p-3", "0x1.b4ba8872894c8p-1", "0x1.bcea7aaf8f596p-1",
+    ]
+    assert [u.hex() for u in derived_rng(-1, 10**30).random(3)] == [
+        "0x1.578f84a453558p-3", "0x1.8ae3e935b5868p-1", "0x1.e31502c2fb723p-1",
+    ]
+    for seed, sensor, query, expected in [
+        (0, 0, 0, "0x1.c4415072f63b9p-1"),
+        (5, 2**40, 7, "0x1.73085fc731150p-5"),
+        (-1, 3, 2**63, "0x1.7174eda4bd138p-3"),
+        (2**64 + 5, 10**30, -3, "0x1.f6aff487142d4p-2"),
+    ]:
+        assert CoinSource(seed).uniform(sensor, query) == float.fromhex(expected)
+
+
+def test_key_arrays_are_the_integer_mix():
+    # the batch mixer against the scalar one, which shares no code with it
+    ids = np.array([0, 1, 2**40, 2**63, 2**64 - 1, 12345], dtype=np.uint64)
+    before = ids.copy()
+    qkeys = query_keys(ids)
+    np.testing.assert_array_equal(ids, before)  # mixed on a copy
+    assert qkeys.dtype == np.uint64
+    assert [int(k) for k in qkeys] == [_mix(int(i)) for i in ids]
+    for seed in (0, -1, 2**63 + 7):
+        skeys = CoinSource(seed).sensor_keys(ids)
+        state = _mix(seed & _MASK)
+        assert [int(k) for k in skeys] == [_mix(state ^ _mix(int(i))) for i in ids]
+    np.testing.assert_array_equal(ids, before)
