@@ -15,7 +15,6 @@ from .harness import (
     NetworkState,
     RiskReport,
     RiskSample,
-    estimate_expected_risk,
     evaluate_conditional_risk,
     impossibility_demo,
     run_sweep,
@@ -43,7 +42,6 @@ from .scenarios import (
     Example,
     Scenario,
     bayes_classifier,
-    bayes_risk,
     make_scenario,
     regression_function,
 )

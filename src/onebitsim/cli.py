@@ -35,7 +35,7 @@ from .harness import (
     pool_workers,
     run_sweep,
 )
-from .protocols import Schedule
+from .protocols import PROTOCOLS, Schedule
 from .verify import run_verify_suites
 
 CSV_COLUMNS = (
@@ -152,10 +152,12 @@ def _parse_param_value(raw: str):
 def load_config_section(path: str, command: str) -> dict:
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
     except OSError as exc:
         raise ConfigError(f"config: cannot read {path!r} ({exc.strerror})") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"config: cannot read {path!r} (not UTF-8 text)") from None
     except configparser.Error as exc:
         raise ConfigError(f"config: parse failure: {exc}") from None
     if not parser.has_section(command):
@@ -252,9 +254,13 @@ def build_experiment_config(
 
 
 def _out_dir(args) -> Path:
-    out = os.environ.get("ONEBIT_SIM_OUT") or args.out
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    """The output directory (``ONEBIT_SIM_OUT``, else ``--out``), created
+    if missing; one that cannot be is an ``out:`` error."""
+    path = Path(os.environ.get("ONEBIT_SIM_OUT") or args.out)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out: cannot create {str(path)!r} ({exc.strerror})") from None
     return path
 
 
@@ -286,11 +292,11 @@ def _read_config(args, command: str, single_n: bool, defaults=None) -> Experimen
                                    defaults=defaults)
 
 
-def _emit(args, command: str, config, reports, started, extra=None) -> Path:
-    """Write ``<stem>.csv`` and ``<stem>.json``, the stem being the command with
-    ``_`` for ``-``, and print the table; return the path without suffix."""
+def _emit(args, out: Path, command: str, config, reports, started, extra=None) -> Path:
+    """Write ``<stem>.csv`` and ``<stem>.json`` into ``out``, the stem being
+    the command with ``_`` for ``-``, and print the table; return the path
+    without suffix."""
     finished = _now()
-    out = _out_dir(args)
     stem = command.replace("-", "_")
     write_csv(out / f"{stem}.csv", reports)
     manifest = _manifest(command, config, args.jobs, reports, started, finished, extra)
@@ -301,9 +307,10 @@ def _emit(args, command: str, config, reports, started, extra=None) -> Path:
 
 def _run_experiment(args, command: str, single_n: bool) -> int:
     config = _read_config(args, command, single_n)
+    out = _out_dir(args)
     started = _now()
     reports = run_sweep(config, jobs=args.jobs)
-    path = _emit(args, command, config, reports, started)
+    path = _emit(args, out, command, config, reports, started)
     print(f"wrote {path}.csv and {path}.json")
     return 0
 
@@ -323,6 +330,7 @@ def cmd_demo(args) -> int:
         impossibility_arms(config)
     except ValueError as exc:
         raise _config_error(exc) from None
+    out = _out_dir(args)
     started = _now()
     demo = impossibility_demo(config, jobs=args.jobs)
     reports = list(demo.noabstain_reports) + list(demo.abstain_reports)
@@ -330,7 +338,8 @@ def cmd_demo(args) -> int:
         "grid_mean_abs_estimate", "terminal_mse", "predicted_plateau_mse",
         "predicted_excess_plateau", "bayes_risk",
     )}
-    _emit(args, "demo-impossibility", config, reports, started, extra={"summary": summary})
+    _emit(args, out, "demo-impossibility", config, reports, started,
+          extra={"summary": summary})
     print(f"mean |estimate| on query grid at n={config.n_grid[-1]}: "
           f"{demo.grid_mean_abs_estimate:.5f}")
     print(f"terminal one-bit MSE: {demo.terminal_mse:.5f} "
@@ -352,19 +361,26 @@ def cmd_verify(args) -> int:
 
 
 def cmd_report(args) -> int:
-    src = Path(args.infile)
-    if not src.exists():
-        raise ConfigError(f"in: no such file {args.infile!r}")
-    out = _out_dir(args)
     by_protocol: dict[str, list[tuple[int, str]]] = {}
-    with open(src, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for column in ("protocol", "n", "excess_risk"):
-            if column not in (reader.fieldnames or ()):
-                raise ConfigError(f"in: {args.infile!r} has no {column!r} column")
-        for row in reader:
-            n = _parse_scalar("n", row["n"], int, "an integer")
-            by_protocol.setdefault(row["protocol"], []).append((n, row["excess_risk"]))
+    try:
+        with open(args.infile, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            for column in ("protocol", "n", "excess_risk"):
+                if column not in (reader.fieldnames or ()):
+                    raise ConfigError(f"in: {args.infile!r} has no {column!r} column")
+            for row in reader:
+                if row["protocol"] not in PROTOCOLS:  # it names an output file
+                    raise ConfigError(f"protocol: unknown {row['protocol']!r} "
+                                      f"on line {reader.line_num}")
+                n = _parse_scalar("n", row["n"] or "", int, "an integer")
+                excess = row["excess_risk"] or ""
+                _parse_scalar("excess_risk", excess, float, "a number")  # kept as written
+                by_protocol.setdefault(row["protocol"], []).append((n, excess))
+    except OSError as exc:
+        raise ConfigError(f"in: cannot read {args.infile!r} ({exc.strerror})") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"in: cannot read {args.infile!r} (not UTF-8 text)") from None
+    out = _out_dir(args)
     for protocol, rows in sorted(by_protocol.items()):
         path = out / f"convergence_{protocol}.dat"
         with open(path, "w") as fh:

@@ -35,7 +35,6 @@ from .protocols import (
 from .scenarios import (
     Example,
     Scenario,
-    bayes_risk,
     check_finite,
     in_ball,
     make_scenario,
@@ -348,7 +347,7 @@ def _cell_report(
         se = 0.0
         degenerate = True
     scenario = config.scenario()
-    lstar = bayes_risk(scenario)
+    lstar = scenario.bayes_risk()
     excess = mean - lstar
     if not degenerate and se > 0 and excess < -3.0 * se:
         raise RuntimeError(
@@ -383,9 +382,9 @@ def _cell_report(
 
 
 def _cell_reports(
-    arms: tuple[ExperimentConfig, ...], grid: tuple[int, ...], jobs: int, probe=None
+    arms: tuple[ExperimentConfig, ...], jobs: int, probe=None
 ) -> tuple[list[list[RiskReport]], Optional[np.ndarray]]:
-    """Run every (n, replication) of ``grid`` for all ``arms`` (which must
+    """Run every (n, replication) of ``n_grid`` for all ``arms`` (which must
     agree on ``shared``) in one pass over ``pool_workers`` processes, and
     summarise each arm's cells in grid order, charging each arm an equal
     share of a replication's time. Replication 0 at the largest n also
@@ -416,7 +415,7 @@ def _cell_reports(
             text = f"schedule outside sufficient conditions for {arm.protocol}: {verdict.reason}"
             warnings.warn(text, ScheduleViolationWarning, stacklevel=3)
         validity.append(verdict.status)
-    reps = arms[0].replications
+    grid, reps = arms[0].n_grid, arms[0].replications
     tasks = [(arms, n, rep) for n in grid for rep in range(reps)]
     last = len(tasks) - reps  # replication 0 at the largest n
     if probe is not None:
@@ -445,25 +444,13 @@ def _cell_reports(
     return reports, None if probe is None else timed[last][0][-1]
 
 
-def estimate_expected_risk(
-    config: ExperimentConfig, n: int, jobs: int = 1
-) -> RiskReport:
-    """Average the conditional risk over fresh replications at size n.
-
-    Replication seeds derive from (master seed, n, replication index), so
-    the result is independent of execution order and of ``jobs``. The
-    report's ``wall_time_s`` is the sum of the replications' own durations.
-    """
-    if n not in config.n_grid:
-        raise ValueError(f"n: {n} is not in n_grid {config.n_grid}")
-    reports, _ = _cell_reports((config,), (n,), jobs)
-    return reports[0][0]
-
-
 def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[RiskReport]:
-    """One RiskReport per grid size, as ``estimate_expected_risk`` gives it,
-    from one pool over all of the sweep's (n, replication) tasks."""
-    reports, _ = _cell_reports((config,), config.n_grid, jobs)
+    """One RiskReport per grid size, from one pool over all of the sweep's
+    (n, replication) tasks. Every stream derives from (master seed, n,
+    replication), so a cell is the same whatever ``jobs``, the task order
+    or the rest of the grid: a single cell is a sweep over a one-n grid.
+    A report's ``wall_time_s`` is the sum of its replications' durations."""
+    reports, _ = _cell_reports((config,), jobs)
     return reports[0]
 
 
@@ -523,9 +510,9 @@ def impossibility_demo(
     scenario = config.scenario()
     lo, hi = scenario.support_box
     grid = np.linspace(lo[0], hi[0], 101)[:, None]
-    reports, values = _cell_reports(arms, config.n_grid, jobs, probe=grid)
+    reports, values = _cell_reports(arms, jobs, probe=grid)
     noabstain_reports, abstain_reports = map(tuple, reports)
-    lstar = bayes_risk(scenario)
+    lstar = scenario.bayes_risk()
     m2 = scenario.second_moment()
     return ImpossibilityReport(
         noabstain_reports=noabstain_reports,

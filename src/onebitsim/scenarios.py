@@ -100,7 +100,7 @@ class Scenario:
         """Regression function E[Y | X=x], vectorized over rows of ``xs``."""
         raise NotImplementedError
 
-    def closed_form_bayes_risk(self) -> float:
+    def bayes_risk(self) -> float:
         """Optimal risk: E[min(eta, 1 - eta)] or E[Var(Y | X)]."""
         raise NotImplementedError
 
@@ -147,7 +147,7 @@ class GaussianPairScenario(Scenario):
     def eta(self, xs):
         return expit(2.0 * (xs @ self.mu) / self.sigma**2)
 
-    def closed_form_bayes_risk(self):
+    def bayes_risk(self):
         return float(ndtr(-self._mu_norm / self.sigma))
 
 
@@ -217,7 +217,7 @@ class CheckerboardScenario(UniformBoxScenario):
         even = (cells.sum(axis=1) % 2) == 0
         return np.where(even, self.p_on, self.p_off)
 
-    def closed_form_bayes_risk(self):
+    def bayes_risk(self):
         k2 = self.k * self.k
         w_on = math.ceil(k2 / 2) / k2  # even-parity cells (one extra if k odd)
         return w_on * min(self.p_on, 1 - self.p_on) + (1 - w_on) * min(
@@ -263,7 +263,7 @@ class CityscapeScenario(UniformBoxScenario):
         inside = in_ball(xs, self.center, self.zone_radius)
         return np.where(inside, 1.0 - self.flip, self.flip)
 
-    def closed_form_bayes_risk(self):
+    def bayes_risk(self):
         return min(self.flip, 1 - self.flip)
 
 
@@ -292,7 +292,7 @@ class SineScenario(UniformBoxScenario):
     def noise_variance(self, xs):
         return np.full(xs.shape[0], self.noise**2)
 
-    def closed_form_bayes_risk(self):
+    def bayes_risk(self):
         return self.noise**2
 
     def second_moment(self):
@@ -385,8 +385,3 @@ def bayes_classifier(scenario: Scenario, x) -> int:
     if scenario.task != "classification":
         raise ValueError(f"{scenario.id} is not a classification scenario")
     return int(regression_function(scenario, x) >= 0.5)
-
-
-def bayes_risk(scenario: Scenario) -> float:
-    """Optimal expected loss, in the scenario's closed form."""
-    return scenario.closed_form_bayes_risk()

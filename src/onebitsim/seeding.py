@@ -13,18 +13,19 @@ Two mechanisms:
   ``(sensor, query)`` is a hash of ``(seed, sensor, query)``, computable
   scalar-wise or for whole index arrays with identical results.
 
-The coin hash ``_fold(seed, (s, q))`` is ``_mix(K[s] ^ Q[q])`` with a
-per-sensor key ``K[s] = _mix(_mix(seed) ^ _mix(s))`` and a per-query key
-``Q[q] = _mix(q)``: the key/counter split of counter-based generators
-(Salmon et al., SC'11) over the splitmix64 finalizer (Steele et al.,
-OOPSLA'14). It is plain 64-bit integer arithmetic, so the scalar path
-(``_mix``, ``derive_seed``, ``uniform``) runs it in Python integers masked
-to 64 bits, a few times cheaper per call than numpy scalars. Batch engines
-compute ``K`` once per sensor and ``Q`` once per query and pay one mix per
-pair, run in place on uint64 arrays (``_mix_inplace``, under ``pair_bits``,
-or ``run_bits`` for runs of sensors against one query each), bit for bit
-equal to the scalar ``uniform``, which folds the full path and stays the
-reference: the two share no code.
+The coin bits at ``(s, q)`` are ``derive_seed(seed, s, q)``, which equals
+``_mix(K[s] ^ Q[q])`` with a per-sensor key ``K[s] = _mix(_mix(seed) ^
+_mix(s))`` and a per-query key ``Q[q] = _mix(q)``: the key/counter split
+of counter-based generators (Salmon et al., SC'11) over the splitmix64
+finalizer (Steele et al., OOPSLA'14). It is plain 64-bit integer
+arithmetic, so the scalar path (``_mix``, ``derive_seed``, ``uniform``)
+runs it in Python integers masked to 64 bits, a few times cheaper per call
+than numpy scalars. Batch engines compute ``K`` once per sensor and ``Q``
+once per query and pay one mix per pair, run in place on uint64 arrays
+(``_mix_inplace``, under ``uniform_array``, or ``run_bits`` for runs of
+sensors against one query each), bit for bit equal to the scalar
+``uniform``, which derives the full path and stays the reference: the two
+share no code.
 """
 
 from __future__ import annotations
@@ -50,31 +51,21 @@ def _mix(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _fold(seed: int, parts: tuple) -> int:
-    """Absorb integer path components, each taken modulo 2^64, into a state."""
-    state = _mix(int(seed) & _MASK)
-    for part in parts:
-        state = _mix(state ^ _mix(int(part) & _MASK))
-    return state
-
-
 def derive_seed(seed: int, *path: int) -> int:
     """Derive a child seed from ``seed`` and an integer path.
 
     Distinct paths give (statistically) independent child seeds; the same
-    path always gives the same child.
+    path always gives the same child. Each part, the seed too, counts modulo 2^64.
     """
-    return _fold(seed, path)
+    state = _mix(int(seed) & _MASK)
+    for part in path:
+        state = _mix(state ^ _mix(int(part) & _MASK))
+    return state
 
 
 def derived_rng(seed: int, *path: int) -> np.random.Generator:
     """numpy Generator seeded by ``derive_seed(seed, *path)``."""
     return np.random.default_rng(derive_seed(seed, *path))
-
-
-def to_unit(bits: np.ndarray) -> np.ndarray:
-    """The top 53 bits of each uint64 as a uniform in [0, 1)."""
-    return (bits >> _U64(11)).astype(np.float64) * 2.0**-53
 
 
 def query_keys(queries) -> np.ndarray:
@@ -102,23 +93,11 @@ def _mix_inplace(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def pair_bits(skeys: np.ndarray, qkeys: np.ndarray) -> np.ndarray:
-    """Coin bits ``_mix(K ^ Q)`` of broadcast sensor and query key arrays;
-    ``to_unit`` of them is the uniform at each (sensor, query) address.
-
-    Runs ``_mix``'s steps in place, so a pair costs its output and no
-    more. ``_mix`` itself, in Python integers, is what the scalar
-    ``CoinSource.uniform`` folds with, which keeps the reference
-    independent of this copy.
-    """
-    return _mix_inplace(np.asarray(np.bitwise_xor(skeys, qkeys)))
-
-
 def run_bits(keys: np.ndarray, qkeys, lo, hi, out: np.ndarray) -> np.ndarray:
-    """``pair_bits`` of the runs ``keys[lo[j]:hi[j]]`` against ``qkeys[j]``,
-    written run after run into the head of the uint64 buffer ``out``, which
-    is returned: each query's key meets its run in place, so the chunk's
-    pairs are hashed without building their concatenated keys."""
+    """Coin bits ``_mix(K ^ Q)`` of the runs ``keys[lo[j]:hi[j]]`` against
+    ``qkeys[j]``, written run after run into the head of the uint64 buffer
+    ``out``, which is returned: each query's key meets its run in place, so
+    the chunk's pairs are hashed without building their concatenated keys."""
     pos = 0
     for q, a, b in zip(qkeys, lo, hi):
         np.bitwise_xor(keys[a:b], q, out=out[pos:pos + b - a])
@@ -138,15 +117,16 @@ class CoinSource:
     seed: int
 
     def uniform(self, sensor: int, query: int) -> float:
-        return (_fold(self.seed, (sensor, query)) >> 11) * 2.0**-53  # exact: < 2^53
+        return (derive_seed(self.seed, sensor, query) >> 11) * 2.0**-53  # exact: < 2^53
 
     def sensor_keys(self, sensors) -> np.ndarray:
         """Per-sensor keys ``K[s] = _mix(_mix(seed) ^ _mix(s))``, mixed in
-        place like ``pair_bits``: they cost the keys array and no more."""
+        place: they cost the keys array and no more."""
         k = _mix_inplace(np.array(sensors, dtype=np.uint64))
         np.bitwise_xor(k, _U64(_mix(int(self.seed) & _MASK)), out=k)
         return _mix_inplace(k)
 
     def uniform_array(self, sensors, queries) -> np.ndarray:
         """Vectorized lookup; ``sensors`` and ``queries`` broadcast together."""
-        return to_unit(pair_bits(self.sensor_keys(sensors), query_keys(queries)))
+        bits = np.asarray(np.bitwise_xor(self.sensor_keys(sensors), query_keys(queries)))
+        return (_mix_inplace(bits) >> _U64(11)).astype(np.float64) * 2.0**-53

@@ -159,7 +159,7 @@ def test_criterion_4_abstention_bandwidth_contrast():
             seed=0,
             coin_mode=coin_mode,
         )
-        return hn.estimate_expected_risk(config, 10**5)
+        return hn.run_sweep(config)[0]
 
     abstain_hi = run("cls_abstain", 0.75)
     noabstain_hi = run("cls_noabstain", 0.75)

@@ -1,5 +1,6 @@
-"""The names the sweep benchmark wraps must exist, so a renamed helper
-fails here instead of silently dropping the benchmark's per-layer metrics."""
+"""The names the sweep benchmark wraps and sets up with must exist, so a
+renamed helper fails here instead of silently dropping the benchmark's
+per-layer metrics or failing its set-up."""
 
 import importlib.util
 import sys
@@ -8,23 +9,39 @@ from pathlib import Path
 
 import pytest
 
+from onebitsim import cli
 from onebitsim import harness as hn
 from onebitsim.protocols import Schedule
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _load(name: str):
+    """The benchmark's ``<name>.py``, loaded by path: its directory is no package."""
+    path = PERFBENCH / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
 
 
+WORKLOADS = _load("workloads").WORKLOADS
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_benchmark_setup_reads_each_workload_config(tmp_path, workload):
+    # set-up parses and validates the generated config through cli's names
+    w = WORKLOADS[workload]
+    config = tmp_path / "config.ini"
+    config.write_text(w.config_text(0))
+    module, setup_s = _load("child")._setup(w.command, str(config))
+    assert module is cli and setup_s >= 0.0
+
+
 @pytest.mark.filterwarnings("ignore::onebitsim.protocols.ScheduleViolationWarning")
 def test_every_benchmark_hook_installs_and_records():
-    spans = _load_spans()
+    spans = _load("spans")
     tracer = spans.Tracer()
     hooks = spans.install(tracer)
     try:

@@ -331,6 +331,75 @@ def test_report_names_missing_column(tmp_path, capsys):
     assert "no 'protocol' column" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "row,key",
+    [
+        ("cls_abstain", "n"),  # once a TypeError
+        ("cls_abstain,100", "excess_risk"),  # once written as "100 None"
+        ("cls_abstain,100,abc", "excess_risk"),  # once copied through
+        (",100,0.5", "protocol"),  # once written to convergence_.dat
+        ("a/b,100,0.5", "protocol"),  # once a FileNotFoundError
+    ],
+)
+def test_report_rejects_a_row_by_the_key_it_lacks(tmp_path, capsys, row, key):
+    src = tmp_path / "sweep.csv"
+    src.write_text(f"protocol,n,excess_risk\ncls_abstain,50,0.25\n{row}\n")
+    out = tmp_path / "figs"
+    assert cli.main(["report", "--in", str(src), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["directory", "latin-1"])
+def test_report_names_an_unreadable_input(tmp_path, capsys, kind):
+    src = tmp_path / "in"
+    if kind == "directory":
+        src.mkdir()
+    else:
+        src.write_bytes("protocol,n,excess_risk\ncaf\u00e9,50,0.25\n".encode("latin-1"))
+    assert cli.main(["report", "--in", str(src), "--out", str(tmp_path / "figs")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: in: cannot read {str(src)!r}")
+
+
+def test_report_keeps_the_excess_risk_text(tmp_path):
+    src = tmp_path / "sweep.csv"
+    src.write_text("protocol,n,excess_risk\nspecialists,100,1e-3\nspecialists,50,0.250\n"
+                   "reg_abstain,7,-0.0\n")
+    assert cli.main(["report", "--in", str(src), "--out", str(tmp_path)]) == 0
+    dat = lambda protocol: (tmp_path / f"convergence_{protocol}.dat").read_text()
+    assert dat("specialists") == "# n excess_risk\n50 0.250\n100 1e-3\n"
+    assert dat("reg_abstain") == "# n excess_risk\n7 -0.0\n"
+
+
+def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_bytes(SWEEP_INI.replace("seed = 9", "seed = 9 # caf\u00e9").encode("latin-1"))
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: config: cannot read {str(cfg)!r}")
+
+
+@pytest.mark.parametrize("via", ["flag", "env"])
+@pytest.mark.parametrize("command", ["sweep", "demo-impossibility", "report"])
+def test_out_naming_a_file_fails_before_any_run(tmp_path, capsys, monkeypatch, command, via):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    never = lambda *args, **kwargs: pytest.fail("ran before the out error")
+    monkeypatch.setattr(cli, "run_sweep", never)
+    monkeypatch.setattr(cli, "impossibility_demo", never)
+    argv = {
+        "sweep": ["sweep", "--config", write(tmp_path, SWEEP_INI)],
+        "demo-impossibility": ["demo-impossibility"],
+        "report": ["report", "--in", write(tmp_path, "protocol,n,excess_risk\n", "s.csv")],
+    }[command]
+    if via == "flag":
+        argv += ["--out", str(taken)]
+    else:
+        monkeypatch.setenv("ONEBIT_SIM_OUT", str(taken))
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: out: cannot create {str(taken)!r}")
+    assert taken.read_text() == ""
+
+
 def test_missing_config_file(capsys):
     assert cli.main(["sweep", "--config", "/nonexistent.ini", "--out", "/tmp"]) == 2
     assert "config:" in capsys.readouterr().err

@@ -230,9 +230,9 @@ def test_monte_carlo_matches_exact_oracle_at_fixed_query():
     assert abs(mc - exact) <= 0.005
 
 
-def test_estimate_expected_risk_report_fields():
-    cfg = small_config()
-    report = hn.estimate_expected_risk(cfg, 200)
+def test_one_cell_report_fields():
+    cfg = small_config(n_grid=(200,))
+    [report] = hn.run_sweep(cfg)
     assert report.n == 200
     assert report.replications == 3
     assert report.excess_risk == pytest.approx(report.risk_mean - report.bayes_risk)
@@ -242,21 +242,20 @@ def test_estimate_expected_risk_report_fields():
     assert 0.0 <= report.abstain_rate <= 1.0
     assert not report.se_degenerate
     assert report.schedule_validity == "satisfies"
-    with pytest.raises(ValueError, match=r"^n: 75 is not in n_grid \(50, 200\)$"):
-        hn.estimate_expected_risk(cfg, 75)
 
 
-def test_estimate_expected_risk_single_replication_flagged():
-    report = hn.estimate_expected_risk(small_config(replications=1), 50)
+def test_one_cell_single_replication_flagged():
+    [report] = hn.run_sweep(small_config(replications=1, n_grid=(50,)))
     assert report.se_degenerate
     assert report.risk_se == 0.0
 
 
-def test_estimate_expected_risk_negative_excess_guard(monkeypatch):
+def test_one_cell_negative_excess_guard(monkeypatch):
     # a wrong ground-truth value must be caught, not reported
-    monkeypatch.setattr(hn, "bayes_risk", lambda scenario: 0.9)
+    cfg = small_config(n_grid=(200,))
+    monkeypatch.setattr(type(cfg.scenario()), "bayes_risk", lambda scenario: 0.9)
     with pytest.raises(RuntimeError, match="ground-truth"):
-        hn.estimate_expected_risk(small_config(), 200)
+        hn.run_sweep(cfg)
 
 
 def test_run_sweep_deterministic_and_jobs_independent():
@@ -268,6 +267,11 @@ def test_run_sweep_deterministic_and_jobs_independent():
     assert [strip(r) for r in a] == [strip(r) for r in b]
     assert [strip(r) for r in a] == [strip(r) for r in c]
     assert [r.n for r in a] == [50, 200]
+    # every stream derives from (seed, n, rep): a one-n sweep is that n's cell
+    for jobs in (1, 2):
+        for n, cell in zip(cfg.n_grid, a):
+            [one] = hn.run_sweep(dataclasses.replace(cfg, n_grid=(n,)), jobs)
+            assert strip(one) == strip(cell)
 
 
 def test_run_sweep_runs_every_cell_through_one_pool(monkeypatch):
@@ -288,7 +292,7 @@ def test_run_sweep_runs_every_cell_through_one_pool(monkeypatch):
     assert [strip(r) for r in pooled] == [strip(r) for r in serial]
     assert all(r.wall_time_s > 0 for r in pooled)
     # the guard still fires, for the first failing cell in grid order
-    monkeypatch.setattr(hn, "bayes_risk", lambda scenario: 0.9)
+    monkeypatch.setattr(type(cfg.scenario()), "bayes_risk", lambda scenario: 0.9)
     first = serial[0].risk_mean - 0.9
     with pytest.raises(RuntimeError, match=f"excess risk {first:.6g} .*ground-truth"):
         hn.run_sweep(cfg, jobs=2)
@@ -396,8 +400,8 @@ def test_run_sweep_single_point_grid():
 
 
 def test_seed_changes_risk_columns_only():
-    a = hn.estimate_expected_risk(small_config(seed=1), 200)
-    b = hn.estimate_expected_risk(small_config(seed=2), 200)
+    [a] = hn.run_sweep(small_config(seed=1, n_grid=(200,)))
+    [b] = hn.run_sweep(small_config(seed=2, n_grid=(200,)))
     assert a.bayes_risk == b.bayes_risk
     assert a.r_n == b.r_n and a.c_n == b.c_n
     assert a.risk_mean != b.risk_mean
@@ -508,7 +512,8 @@ def test_a_run_warns_once_per_violating_arm_in_the_caller(jobs):
     config = demo_config(schedule=Schedule(0.5, 0.95))
     runs = [
         (lambda: hn.run_sweep(config, jobs), ["reg_noabstain"]),
-        (lambda: hn.estimate_expected_risk(config, 200, jobs), ["reg_noabstain"]),
+        (lambda: hn.run_sweep(dataclasses.replace(config, n_grid=(200,)), jobs),
+         ["reg_noabstain"]),
         (lambda: hn.impossibility_demo(config, jobs), ["reg_noabstain", "reg_abstain"]),
     ]
     for run, protocols in runs:
@@ -588,7 +593,7 @@ def test_arms_must_share_training_and_test_draws(field, value):
     else:
         other = dataclasses.replace(contrast, **{field: value})
     with pytest.raises(ValueError, match=f"^{field}: every arm must share"):
-        hn._cell_reports((config, other), config.n_grid, 1)
+        hn._cell_reports((config, other), 1)
 
 
 @pytest.mark.filterwarnings("ignore::onebitsim.protocols.ScheduleViolationWarning")
@@ -596,7 +601,7 @@ def test_each_arm_is_charged_an_equal_share_of_a_replication(monkeypatch):
     arms = hn.impossibility_arms(demo_config())
     sample = hn.RiskSample(0.6, 0.0, 0.0)
     monkeypatch.setattr(hn, "_timed_replication", lambda task: ((sample, sample), 1.0))
-    (noabstain, abstain), values = hn._cell_reports(arms, arms[0].n_grid, 1)
+    (noabstain, abstain), values = hn._cell_reports(arms, 1)
     assert values is None  # no probe queries, no answers
     # two replications of 1 s per cell, half of each charged to each arm
     assert [r.wall_time_s for r in noabstain + abstain] == [1.0] * 4
@@ -608,7 +613,7 @@ def test_demo_preconditions_name_their_field():
 
 
 def test_abstention_telemetry_flows_into_report():
-    report = hn.estimate_expected_risk(small_config(schedule=Schedule(0.05, 0.3)), 50)
+    [report] = hn.run_sweep(small_config(schedule=Schedule(0.05, 0.3), n_grid=(50,)))
     assert report.abstain_rate > 0.9
     assert report.all_abstain_frac > 0.0
 

@@ -11,12 +11,11 @@ from scipy.spatial import cKDTree
 from scipy.stats import binom
 
 from onebitsim import predict as pd
-from onebitsim import seeding
 from onebitsim.harness import train_network
 from onebitsim.oracle import exact_conditional_error_at_x
 from onebitsim.protocols import Schedule
 from onebitsim.scenarios import in_ball, make_scenario
-from onebitsim.seeding import CoinSource, to_unit
+from onebitsim.seeding import CoinSource
 from onebitsim.verify import scalar_predict
 
 
@@ -156,7 +155,7 @@ def test_per_query_cls_noabstain_hashes_one_coin_per_query(sid, monkeypatch):
 
     monkeypatch.setattr(pd, "_in_ball_votes", no_pairs)
     counted(pd, "run_bits")
-    counted(seeding, "pair_bits")
+    counted(CoinSource, "uniform_array")
     scen = make_scenario(sid)
     net = train_network(
         "cls_noabstain", scen, 70, Schedule(0.4, 0.2, 1.0, 0.1), seed=13,
@@ -278,7 +277,7 @@ def test_two_arm_bias_table_matches_one_row_calls(monkeypatch):
 
 def test_integer_bias_test_is_the_uniform_test(monkeypatch):
     # the kernel tests k < b * 2^53 (k: a coin's top 53 bits, b * 2^53: the
-    # table batch_regression scales in place); that is to_unit(bits) < b at
+    # table batch_regression scales in place); that is the uniform < b at
     # the biases where a rounding would show, and at biases out of [0, 1]
     rng = np.random.default_rng(12)
     top = 2**53 - 1
@@ -304,7 +303,7 @@ def test_integer_bias_test_is_the_uniform_test(monkeypatch):
     counts, votes = pd._in_ball_votes(
         pd._BallLookup(xs, 0.25), CoinSource(0), biases[None, :] * 2.0**53, xs
     )
-    expected = to_unit(coins) < biases
+    expected = (coins >> np.uint64(11)).astype(float) * 2.0**-53 < biases
     assert counts.tolist() == [1] * len(coins) and 0 < expected.sum() < len(coins)
     np.testing.assert_array_equal(votes[0], expected)
 

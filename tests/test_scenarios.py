@@ -87,13 +87,13 @@ def test_bayes_classifier_values_and_tie():
 
 def test_bayes_risk_values():
     sine = sc.make_scenario("sine_1d", noise=0.1)
-    assert sc.bayes_risk(sine) == pytest.approx(0.01, abs=1e-15)
+    assert sine.bayes_risk() == pytest.approx(0.01, abs=1e-15)
     gm = sc.make_scenario("gauss_mix_1d")
-    assert sc.bayes_risk(gm) == pytest.approx(PHI_MINUS_1, abs=1e-12)
-    assert sc.bayes_risk(gm) == pytest.approx(float(norm.cdf(-1.0)), abs=1e-15)
+    assert gm.bayes_risk() == pytest.approx(PHI_MINUS_1, abs=1e-12)
+    assert gm.bayes_risk() == pytest.approx(float(norm.cdf(-1.0)), abs=1e-15)
     # degenerate: Y identically 1 on every cell
     const = sc.make_scenario("checkerboard_2d", p_on=1.0, p_off=1.0)
-    assert sc.bayes_risk(const) == 0.0
+    assert const.bayes_risk() == 0.0
     _, ys = const.sample(np.random.default_rng(3), 1000)
     assert np.all(ys == 1)
 
@@ -101,7 +101,7 @@ def test_bayes_risk_values():
 @pytest.mark.parametrize("sid", ALL_IDS)
 def test_closed_form_matches_quadrature(sid):
     scen = sc.make_scenario(sid)
-    closed = scen.closed_form_bayes_risk()
+    closed = scen.bayes_risk()
     assert abs(closed - ref.numerical_bayes_risk(scen, tol=1e-6)) <= 1e-6
 
 
@@ -109,7 +109,7 @@ def test_closed_form_matches_quadrature(sid):
 def test_bayes_classifier_risk_matches_bayes_risk(sid):
     # the integrated risk of the implemented classifier, not of the formula
     scen = sc.make_scenario(sid)
-    assert abs(ref.numerical_classifier_risk(scen) - sc.bayes_risk(scen)) <= 1e-5
+    assert abs(ref.numerical_classifier_risk(scen) - scen.bayes_risk()) <= 1e-5
 
 
 def test_sine_second_moment_quadrature_cross_check():
