@@ -264,6 +264,23 @@ def _out_dir(args) -> Path:
     return path
 
 
+def _out_stem(args, command: str) -> Path:
+    """``<out>/<stem>``, the stem being the command with ``_`` for ``-``.
+    Its ``.csv`` and ``.json`` are opened for appending (and a new one
+    removed again) before the run, so that one which cannot be written is
+    an ``out:`` error rather than a traceback after the last cell."""
+    stem = _out_dir(args) / command.replace("-", "_")
+    for path in (Path(f"{stem}.csv"), Path(f"{stem}.json")):
+        existed = path.exists()
+        try:
+            open(path, "a").close()
+        except OSError as exc:
+            raise ConfigError(f"out: cannot write {str(path)!r} ({exc.strerror})") from None
+        if not existed:
+            path.unlink()
+    return stem
+
+
 def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
@@ -292,26 +309,22 @@ def _read_config(args, command: str, single_n: bool, defaults=None) -> Experimen
                                    defaults=defaults)
 
 
-def _emit(args, out: Path, command: str, config, reports, started, extra=None) -> Path:
-    """Write ``<stem>.csv`` and ``<stem>.json`` into ``out``, the stem being
-    the command with ``_`` for ``-``, and print the table; return the path
-    without suffix."""
+def _emit(args, stem: Path, command: str, config, reports, started, extra=None) -> None:
+    """Write ``<stem>.csv`` and ``<stem>.json`` (``_out_stem``) and print the table."""
     finished = _now()
-    stem = command.replace("-", "_")
-    write_csv(out / f"{stem}.csv", reports)
+    write_csv(Path(f"{stem}.csv"), reports)
     manifest = _manifest(command, config, args.jobs, reports, started, finished, extra)
-    write_json(out / f"{stem}.json", manifest)
+    write_json(Path(f"{stem}.json"), manifest)
     _print_table(reports)
-    return out / stem
 
 
 def _run_experiment(args, command: str, single_n: bool) -> int:
     config = _read_config(args, command, single_n)
-    out = _out_dir(args)
+    stem = _out_stem(args, command)
     started = _now()
     reports = run_sweep(config, jobs=args.jobs)
-    path = _emit(args, out, command, config, reports, started)
-    print(f"wrote {path}.csv and {path}.json")
+    _emit(args, stem, command, config, reports, started)
+    print(f"wrote {stem}.csv and {stem}.json")
     return 0
 
 
@@ -330,7 +343,7 @@ def cmd_demo(args) -> int:
         impossibility_arms(config)
     except ValueError as exc:
         raise _config_error(exc) from None
-    out = _out_dir(args)
+    stem = _out_stem(args, "demo-impossibility")
     started = _now()
     demo = impossibility_demo(config, jobs=args.jobs)
     reports = list(demo.noabstain_reports) + list(demo.abstain_reports)
@@ -338,7 +351,7 @@ def cmd_demo(args) -> int:
         "grid_mean_abs_estimate", "terminal_mse", "predicted_plateau_mse",
         "predicted_excess_plateau", "bayes_risk",
     )}
-    _emit(args, out, "demo-impossibility", config, reports, started,
+    _emit(args, stem, "demo-impossibility", config, reports, started,
           extra={"summary": summary})
     print(f"mean |estimate| on query grid at n={config.n_grid[-1]}: "
           f"{demo.grid_mean_abs_estimate:.5f}")

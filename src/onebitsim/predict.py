@@ -19,8 +19,11 @@ one regression scenario, ``sine_1d``, has one) and lists in-ball (sensor,
 query) pairs in one place, ``_in_ball_votes``, in chunks of about
 ``_PAIR_BLOCK`` pairs, so peak memory stays bounded regardless of how many
 pairs a batch touches. The sensors are sorted by coordinate, so a query's
-in-ball sensors are one contiguous run. The engine builds its per-sensor
-tables (coin keys, biases) in that order once per call. A chunk's coins
+in-ball sensors are one contiguous run. The engine finds every query's
+run first, drops the padded sorted coordinates, builds one bias row per
+arm in sorted order, and then turns the sort order itself into the sensor
+coin keys in place, so the pair pass holds three n-sized tables for two
+arms (the keys and the two bias rows) and two for one arm. A chunk's coins
 fill two reused buffers: each query's run of sensor keys is hashed with
 the query's key in place (``run_bits``), and each run's coins then meet
 the same run of each bias row, so no pair-sized key, bias or position
@@ -137,11 +140,6 @@ class _BallLookup:
             self._padded = np.full(len(flat) + 2, np.nan)
             self.sorted_x = np.take(flat, self.order, out=self._padded[1:-1])
 
-    def stored(self, table: np.ndarray, out=None) -> np.ndarray:
-        """1-d: a per-point table permuted into storage order, written to
-        ``out`` (unbuffered, as every index is in range) or to a new array."""
-        return np.take(table, self.order, out=out, mode="clip")
-
     def _bounds(self, queries: np.ndarray):
         """1-d: each query's in-ball run [lo, hi) in storage order: exactly
         the points ``in_ball`` admits. Bisection on q - r and q + r is the
@@ -186,7 +184,7 @@ class _BallLookup:
             sums = []
             for f in flags:
                 pref = np.zeros(len(f) + 1, dtype=np.int64)
-                np.cumsum(self.stored(f), out=pref[1:])
+                np.cumsum(f[self.order], out=pref[1:])
                 sums.append(pref[hi] - pref[lo])
             return hi - lo, sums
         # one tree per flag pattern: every point is in exactly one class, so
@@ -208,21 +206,20 @@ class _BallLookup:
         return counts, sums
 
 
-def _in_ball_votes(lookup, coin, scaled, queries):
-    """Per-query counts of in-ball sensors and, for each row of the (arms,
-    n) storage-order table ``scaled`` (biases times 2^53), of those whose
-    coin at (sensor, query), hashed once for all rows, falls below the
-    row's bias.
+def _in_ball_votes(keys, lo, hi, scaled):
+    """Per-query counts of in-ball sensors, the runs [lo, hi) of storage
+    positions, and, for each row of the (arms, n) storage-order table
+    ``scaled`` (biases times 2^53), of those whose coin at (sensor, query),
+    hashed once for all rows from the storage-order sensor ``keys``, falls
+    below the row's bias.
 
     Whole queries go in chunks of at most ~``_PAIR_BLOCK`` in-ball pairs (a
     single query may exceed it), hashed into one reused buffer. A coin's
     top 53 bits k, cast once to float (exact, as k < 2^53), meet each
     row's slice for the same run. The coin's uniform is u = k * 2^-53, and
     scaling by a power of two is exact, so k < b * 2^53 exactly when u < b."""
-    t = len(queries)
-    keys = coin.sensor_keys(lookup.order)
+    t = len(lo)
     qkeys = query_keys(np.arange(t))
-    lo, hi = lookup._bounds(queries)
     counts = hi - lo
     votes = np.zeros((len(scaled), t), dtype=np.int64)
     size = max(_PAIR_BLOCK, int(counts.max(initial=0)))  # the largest chunk
@@ -321,10 +318,11 @@ def batch_cls_noabstain(network, queries, coin_seed, default_label):
 
 def _reg_abstain_rule(network, row):
     c = network.c_n  # biases ys / 2c + 1/2 inside the clamp, 1/2 outside
-    inside = np.abs(row) <= c
+    outside = row > c  # |y| > c for finite y, without an n-sized |row|
+    outside |= row < -c
     row /= 2.0 * c
     row += 0.5
-    row[~inside] = 0.5
+    row[outside] = 0.5
 
     def fuse(counts, votes, coin):
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -366,11 +364,20 @@ def batch_regression(network, queries, coin_seed, default_label):
     if None in rules or any(a.xs is not first.xs or a.r_n != first.r_n for a in arms[1:]):
         raise ValueError("network: arms must be regression networks sharing xs and r_n")
     coin = CoinSource(coin_seed)
+    # three n-sized tables at a time: the runs are found first, so the
+    # padded sorted coordinates go before the bias rows are made, and the
+    # sort order (int64 positions, read as uint64 sensors) becomes the keys
     lookup = _BallLookup(first.xs, first.r_n)
+    lo, hi = lookup._bounds(queries)
+    order = lookup.order
+    del lookup
     biases = np.empty((len(arms), first.n))
-    fuses = [rule(a, lookup.stored(a.ys, out=row)) for rule, a, row in zip(rules, arms, biases)]
+    # each row in storage order, unbuffered as every index is in range
+    fuses = [rule(a, np.take(a.ys, order, out=row, mode="clip"))
+             for rule, a, row in zip(rules, arms, biases)]
     biases *= 2.0**53  # exact: the kernel compares integer coin bits
-    counts, votes = _in_ball_votes(lookup, coin, biases, queries)
+    keys = coin.sensor_keys_in_place(order.view(np.uint64))
+    counts, votes = _in_ball_votes(keys, lo, hi, biases)
     fused = [fuse(counts, v, coin) for fuse, v in zip(fuses, votes)]
     values, responders = (np.array(x) for x in zip(*fused))
     if not isinstance(network, tuple):

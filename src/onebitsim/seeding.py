@@ -121,10 +121,15 @@ class CoinSource:
 
     def sensor_keys(self, sensors) -> np.ndarray:
         """Per-sensor keys ``K[s] = _mix(_mix(seed) ^ _mix(s))``, mixed in
-        place: they cost the keys array and no more."""
-        k = _mix_inplace(np.array(sensors, dtype=np.uint64))
-        np.bitwise_xor(k, _U64(_mix(int(self.seed) & _MASK)), out=k)
-        return _mix_inplace(k)
+        place on a fresh copy, so the caller's array is left as it was."""
+        return self.sensor_keys_in_place(np.array(sensors, dtype=np.uint64))
+
+    def sensor_keys_in_place(self, sensors: np.ndarray) -> np.ndarray:
+        """``sensor_keys`` written over the contiguous uint64 array
+        ``sensors``, which is returned: the keys cost no array of their own."""
+        _mix_inplace(sensors)
+        np.bitwise_xor(sensors, _U64(_mix(int(self.seed) & _MASK)), out=sensors)
+        return _mix_inplace(sensors)
 
     def uniform_array(self, sensors, queries) -> np.ndarray:
         """Vectorized lookup; ``sensors`` and ``queries`` broadcast together."""

@@ -400,6 +400,24 @@ def test_out_naming_a_file_fails_before_any_run(tmp_path, capsys, monkeypatch, c
     assert taken.read_text() == ""
 
 
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+@pytest.mark.parametrize("command", ["simulate", "sweep", "demo-impossibility"])
+def test_an_output_file_that_is_a_directory_fails_before_any_run(
+    tmp_path, capsys, monkeypatch, command, suffix
+):
+    out = tmp_path / "o"
+    blocked = out / (command.replace("-", "_") + suffix)
+    blocked.mkdir(parents=True)
+    never = lambda *args, **kwargs: pytest.fail("ran before the out error")
+    monkeypatch.setattr(cli, "run_sweep", never)
+    monkeypatch.setattr(cli, "impossibility_demo", never)
+    ini = {"simulate": SIMULATE_INI, "sweep": SWEEP_INI}.get(command)
+    argv = [command] + (["--config", write(tmp_path, ini)] if ini else [])
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: out: cannot write {str(blocked)!r}")
+    assert sorted(p.name for p in out.iterdir()) == [blocked.name]
+
+
 def test_missing_config_file(capsys):
     assert cli.main(["sweep", "--config", "/nonexistent.ini", "--out", "/tmp"]) == 2
     assert "config:" in capsys.readouterr().err

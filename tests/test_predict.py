@@ -11,6 +11,7 @@ from scipy.spatial import cKDTree
 from scipy.stats import binom
 
 from onebitsim import predict as pd
+from onebitsim import protocols
 from onebitsim.harness import train_network
 from onebitsim.oracle import exact_conditional_error_at_x
 from onebitsim.protocols import Schedule
@@ -256,13 +257,13 @@ def test_two_arm_bias_table_matches_one_row_calls(monkeypatch):
     # the last two queries lie far outside the unit box: their balls are empty
     queries = np.vstack([rng.random((40, 1)), np.full((2, 1), 5.0)])
     lookup = pd._BallLookup(net.xs, net.r_n)
+    lo, hi = lookup._bounds(queries)
+    keys = CoinSource(4).sensor_keys(lookup.order)
     biases = rng.random((2, net.n)) * 2.0**53  # the kernel takes biases scaled by 2^53
-    counts, votes = pd._in_ball_votes(lookup, CoinSource(4), biases, queries)
+    counts, votes = pd._in_ball_votes(keys, lo, hi, biases)
     assert counts[-2:].tolist() == [0, 0] and counts.sum() > 17
     for row in range(2):
-        one_counts, one_votes = pd._in_ball_votes(
-            lookup, CoinSource(4), biases[row:row + 1], queries
-        )
+        one_counts, one_votes = pd._in_ball_votes(keys, lo, hi, biases[row:row + 1])
         np.testing.assert_array_equal(one_counts, counts)
         np.testing.assert_array_equal(one_votes[0], votes[row])
     # the engine: both regression rules in one call, each as it is alone
@@ -300,12 +301,52 @@ def test_integer_bias_test_is_the_uniform_test(monkeypatch):
 
     monkeypatch.setattr(pd, "run_bits", run_bits)
     xs = np.arange(len(coins), dtype=float)[:, None]
-    counts, votes = pd._in_ball_votes(
-        pd._BallLookup(xs, 0.25), CoinSource(0), biases[None, :] * 2.0**53, xs
-    )
+    lookup = pd._BallLookup(xs, 0.25)
+    lo, hi = lookup._bounds(xs)
+    keys = CoinSource(0).sensor_keys(lookup.order)
+    counts, votes = pd._in_ball_votes(keys, lo, hi, biases[None, :] * 2.0**53)
     expected = (coins >> np.uint64(11)).astype(float) * 2.0**-53 < biases
     assert counts.tolist() == [1] * len(coins) and 0 < expected.sum() < len(coins)
     np.testing.assert_array_equal(votes[0], expected)
+
+
+def test_reg_abstain_labels_on_the_clamp_keep_their_bias():
+    # a label at exactly +-c_n has bias 1 or 0 (y / 2c + 1/2), so its sensor
+    # votes the same bit on every query; one float beyond the clamp, the
+    # label is censored to a fair coin and its votes differ across queries
+    net = train_network(
+        "reg_abstain", make_scenario("sine_1d"), 4, Schedule(0.4, 0.2, clamp=0.5), seed=3
+    )
+    c = net.c_n
+    labels = np.array([c, -c, np.nextafter(c, np.inf), np.nextafter(-c, -np.inf)])
+    queries = np.full((64, 1), 0.5)
+    coins = CoinSource(41)
+
+    def scalar_votes(network):  # (query, sensor) responses of the scalar rule
+        return np.array([
+            [
+                protocols.respond_reg_abstain(
+                    network.sensor(i), x, network.r_n, c, coins.uniform(i, q)
+                )
+                for i in range(network.n)
+            ]
+            for q, x in enumerate(queries)
+        ])
+
+    def check(network):
+        votes = scalar_votes(network)
+        expected = [protocols.fuse_reg_abstain(list(row), c) for row in votes]
+        got = pd.predict_batch(network, queries, coin_seed=41).values
+        np.testing.assert_array_equal(got, expected)
+        return votes
+
+    votes = check(dataclasses.replace(net, xs=np.full((4, 1), 0.5), ys=labels))
+    assert (votes[:, 0] == protocols.Response.VOTE1).all()
+    assert (votes[:, 1] == protocols.Response.VOTE0).all()
+    for beyond in (2, 3):
+        assert 0 < np.count_nonzero(votes[:, beyond] == protocols.Response.VOTE1) < 64
+    for y in labels:  # and each label alone, where the estimate is its one vote
+        check(dataclasses.replace(net, n=1, xs=np.full((1, 1), 0.5), ys=np.array([y])))
 
 
 # sha256 of a two-arm predict_batch's values (both arms, float64 bytes) on
@@ -333,22 +374,27 @@ def test_multi_chunk_two_arm_values_match_golden_digest():
 
 
 def test_two_arm_prediction_memory_is_its_n_tables_and_chunk_buffers():
-    # one call holds its n-sized tables (sort order, padded coordinates,
-    # sensor keys and the two-row bias table: 5 * 8n bytes) and a few
-    # _PAIR_BLOCK buffers; a second bias table (2 * 8n) or any array over
-    # the call's ~10M pairs breaks the bound
+    # one call holds at most three n-sized tables at a time (the sort order,
+    # the padded coordinates and np.take's buffer while the lookup is built;
+    # then the sort order, which becomes the sensor keys, and one bias row
+    # per arm) and a few _PAIR_BLOCK buffers. The bound leaves room for the
+    # clamp masks and, through its generous chunk term (1.3 tables at this
+    # n), for one table more, but not for the five tables of an engine that
+    # keeps its coordinates and copies its keys, nor for any array over the
+    # call's ~10M pairs. The one-arm call is the demo's probe path
     n, t = 200_000, 2_000
     net, twin = _two_arm_network(n, 0.2, 0.2, seed=7)
     arms = tuple(dataclasses.replace(a, r_n=0.0125) for a in (net, twin))
     queries, _ = make_scenario("sine_1d").sample(np.random.default_rng(8), t)
-    tracemalloc.start()
-    try:
-        batch = pd.predict_batch(arms, queries, coin_seed=9)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert batch.responders[1].sum() > 9_000_000
-    assert peak < 5 * 8 * n + 8 * (8 * pd._PAIR_BLOCK)
+    assert pd._BallLookup(net.xs, 0.0125).flag_counts(queries, [])[0].sum() > 9_000_000
+    for network in (arms, arms[0]):
+        tracemalloc.start()
+        try:
+            pd.predict_batch(network, queries, coin_seed=9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * n + 8 * (8 * pd._PAIR_BLOCK)
 
 
 def test_arms_must_share_one_training_set():
