@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-import scipy
+import scipy  # the top package only, for its version: ~11 ms, no submodule
 
 from . import __version__
 from .harness import (
@@ -34,6 +34,7 @@ from .harness import (
     impossibility_demo,
     pool_workers,
     run_sweep,
+    usable_cpus,
 )
 from .protocols import PROTOCOLS, Schedule
 from .verify import run_verify_suites
@@ -92,7 +93,7 @@ def _environment(config: ExperimentConfig, jobs: int) -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
-        "cpu_count": os.cpu_count(),
+        "cpu_count": usable_cpus(),
         "jobs": jobs,
         "workers": pool_workers(jobs, len(config.n_grid) * config.replications),
     }

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .predict import predict_batch
+from .predict import load_engine, predict_batch
 from .protocols import (
     Schedule,
     ScheduleViolationWarning,
@@ -110,6 +110,7 @@ class ExperimentConfig:
             raise ValueError(
                 f"scenario_id: {self.scenario_id} does not fit: {exc}"
             ) from None
+        load_engine(self.protocol, scenario.dimension, self.coin_mode)
 
     def scenario(self) -> Scenario:
         return make_scenario(self.scenario_id, **self.scenario_params)
@@ -320,15 +321,23 @@ def _timed_chunk(tasks: list) -> list[tuple[tuple, float]]:
     return [_timed_replication(t) for t in tasks]
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def pool_workers(jobs: int, tasks: int, cpus: Optional[int] = None) -> int:
     """Processes that run ``tasks`` replications: ``jobs`` clamped to the
-    task count and the CPU count (``os.cpu_count()`` unless given), this
+    task count and the CPU count (``usable_cpus()`` unless given), this
     process included. One means the replications run serially here, with
     no pool; more means this process and a pool of one fewer."""
     if jobs < 1:
         raise ValueError(f"jobs: must be >= 1, got {jobs}")
     if cpus is None:
-        cpus = os.cpu_count() or 1
+        cpus = usable_cpus()
     return max(1, min(jobs, tasks, cpus))
 
 

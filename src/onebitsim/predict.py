@@ -43,6 +43,13 @@ class, and each tree answers one length query
 Coins are hashed with the key/counter split of ``seeding``: one sensor key
 per sensor and one query key per query per call, then one mix per pair,
 bit for bit the scalar ``CoinSource.uniform`` at the pair's address.
+
+Importing this module loads no scipy submodule. ``scipy.spatial`` (the
+KD-trees, through the module-level ``cKDTree``) and ``scipy.special``
+(``binom``) load where they are first called, and ``load_engine`` loads
+what one run's engine needs while its config is built. So ``cls_abstain``
+and fixed-coin ``cls_noabstain`` in one dimension, and ``reg_abstain``,
+run without either.
 """
 
 from __future__ import annotations
@@ -51,8 +58,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.special import betainc, ndtri
 
 from .seeding import CoinSource, query_keys, run_bits
 
@@ -70,6 +75,8 @@ class _FairBinomial:
         """The smallest k with P(X <= k) >= u, as a float array. From the
         normal approximation's guess, k steps on ``betainc``: the CDF below
         u = 1/2, and above it the survival function against 1 - u, exact there."""
+        from scipy.special import betainc, ndtri
+
         u = np.asarray(u, dtype=float)
         low = u < 0.5
 
@@ -89,6 +96,14 @@ class _FairBinomial:
 # a module-level name, called as a plain global: perfbench's
 # ``predict.binom`` hook (and its ``predict.binom_s`` metric) wraps it
 binom = _FairBinomial()
+
+
+def cKDTree(points):
+    """``scipy.spatial.cKDTree(points)``. A module-level name, called as a
+    plain global, as perfbench's ``predict.kdtree`` hook wraps it."""
+    from scipy.spatial import cKDTree as tree
+
+    return tree(points)
 
 
 @dataclass(frozen=True)
@@ -266,6 +281,23 @@ def predict_batch(
         return batch_regression(network, queries, coin_seed, default_label)
     engine = protocol_spec(network.protocol).engine
     return engine(network, queries, coin_seed, default_label)
+
+
+def load_engine(protocol: str, d: int, coin_mode: str) -> None:
+    """Import the scipy modules that ``protocol``'s engine calls in ``d``
+    dimensions with ``coin_mode``: ``scipy.spatial`` for the KD-trees of a
+    classification rule above one dimension, ``scipy.special`` for the
+    guesser crowd's ``binom`` (``reg_noabstain``, and ``cls_noabstain``
+    with per-query coins). Building an ``ExperimentConfig`` calls it, so
+    the import lands in set-up, not in a timed task, and forked pool
+    workers inherit the modules. The other engines need neither."""
+    from .protocols import protocol_spec
+
+    spec = protocol_spec(protocol)
+    if spec.task == "classification" and d > 1:
+        import scipy.spatial
+    if not spec.abstains and (spec.task == "regression" or coin_mode == "per_query"):
+        import scipy.special
 
 
 # The batch engines, one per protocol, all called as (network, queries,

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit, ndtr
 
 
 def check_finite(name: str, value, integer: bool = False) -> None:
@@ -145,10 +144,12 @@ class GaussianPairScenario(Scenario):
         )
 
     def eta(self, xs):
-        return expit(2.0 * (xs @ self.mu) / self.sigma**2)
+        z = 2.0 * (xs @ self.mu) / self.sigma**2
+        with np.errstate(over="ignore"):  # scipy's expit: 0.0 where exp(-z) overflows
+            return 1.0 / (1.0 + np.exp(-z))
 
     def bayes_risk(self):
-        return float(ndtr(-self._mu_norm / self.sigma))
+        return 0.5 * math.erfc(self._mu_norm / (self.sigma * math.sqrt(2.0)))
 
 
 class UniformBoxScenario(Scenario):

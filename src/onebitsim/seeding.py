@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # numpy loads it lazily: load it with the module, not in a task
 
 _U64 = np.uint64
 _GOLDEN = 0x9E3779B97F4A7C15

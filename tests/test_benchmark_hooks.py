@@ -3,6 +3,8 @@ renamed helper fails here instead of silently dropping the benchmark's
 per-layer metrics or failing its set-up."""
 
 import importlib.util
+import os
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -84,3 +86,23 @@ def test_every_benchmark_hook_installs_and_records():
         } <= recorded
     finally:
         hooks.remove()
+
+
+def test_installing_the_hooks_loads_no_scipy_submodule():
+    # a traced run (``--trace 1``) measures the program that an untraced one
+    # runs: the KD-tree hook wraps predict.cKDTree without importing
+    # scipy.spatial, and so on for every hook
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, str(PERFBENCH), os.environ.get("PYTHONPATH")) if p
+    )}
+    probe = (
+        "import sys, onebitsim.cli, spans; before = set(sys.modules); "
+        "spans.install(spans.Tracer()); "
+        "print(sorted(m for m in set(sys.modules) - before if m.startswith('scipy')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    assert done.stdout.strip() == "[]"

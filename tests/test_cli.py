@@ -15,7 +15,7 @@ import pytest
 from onebitsim import cli
 from onebitsim import predict
 from onebitsim import protocols
-from onebitsim.harness import ExperimentConfig, default_impossibility_config
+from onebitsim.harness import ExperimentConfig, default_impossibility_config, usable_cpus
 from onebitsim.seeding import CoinSource
 
 
@@ -153,6 +153,7 @@ def test_sweep_writes_expected_rows(tmp_path):
     assert manifest["config"]["n_grid"] == [50, 150]
     assert len(manifest["rows"]) == 2
     assert "started_at" in manifest and "finished_at" in manifest
+    assert manifest["environment"]["cpu_count"] == usable_cpus()
 
 
 def test_sweep_rerun_is_byte_identical(tmp_path):
@@ -163,23 +164,54 @@ def test_sweep_rerun_is_byte_identical(tmp_path):
     assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
 
 
-def test_startup_leaves_scipy_stats_and_integrate_unloaded():
-    # every command pays for what importing the CLI loads; the library
-    # imports neither scipy.stats nor scipy.integrate, which only the tests'
-    # references use
+def _fresh_python(probe: str, *args: str) -> str:
+    """The standard output of ``probe`` run in a new interpreter."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     )}
-    probe = (
-        "import sys, onebitsim.cli; "
-        "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))"
-    )
-    done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+    return subprocess.run(
+        [sys.executable, "-c", probe, *args], env=env, capture_output=True, text=True,
         timeout=120, check=True,
+    ).stdout
+
+
+def test_startup_leaves_scipy_stats_and_integrate_unloaded():
+    # every command pays for what importing the CLI loads; the library
+    # imports neither scipy.stats nor scipy.integrate, which only the tests'
+    # references use, and a config loads scipy.special and scipy.spatial
+    # only for an engine that calls them
+    probe = (
+        "import sys, onebitsim.cli; print(sorted(m for m in ('scipy.stats', "
+        "'scipy.integrate', 'scipy.special', 'scipy.spatial') if m in sys.modules))"
     )
-    assert done.stdout.strip() == "[]"
+    assert _fresh_python(probe).strip() == "[]"
+
+
+def test_one_dimensional_sweeps_without_guessers_run_without_scipy(tmp_path):
+    # cls_abstain and fixed-coin cls_noabstain in one dimension, and
+    # reg_abstain, call neither scipy.special nor scipy.spatial, serial or
+    # pooled
+    configs = [
+        write(tmp_path, SWEEP_INI, "abstain.ini"),
+        write(tmp_path, SWEEP_INI.replace("cls_abstain", "cls_noabstain")
+              + "coin_mode = per_sensor\n", "fixed_coins.ini"),
+        write(tmp_path, SWEEP_INI.replace("cls_abstain", "reg_abstain")
+              .replace("gauss_mix_1d", "sine_1d") + "gamma = 0.1\n", "regression.ini"),
+    ]
+    probe = """\
+import sys
+from onebitsim import cli
+for config in sys.argv[1:]:
+    for jobs in ("1", "2"):
+        out = f"{config}-{jobs}"
+        code = cli.main(["sweep", "--config", config, "--out", out, "--jobs", jobs])
+        loaded = [m for m in ("scipy.special", "scipy.spatial") if m in sys.modules]
+        print("ran:", code, jobs, config, *loaded)
+"""
+    lines = [line for line in _fresh_python(probe, *configs).splitlines()
+             if line.startswith("ran:")]
+    assert lines == [f"ran: 0 {jobs} {config}" for config in configs for jobs in ("1", "2")]
 
 
 def test_jobs_flag_does_not_change_results(tmp_path):

@@ -19,8 +19,8 @@ from onebitsim import harness as hn
 from onebitsim import predict
 from onebitsim.oracle import exact_conditional_error_at_x
 from onebitsim.predict import PredictionBatch, predict_batch
-from onebitsim.protocols import Schedule, ScheduleViolationWarning
-from onebitsim.scenarios import bayes_classifier, in_ball, make_scenario
+from onebitsim.protocols import COIN_MODES, PROTOCOLS, Schedule, ScheduleViolationWarning
+from onebitsim.scenarios import SCENARIO_IDS, bayes_classifier, in_ball, make_scenario
 from onebitsim.seeding import derive_seed, derived_rng
 
 PHI_MINUS_1 = 0.15865525393145707
@@ -283,7 +283,7 @@ def test_run_sweep_runs_every_cell_through_one_pool(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(hn, "ProcessPoolExecutor", CountingPool)
-    monkeypatch.setattr(hn.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(hn, "usable_cpus", lambda: 2)
     cfg = small_config(n_grid=(50, 100, 200))
     pooled = hn.run_sweep(cfg, jobs=2)
     assert made == [1]  # the caller is the second worker
@@ -316,7 +316,7 @@ def _log_replications(monkeypatch, log, *, slow_workers=False, slow_caller=False
         return real(arms, n, rep, probe)
 
     monkeypatch.setattr(hn, "_replication_sample", sample)
-    monkeypatch.setattr(hn.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(hn, "usable_cpus", lambda: 2)
     return lambda: [tuple(map(int, line.split())) for line in Path(log).read_text().splitlines()]
 
 
@@ -364,14 +364,22 @@ def test_a_sweep_reads_no_signature(monkeypatch):
     assert calls == []
 
 
-def test_reg_noabstain_sweep_never_imports_scipy_stats():
-    # the guesser crowd's quantile comes from scipy.special, so no sweep,
-    # serial or pooled, loads scipy.stats, and no reg_noabstain first cell's
-    # time includes a ~0.6 s import
+def _fresh_python(probe: str, *args: str) -> str:
+    """The standard output of ``probe`` run in a new interpreter."""
     src = str(Path(hn.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     )}
+    return subprocess.run(
+        [sys.executable, "-c", probe, *args], env=env, capture_output=True,
+        text=True, timeout=120, check=True,
+    ).stdout
+
+
+def test_reg_noabstain_sweep_never_imports_scipy_stats():
+    # the guesser crowd's quantile comes from scipy.special, so no sweep,
+    # serial or pooled, loads scipy.stats, and no reg_noabstain first cell's
+    # time includes a ~0.6 s import
     probe = """\
 import sys, warnings
 from onebitsim.harness import ExperimentConfig, run_sweep
@@ -385,13 +393,53 @@ print(first_cell)
 print("scipy.stats" in sys.modules)
 """
     for jobs in (1, 2):
-        done = subprocess.run(
-            [sys.executable, "-c", probe, str(jobs)], env=env, capture_output=True,
-            text=True, timeout=120, check=True,
-        )
-        first_cell, loaded = done.stdout.split()
+        first_cell, loaded = _fresh_python(probe, str(jobs)).split()
         assert loaded == "False"
         assert float(first_cell) < 0.2
+
+
+def test_building_the_config_imports_all_that_its_sweep_needs():
+    # no numpy or scipy import lands in a timed task or in a forked pool
+    # worker: each compatible pair (and both coin modes of cls_noabstain)
+    # runs in a child forked from an interpreter that has imported only the
+    # library, and its sweep loads no module that building its config did not
+    probe = """\
+import os, sys, warnings
+from onebitsim.harness import ExperimentConfig, run_sweep
+from onebitsim.protocols import COIN_MODES, PROTOCOLS, Schedule
+from onebitsim.scenarios import SCENARIO_IDS
+warnings.simplefilter("ignore")
+for protocol in PROTOCOLS:
+    for scenario_id in SCENARIO_IDS:
+        for coin_mode in COIN_MODES if protocol == "cls_noabstain" else COIN_MODES[:1]:
+            sys.stdout.flush()
+            if os.fork():
+                os.wait()
+                continue
+            try:
+                config = ExperimentConfig(protocol, scenario_id, Schedule(0.4, 0.2, 1.0, 0.1),
+                                          (40,), replications=2, test_points=20,
+                                          coin_mode=coin_mode)
+                before = set(sys.modules)
+                run_sweep(config, jobs=1)
+                new = [m for m in set(sys.modules) - before
+                       if m.split(".")[0] in ("numpy", "scipy")]
+                print(protocol, scenario_id, coin_mode, *sorted(new), flush=True)
+            except ValueError:
+                pass  # not a compatible pair
+            finally:
+                os._exit(0)
+"""
+    expected = set()
+    for protocol in PROTOCOLS:
+        for scenario_id in SCENARIO_IDS:
+            try:
+                hn.check_compatible(protocol, make_scenario(scenario_id))
+            except ValueError:
+                continue
+            modes = COIN_MODES if protocol == "cls_noabstain" else COIN_MODES[:1]
+            expected |= {f"{protocol} {scenario_id} {mode}" for mode in modes}
+    assert set(_fresh_python(probe).splitlines()) == expected
 
 
 def test_run_sweep_single_point_grid():
@@ -624,7 +672,19 @@ def test_pool_workers_clamps_to_tasks_and_cpus():
     assert hn.pool_workers(10**9, 4, cpus=2) == 2
     assert hn.pool_workers(10**9, 3, cpus=64) == 3
     assert hn.pool_workers(4, 1, cpus=8) == 1
-    assert hn.pool_workers(10**9, 10**9) <= (os.cpu_count() or 1)
+    assert hn.pool_workers(10**9, 10**9) == hn.usable_cpus()
     for jobs in (0, -1):
         with pytest.raises(ValueError, match=f"^jobs: must be >= 1, got {jobs}$"):
             hn.pool_workers(jobs, 4, cpus=2)
+
+
+def test_usable_cpus_is_the_affinity_mask_else_the_cpu_count(monkeypatch):
+    # a run pinned to one CPU starts no pool, however many the host has
+    monkeypatch.setattr(hn.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(hn.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert hn.usable_cpus() == 1
+    assert hn.pool_workers(4, 10) == 1
+    monkeypatch.delattr(hn.os, "sched_getaffinity")
+    assert hn.usable_cpus() == 8
+    monkeypatch.setattr(hn.os, "cpu_count", lambda: None)
+    assert hn.usable_cpus() == 1

@@ -377,24 +377,34 @@ def test_two_arm_prediction_memory_is_its_n_tables_and_chunk_buffers():
     # one call holds at most three n-sized tables at a time (the sort order,
     # the padded coordinates and np.take's buffer while the lookup is built;
     # then the sort order, which becomes the sensor keys, and one bias row
-    # per arm) and a few _PAIR_BLOCK buffers. The bound leaves room for the
-    # clamp masks and, through its generous chunk term (1.3 tables at this
-    # n), for one table more, but not for the five tables of an engine that
-    # keeps its coordinates and copies its keys, nor for any array over the
-    # call's ~10M pairs. The one-arm call is the demo's probe path
-    n, t = 200_000, 2_000
-    net, twin = _two_arm_network(n, 0.2, 0.2, seed=7)
-    arms = tuple(dataclasses.replace(a, r_n=0.0125) for a in (net, twin))
-    queries, _ = make_scenario("sine_1d").sample(np.random.default_rng(8), t)
-    assert pd._BallLookup(net.xs, 0.0125).flag_counts(queries, [])[0].sum() > 9_000_000
-    for network in (arms, arms[0]):
+    # per arm) and buffers whose size does not grow with n. The peak's slope
+    # over n cancels those buffers: three 8-byte tables and 4 bytes of slack
+    # (the clamp masks take 2) per sensor. A fourth table (keeping the
+    # padded coordinates through the pair pass, or copying the keys) adds 8
+    # and fails the two-arm call; an array over the ~5-20M pairs adds about
+    # 400. The one-arm call is the demo's probe path. The guessers' scipy
+    # import happens before tracing, or the first peak would hold it
+    pd.load_engine("reg_noabstain", 1, "per_sensor")
+    small, large = 100_000, 400_000
+    queries, _ = make_scenario("sine_1d").sample(np.random.default_rng(8), 2_000)
+
+    def arms_at(n):
+        net, twin = _two_arm_network(n, 0.2, 0.2, seed=7)
+        return tuple(dataclasses.replace(a, r_n=0.0125) for a in (net, twin))
+
+    def peak(network):
         tracemalloc.start()
         try:
             pd.predict_batch(network, queries, coin_seed=9)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 8 * n + 8 * (8 * pd._PAIR_BLOCK)
+
+    arms = arms_at(small), arms_at(large)
+    assert pd._BallLookup(arms[0][0].xs, 0.0125).flag_counts(queries, [])[0].sum() > 4_000_000
+    for pick in (lambda a: a, lambda a: a[0]):
+        low, high = (peak(pick(a)) for a in arms)
+        assert (high - low) / (large - small) <= 3 * 8 + 4
 
 
 def test_arms_must_share_one_training_set():

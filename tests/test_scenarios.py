@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import expit, ndtr
 from scipy.stats import kstest, ks_2samp, norm
 
 from onebitsim import scenarios as sc
@@ -96,6 +97,31 @@ def test_bayes_risk_values():
     assert const.bayes_risk() == 0.0
     _, ys = const.sample(np.random.default_rng(3), 1000)
     assert np.all(ys == 1)
+
+
+def test_gaussian_eta_is_scipys_expit_to_rounding():
+    # eta is expit's own formula, 1 / (1 + exp(-z)), with numpy's exp for
+    # libm's: the two differ on about 2 % of arguments, by at most 2 ulp
+    # while 1 + exp(-z) < 2^53 and by about 2 eps relative (4 ulp) below,
+    # with no overflow warning where exp(-z) is inf
+    gm = sc.make_scenario("gauss_mix_1d")  # z = 2x exactly: mu = sigma = 1
+    z = np.random.default_rng(4).uniform(-50.0, 50.0, 10**5)
+    eta, ref = gm.eta(z[:, None] / 2.0), expit(z)
+    assert np.all(np.abs(eta - ref) <= 3 * np.finfo(float).eps * ref)
+    ulps = np.abs(eta.view(np.int64) - ref.view(np.int64))
+    assert ulps[z > -36.0].max() <= 2
+    assert gm.eta(np.zeros((1, 1)))[0] == 0.5
+    assert list(gm.eta(np.array([[-1e4], [1e4]]))) == [0.0, 1.0]
+
+
+def test_gaussian_bayes_risk_is_scipys_ndtr_to_rounding():
+    # 0.5 * erfc(a / sqrt 2) is Phi(-a); libm's erfc and scipy's ndtr agree
+    # to a few ulp while the risk is at least Phi(-4)
+    for mu in np.linspace(0.1, 2.0, 20):
+        for sigma in np.linspace(0.5, 2.0, 16):
+            risk = sc.make_scenario("gauss_mix_1d", mu=mu, sigma=sigma).bayes_risk()
+            assert risk == pytest.approx(ndtr(-mu / sigma), rel=1e-14, abs=0)
+    assert sc.make_scenario("gauss_mix_1d").bayes_risk() == ndtr(-1.0) == PHI_MINUS_1
 
 
 @pytest.mark.parametrize("sid", ALL_IDS)
