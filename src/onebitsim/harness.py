@@ -310,15 +310,14 @@ def _replication_sample(arms: tuple, n: int, rep: int, probe=None) -> tuple:
     return samples + (predict_batch(network, probe, coin_seed, first.default_label).values,)
 
 
-def _timed_replication(args) -> tuple[tuple, float]:
-    """One replication and its own duration, measured where it runs."""
-    start = time.perf_counter()
-    samples = _replication_sample(*args)
-    return samples, time.perf_counter() - start
-
-
 def _timed_chunk(tasks: list) -> list[tuple[tuple, float]]:
-    return [_timed_replication(t) for t in tasks]
+    """Each replication and its own duration, measured where it runs."""
+    timed = []
+    for args in tasks:
+        start = time.perf_counter()
+        samples = _replication_sample(*args)
+        timed.append((samples, time.perf_counter() - start))
+    return timed
 
 
 def usable_cpus() -> int:

@@ -20,24 +20,25 @@ query) pairs in one place, ``_in_ball_votes``, in chunks of about
 ``_PAIR_BLOCK`` pairs, so peak memory stays bounded regardless of how many
 pairs a batch touches. The sensors are sorted by coordinate, so a query's
 in-ball sensors are one contiguous run. The engine finds every query's
-run first, drops the padded sorted coordinates, builds one bias row per
-arm in sorted order, and then turns the sort order itself into the sensor
-coin keys in place, so the pair pass holds three n-sized tables for two
-arms (the keys and the two bias rows) and two for one arm. A chunk's coins
-fill two reused buffers: each query's run of sensor keys is hashed with
-the query's key in place (``run_bits``), and each run's coins then meet
-the same run of each bias row, so no pair-sized key, bias or position
-array is built. It answers arms that share a training set at once: each
-in-ball coin, hashed once, meets one row per arm of an ``(arms, n)`` bias
-table, which ``batch_regression`` scales by 2^53 in place so that a coin's
-top 53 bits compare with it exactly (``_in_ball_votes`` says why).
+run first with ``_runs``, the only place the padded sorted coordinates
+live, builds one bias row per arm in sorted order, and then turns the
+sort order itself into the sensor coin keys in place, so the pair pass
+holds three n-sized tables for two arms (the keys and the two bias rows)
+and two for one arm. A chunk's coins fill two reused buffers: each
+query's run of sensor keys is hashed with the query's key in place
+(``run_bits``), and each run's coins then meet the same run of each bias
+row, so no pair-sized key, bias or position array is built. It answers
+arms that share a training set at once: each in-ball coin, hashed once,
+meets one row per arm of an ``(arms, n)`` bias table, which
+``batch_regression`` scales by 2^53 in place so that a coin's top 53
+bits compare with it exactly (``_in_ball_votes`` says why).
 
 The classification rules (``cls_abstain``, ``specialists`` and
 ``cls_noabstain``, whose fixed coins or guesser crowd answer outside the
-ball) need only counts of in-ball 0/1 flags, so they enumerate no pairs.
-In one dimension they take integer prefix sums over the sorted layout;
-above it, the points are split by flag pattern into one KD-tree per
-class, and each tree answers one length query
+ball) need only counts of in-ball 0/1 flags (``flag_counts``), so they
+enumerate no pairs. In one dimension they take integer prefix sums over
+the runs of ``_runs``; above it, the points are split by flag pattern
+into one KD-tree per class, and each tree answers one length query
 (``query_ball_point(..., return_length=True)``) for the whole batch.
 
 Coins are hashed with the key/counter split of ``seeding``: one sensor key
@@ -134,91 +135,79 @@ class PredictionBatch:
         return [PredictionBatch(*arm, self.n_sensors) for arm in zip(self.values, self.responders)]
 
 
-class _BallLookup:
-    """Closed-ball neighbor counting over a fixed point set.
+def _runs(flat: np.ndarray, radius: float, queries: np.ndarray):
+    """1-d: the sort order of the coordinates ``flat`` (it maps each
+    storage position to its original index) and each query's in-ball run
+    [lo, hi) of storage positions: exactly the points ``in_ball`` admits.
+    Bisection on q - r and q + r is the first guess; then each end steps
+    across one group of tied coordinates at a time, outward while the
+    point just outside the run is in the ball, inward while the point just
+    inside it is out on that end's side of q.
 
-    In one dimension the points are kept sorted by coordinate (``order``
-    maps each storage position to its original index), so the points in a
-    query's ball are one run of storage positions, which ``_bounds``
-    returns. Above it, only ``flag_counts`` answers, through KD-trees.
-    """
+    The test is ``in_ball``'s, on signed squares s = d * |d| of
+    d = x - q (exactly +-d*d), without its reduce over a trailing axis.
+    The outer point stays on its end's side of q, so s >= -r*r (left)
+    and s <= r*r (right) put it in the ball; s < -r*r and s > r*r put
+    an inner point out of it on its own side. NaN sentinels past the
+    ends fail every comparison, so they never move."""
+    order = np.argsort(flat)
+    # the sorted coordinates between NaN sentinels, which no ball holds
+    # even once r * r overflows, so a run's neighbors exist; they live
+    # only until the runs are found
+    pad = np.full(len(flat) + 2, np.nan)
+    x = np.take(flat, order, out=pad[1:-1])
+    r, q = radius, queries[:, 0]
+    lo = np.searchsorted(x, q - r, side="left")
+    hi = np.searchsorted(x, q + r, side="right")
+    t, rr = len(q), r * r
+    qq = np.concatenate((q, q))
+    while True:
+        ends = np.concatenate((lo, hi))
+        before = pad.take(ends)     # the points at lo - 1 and hi - 1
+        after = pad[1:].take(ends)  # at lo and hi
+        a, b = before - qq, after - qq
+        a *= np.abs(a)
+        b *= np.abs(b)
+        moves = (a[:t] >= -rr, b[:t] < -rr, a[t:] > rr, b[t:] <= rr)
+        if not any(map(np.count_nonzero, moves)):
+            return order, lo, hi
+        lo = np.where(moves[0], np.searchsorted(x, before[:t], side="left"), lo)
+        lo = np.where(moves[1], np.searchsorted(x, after[:t], side="right"), lo)
+        hi = np.where(moves[2], np.searchsorted(x, before[t:], side="left"), hi)
+        hi = np.where(moves[3], np.searchsorted(x, after[t:], side="right"), hi)
 
-    def __init__(self, points: np.ndarray, radius: float):
-        self.points = points
-        self.radius = radius
-        self.d = points.shape[1]
-        if self.d == 1:
-            flat = points[:, 0]
-            self.order = np.argsort(flat)
-            # the sorted coordinates between NaN sentinels, which no ball
-            # holds even once r * r overflows, so a run's neighbors exist
-            self._padded = np.full(len(flat) + 2, np.nan)
-            self.sorted_x = np.take(flat, self.order, out=self._padded[1:-1])
 
-    def _bounds(self, queries: np.ndarray):
-        """1-d: each query's in-ball run [lo, hi) in storage order: exactly
-        the points ``in_ball`` admits. Bisection on q - r and q + r is the
-        first guess; then each end steps across one group of tied
-        coordinates at a time, outward while the point just outside the run
-        is in the ball, inward while the point just inside it is out on
-        that end's side of q.
-
-        The test is ``in_ball``'s, on signed squares s = d * |d| of
-        d = x - q (exactly +-d*d), without its reduce over a trailing axis.
-        The outer point stays on its end's side of q, so s >= -r*r (left)
-        and s <= r*r (right) put it in the ball; s < -r*r and s > r*r put
-        an inner point out of it on its own side. NaN sentinels past the
-        ends fail every comparison, so they never move."""
-        x, r, pad = self.sorted_x, self.radius, self._padded
-        q = queries[:, 0]
-        lo = np.searchsorted(x, q - r, side="left")
-        hi = np.searchsorted(x, q + r, side="right")
-        t, rr = len(q), r * r
-        qq = np.concatenate((q, q))
-        while True:
-            ends = np.concatenate((lo, hi))
-            before = pad.take(ends)     # the points at lo - 1 and hi - 1
-            after = pad[1:].take(ends)  # at lo and hi
-            a, b = before - qq, after - qq
-            a *= np.abs(a)
-            b *= np.abs(b)
-            moves = (a[:t] >= -rr, b[:t] < -rr, a[t:] > rr, b[t:] <= rr)
-            if not any(map(np.count_nonzero, moves)):
-                return lo, hi
-            lo = np.where(moves[0], np.searchsorted(x, before[:t], side="left"), lo)
-            lo = np.where(moves[1], np.searchsorted(x, after[:t], side="right"), lo)
-            hi = np.where(moves[2], np.searchsorted(x, before[t:], side="left"), hi)
-            hi = np.where(moves[3], np.searchsorted(x, after[t:], side="right"), hi)
-
-    def flag_counts(self, queries: np.ndarray, flags: list[np.ndarray]):
-        """Per-query count of in-ball points and, for each 0/1 vector in
-        ``flags``, of in-ball points whose flag is set (all int64)."""
-        flags = [np.asarray(f) != 0 for f in flags]
-        if self.d == 1:
-            lo, hi = self._bounds(queries)
-            sums = []
-            for f in flags:
-                pref = np.zeros(len(f) + 1, dtype=np.int64)
-                np.cumsum(f[self.order], out=pref[1:])
-                sums.append(pref[hi] - pref[lo])
-            return hi - lo, sums
-        # one tree per flag pattern: every point is in exactly one class, so
-        # a query's count is the sum over classes and a flag's count the sum
-        # over the classes that set it
-        pattern = np.zeros(len(self.points), dtype=np.int64)
-        for bit, f in enumerate(flags):
-            pattern |= f.astype(np.int64) << bit
-        counts = np.zeros(len(queries), dtype=np.int64)
-        sums = [np.zeros(len(queries), dtype=np.int64) for _ in flags]
-        for cls in np.unique(pattern):
-            tree = cKDTree(self.points[pattern == cls])
-            got = tree.query_ball_point(queries, self.radius, return_length=True)
-            got = np.asarray(got, dtype=np.int64)
-            counts += got
-            for bit, out in enumerate(sums):
-                if cls >> bit & 1:
-                    out += got
-        return counts, sums
+def flag_counts(points: np.ndarray, radius: float, queries: np.ndarray, flags: list):
+    """Per-query count of the ``points`` within ``radius`` of each query
+    and, for each 0/1 vector in ``flags``, of those whose flag is set (all
+    int64): prefix sums over the runs of ``_runs`` in one dimension, and
+    above it one KD-tree per flag pattern."""
+    flags = [np.asarray(f) != 0 for f in flags]
+    if points.shape[1] == 1:
+        order, lo, hi = _runs(points[:, 0], radius, queries)
+        sums = []
+        for f in flags:
+            pref = np.zeros(len(f) + 1, dtype=np.int64)
+            np.cumsum(f[order], out=pref[1:])
+            sums.append(pref[hi] - pref[lo])
+        return hi - lo, sums
+    # one tree per flag pattern: every point is in exactly one class, so a
+    # query's count is the sum over classes and a flag's count the sum over
+    # the classes that set it
+    pattern = np.zeros(len(points), dtype=np.int64)
+    for bit, f in enumerate(flags):
+        pattern |= f.astype(np.int64) << bit
+    counts = np.zeros(len(queries), dtype=np.int64)
+    sums = [np.zeros(len(queries), dtype=np.int64) for _ in flags]
+    for cls in np.unique(pattern):
+        tree = cKDTree(points[pattern == cls])
+        got = tree.query_ball_point(queries, radius, return_length=True)
+        got = np.asarray(got, dtype=np.int64)
+        counts += got
+        for bit, out in enumerate(sums):
+            if cls >> bit & 1:
+                out += got
+    return counts, sums
 
 
 def _in_ball_votes(keys, lo, hi, scaled):
@@ -307,8 +296,7 @@ def load_engine(protocol: str, d: int, coin_mode: str) -> None:
 def _responder_majority(network, points, labels, queries, default_label):
     """Majority of the labels stored at ``points`` within r_n of each query
     (ties to 1); a query with no responders gets the default label."""
-    lookup = _BallLookup(points, network.r_n)
-    counts, (votes,) = lookup.flag_counts(queries, [labels])
+    counts, (votes,) = flag_counts(points, network.r_n, queries, [labels])
     preds = np.where(counts > 0, (2 * votes >= counts).astype(np.int64), default_label)
     return PredictionBatch(preds, counts, network.n)
 
@@ -335,14 +323,13 @@ def _guesser_votes(coin, n, counts):
 def batch_cls_noabstain(network, queries, coin_seed, default_label):
     # in-ball sensors vote their label; the rest vote their fixed coin, or
     # with per-query coins guess as one crowd
-    n = network.n
-    lookup = _BallLookup(network.xs, network.r_n)
+    n, xs, r = network.n, network.xs, network.r_n
     coins = network.fixed_coins
     if coins is None:
-        counts, (votes_in,) = lookup.flag_counts(queries, [network.ys])
+        counts, (votes_in,) = flag_counts(xs, r, queries, [network.ys])
         votes_out = _guesser_votes(CoinSource(coin_seed), n, counts)
     else:
-        counts, (votes_in, coins_in) = lookup.flag_counts(queries, [network.ys, coins])
+        counts, (votes_in, coins_in) = flag_counts(xs, r, queries, [network.ys, coins])
         votes_out = int(np.count_nonzero(coins)) - coins_in
     preds = (2 * (votes_in + votes_out) > n).astype(np.int64)
     return PredictionBatch(preds, np.full(len(queries), n), n)
@@ -397,12 +384,9 @@ def batch_regression(network, queries, coin_seed, default_label):
         raise ValueError("network: arms must be regression networks sharing xs and r_n")
     coin = CoinSource(coin_seed)
     # three n-sized tables at a time: the runs are found first, so the
-    # padded sorted coordinates go before the bias rows are made, and the
-    # sort order (int64 positions, read as uint64 sensors) becomes the keys
-    lookup = _BallLookup(first.xs, first.r_n)
-    lo, hi = lookup._bounds(queries)
-    order = lookup.order
-    del lookup
+    # padded sorted coordinates are gone before the bias rows are made, and
+    # the sort order (int64 positions, read as uint64 sensors) becomes the keys
+    order, lo, hi = _runs(first.xs[:, 0], first.r_n, queries)
     biases = np.empty((len(arms), first.n))
     # each row in storage order, unbuffered as every index is in range
     fuses = [rule(a, np.take(a.ys, order, out=row, mode="clip"))

@@ -79,10 +79,13 @@ def test_every_benchmark_hook_installs_and_records():
                 replications=1,
             )
         )
+        # every layer these sweeps run records its span, so no refactor
+        # silently drops one of the benchmark's per-layer metrics
         recorded = {span.name for span in tracer.spans}
         assert {
-            "predict", "harness.train", "predict.kdtree_build", "predict.kdtree_query",
-            "predict.binom",
+            "harness.eval", "harness.replication", "harness.train", "predict",
+            "predict.binom", "predict.kdtree_build", "predict.kdtree_query",
+            "scenarios.sample", "seeding.coins",
         } <= recorded
     finally:
         hooks.remove()

@@ -593,12 +593,13 @@ def test_float_formatting_round_trips():
 def test_verify_catches_a_ball_that_bisection_alone_bounds(monkeypatch, capsys):
     # negative control: 1-d runs found by bisection on q - r and q + r only,
     # which on the 0.1 grid admit or drop points that in_ball does not
-    def bisection(self, queries):
-        q = queries[:, 0]
-        lo = np.searchsorted(self.sorted_x, q - self.radius, side="left")
-        return lo, np.searchsorted(self.sorted_x, q + self.radius, side="right")
+    def bisection(flat, radius, queries):
+        order = np.argsort(flat)
+        x, q = flat[order], queries[:, 0]
+        lo = np.searchsorted(x, q - radius, side="left")
+        return order, lo, np.searchsorted(x, q + radius, side="right")
 
-    monkeypatch.setattr(predict._BallLookup, "_bounds", bisection)
+    monkeypatch.setattr(predict, "_runs", bisection)
     assert cli.main(["verify"]) == 1
     out = capsys.readouterr().out
     assert "FAIL batch_engine" in out and "differs from scalar" in out

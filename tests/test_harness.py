@@ -593,7 +593,7 @@ def test_demo_hashes_each_in_ball_coin_once(monkeypatch):
     def in_ball(n, rep, queries):
         seed = derive_seed(config.seed, n, rep, hn._STREAM_TRAIN)
         net = hn.train_network(config.protocol, scenario, n, config.schedule, seed)
-        return int(predict._BallLookup(net.xs, net.r_n).flag_counts(queries, [])[0].sum())
+        return int(predict.flag_counts(net.xs, net.r_n, queries, [])[0].sum())
 
     expected = sum(
         in_ball(n, rep, scenario.sample(
@@ -648,7 +648,7 @@ def test_arms_must_share_training_and_test_draws(field, value):
 def test_each_arm_is_charged_an_equal_share_of_a_replication(monkeypatch):
     arms = hn.impossibility_arms(demo_config())
     sample = hn.RiskSample(0.6, 0.0, 0.0)
-    monkeypatch.setattr(hn, "_timed_replication", lambda task: ((sample, sample), 1.0))
+    monkeypatch.setattr(hn, "_timed_chunk", lambda tasks: [((sample, sample), 1.0)] * len(tasks))
     (noabstain, abstain), values = hn._cell_reports(arms, 1)
     assert values is None  # no probe queries, no answers
     # two replications of 1 s per cell, half of each charged to each arm

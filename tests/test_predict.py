@@ -90,8 +90,16 @@ def test_2d_label_counts_on_boundaries_and_ties(protocol, sid, monkeypatch):
             )
 
 
-def _in_ball_counts(points, queries, r):
-    return in_ball(points[None, :, :], queries[:, None, :], r).sum(axis=1)
+def _in_ball_counts(points, queries, r, flag=True):
+    """In-ball points per query, or those of them whose 0/1 ``flag`` is set."""
+    return (in_ball(points[None, :, :], queries[:, None, :], r) & (flag != 0)).sum(axis=1)
+
+
+def _check_flag_counts(points, queries, r, flags):
+    counts, sums = pd.flag_counts(points, r, queries, list(flags))
+    np.testing.assert_array_equal(counts, _in_ball_counts(points, queries, r))
+    for flag, got in zip(flags, sums, strict=True):
+        np.testing.assert_array_equal(got, _in_ball_counts(points, queries, r, flag))
 
 
 @pytest.mark.parametrize(
@@ -112,13 +120,13 @@ def test_1d_balls_on_boundaries_and_ties(protocol, sid, mode):
     net = train_network(
         protocol, scen, 70, Schedule(0.4, 0.2, clamp=0.5), seed=13, coin_mode=mode
     )
-    rng = np.random.default_rng(19)
+    rng, flag_rng = np.random.default_rng(19), np.random.default_rng(20)
     for r in (0.1, 0.3, 0.5, 0.7, 1e200):
         points = rng.integers(0, 21, size=(net.n, 1)) * 0.1
         queries = rng.integers(0, 21, size=(40, 1)) * 0.1
         network = dataclasses.replace(net, xs=points, r_n=r)
-        counts, _ = pd._BallLookup(points, r).flag_counts(queries, [])
-        np.testing.assert_array_equal(counts, _in_ball_counts(points, queries, r))
+        flags = flag_rng.integers(0, 2, size=(2, net.n))
+        _check_flag_counts(points, queries, r, flags)
         batch = pd.predict_batch(network, queries, coin_seed=5)
         np.testing.assert_array_equal(
             batch.values.astype(float), scalar_predict(network, queries, 5)
@@ -128,13 +136,17 @@ def test_1d_balls_on_boundaries_and_ties(protocol, sid, mode):
 def test_kdtree_applies_the_in_ball_test():
     # the engines count balls above one dimension with scipy's KD-tree; the
     # bit-for-bit claim holds only while its rounding is in_ball's
-    rng = np.random.default_rng(23)
+    rng, flag_rng = np.random.default_rng(23), np.random.default_rng(24)
     for step, r in BOUNDARY_GRIDS:
         cells = round(1 / step)
         points = rng.integers(0, cells + 1, size=(200, 2)) * step
         queries = rng.integers(0, cells + 1, size=(200, 2)) * step
         got = cKDTree(points).query_ball_point(queries, r, return_length=True)
         np.testing.assert_array_equal(got, _in_ball_counts(points, queries, r))
+        # and the library's per-flag sums, from one tree per flag pattern
+        flags = flag_rng.integers(0, 2, size=(2, 200))
+        assert np.unique(flags[0] + 2 * flags[1]).size == 4
+        _check_flag_counts(points, queries, r, flags)
 
 
 @pytest.mark.parametrize("sid", ["gauss_mix_1d", "gauss_mix_2d"])
@@ -256,9 +268,8 @@ def test_two_arm_bias_table_matches_one_row_calls(monkeypatch):
     net = dataclasses.replace(net, xs=rng.random((80, 1)))
     # the last two queries lie far outside the unit box: their balls are empty
     queries = np.vstack([rng.random((40, 1)), np.full((2, 1), 5.0)])
-    lookup = pd._BallLookup(net.xs, net.r_n)
-    lo, hi = lookup._bounds(queries)
-    keys = CoinSource(4).sensor_keys(lookup.order)
+    order, lo, hi = pd._runs(net.xs[:, 0], net.r_n, queries)
+    keys = CoinSource(4).sensor_keys(order)
     biases = rng.random((2, net.n)) * 2.0**53  # the kernel takes biases scaled by 2^53
     counts, votes = pd._in_ball_votes(keys, lo, hi, biases)
     assert counts[-2:].tolist() == [0, 0] and counts.sum() > 17
@@ -301,9 +312,8 @@ def test_integer_bias_test_is_the_uniform_test(monkeypatch):
 
     monkeypatch.setattr(pd, "run_bits", run_bits)
     xs = np.arange(len(coins), dtype=float)[:, None]
-    lookup = pd._BallLookup(xs, 0.25)
-    lo, hi = lookup._bounds(xs)
-    keys = CoinSource(0).sensor_keys(lookup.order)
+    order, lo, hi = pd._runs(xs[:, 0], 0.25, xs)
+    keys = CoinSource(0).sensor_keys(order)
     counts, votes = pd._in_ball_votes(keys, lo, hi, biases[None, :] * 2.0**53)
     expected = (coins >> np.uint64(11)).astype(float) * 2.0**-53 < biases
     assert counts.tolist() == [1] * len(coins) and 0 < expected.sum() < len(coins)
@@ -375,7 +385,7 @@ def test_multi_chunk_two_arm_values_match_golden_digest():
 
 def test_two_arm_prediction_memory_is_its_n_tables_and_chunk_buffers():
     # one call holds at most three n-sized tables at a time (the sort order,
-    # the padded coordinates and np.take's buffer while the lookup is built;
+    # the padded coordinates and np.take's buffer while the runs are found;
     # then the sort order, which becomes the sensor keys, and one bias row
     # per arm) and buffers whose size does not grow with n. The peak's slope
     # over n cancels those buffers: three 8-byte tables and 4 bytes of slack
@@ -401,7 +411,7 @@ def test_two_arm_prediction_memory_is_its_n_tables_and_chunk_buffers():
             tracemalloc.stop()
 
     arms = arms_at(small), arms_at(large)
-    assert pd._BallLookup(arms[0][0].xs, 0.0125).flag_counts(queries, [])[0].sum() > 4_000_000
+    assert pd.flag_counts(arms[0][0].xs, 0.0125, queries, [])[0].sum() > 4_000_000
     for pick in (lambda a: a, lambda a: a[0]):
         low, high = (peak(pick(a)) for a in arms)
         assert (high - low) / (large - small) <= 3 * 8 + 4
