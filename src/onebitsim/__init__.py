@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .harness import (
     ExperimentConfig,
     ImpossibilityReport,
-    NetworkState,
     RiskReport,
     RiskSample,
     evaluate_conditional_risk,
@@ -29,6 +28,7 @@ from .oracle import (
 from .predict import PredictionBatch, predict_batch
 from .protocols import (
     PROTOCOLS,
+    NetworkState,
     Response,
     Schedule,
     ScheduleVerdict,

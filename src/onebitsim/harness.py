@@ -23,9 +23,9 @@ import numpy as np
 
 from .predict import load_engine, predict_batch
 from .protocols import (
+    NetworkState,
     Schedule,
     ScheduleViolationWarning,
-    SensorState,
     check_coin_mode,
     draw_specialist_centers,
     protocol_spec,
@@ -33,7 +33,6 @@ from .protocols import (
     validate_schedule,
 )
 from .scenarios import (
-    Example,
     Scenario,
     check_finite,
     in_ball,
@@ -114,43 +113,6 @@ class ExperimentConfig:
 
     def scenario(self) -> Scenario:
         return make_scenario(self.scenario_id, **self.scenario_params)
-
-
-@dataclass(frozen=True)
-class NetworkState:
-    """A trained network: one stored datum per sensor plus schedule values
-    (``c_n`` is both regression rules' amplitude). ``fixed_coins`` is None
-    where a fresh coin answers each query. Treated as immutable after
-    training; answering queries never mutates it, so it is safe to share
-    across evaluation workers.
-    """
-
-    protocol: str
-    n: int
-    r_n: float
-    c_n: float
-    xs: np.ndarray
-    ys: np.ndarray
-    untrainable: np.ndarray
-    fixed_coins: Optional[np.ndarray] = None
-    centers: Optional[np.ndarray] = None
-
-    @property
-    def dimension(self) -> int:
-        return self.xs.shape[1]
-
-    @property
-    def untrainable_count(self) -> int:
-        return int(self.untrainable.sum())
-
-    def sensor(self, i: int) -> SensorState:
-        """Per-sensor view for the scalar protocol operations."""
-        datum = None
-        if not self.untrainable[i]:
-            datum = Example(self.xs[i], float(self.ys[i]))
-        center = None if self.centers is None else self.centers[i]
-        coin = None if self.fixed_coins is None else int(self.fixed_coins[i])
-        return SensorState(datum=datum, region_center=center, fixed_coin=coin)
 
 
 def check_compatible(protocol: str, scenario: Scenario) -> None:

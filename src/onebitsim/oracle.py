@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .protocols import NetworkState
 from .scenarios import Example, Scenario, in_ball, regression_function
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .harness import NetworkState
 
 
 def naive_kernel_classify(train: Sequence[Example], x, r: float, default_label: int = 0) -> int:
@@ -78,7 +76,7 @@ def exact_vote_distribution(p: Sequence[float]) -> VoteDistribution:
     return VoteDistribution(pmf=pmf, n=p.size)
 
 
-def exact_conditional_error_at_x(network: "NetworkState", scenario: Scenario, x) -> float:
+def exact_conditional_error_at_x(network: NetworkState, scenario: Scenario, x) -> float:
     """Exact conditional risk at a fixed query, given the trained network.
 
     For classification without abstention (fresh coins per query) this is

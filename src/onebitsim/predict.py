@@ -56,14 +56,11 @@ run without either.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .protocols import NetworkState, protocol_spec
 from .seeding import CoinSource, query_keys, run_bits
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .harness import NetworkState
 
 _PAIR_BLOCK = 1 << 15  # pairs per chunk: every per-pair array stays in cache
 _TINY = np.finfo(float).tiny
@@ -251,7 +248,7 @@ def _in_ball_votes(keys, lo, hi, scaled):
 
 
 def predict_batch(
-    network: "NetworkState",
+    network: NetworkState,
     queries: np.ndarray,
     coin_seed: int = 0,
     default_label: int = 0,
@@ -263,13 +260,11 @@ def predict_batch(
     how the work is chunked or parallelized. A tuple of regression arms
     gives ``values`` and ``responders`` a leading arm axis.
     """
-    from .protocols import protocol_spec  # the table names this module's engines
-
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     if isinstance(network, tuple):  # regression arms share one engine
         return batch_regression(network, queries, coin_seed, default_label)
-    engine = protocol_spec(network.protocol).engine
-    return engine(network, queries, coin_seed, default_label)
+    protocol_spec(network.protocol)  # an unknown protocol is a ValueError
+    return _ENGINES[network.protocol](network, queries, coin_seed, default_label)
 
 
 def load_engine(protocol: str, d: int, coin_mode: str) -> None:
@@ -280,8 +275,6 @@ def load_engine(protocol: str, d: int, coin_mode: str) -> None:
     with per-query coins). Building an ``ExperimentConfig`` calls it, so
     the import lands in set-up, not in a timed task, and forked pool
     workers inherit the modules. The other engines need neither."""
-    from .protocols import protocol_spec
-
     spec = protocol_spec(protocol)
     if spec.task == "classification" and d > 1:
         import scipy.spatial
@@ -290,7 +283,7 @@ def load_engine(protocol: str, d: int, coin_mode: str) -> None:
 
 
 # The batch engines, one per protocol, all called as (network, queries,
-# coin_seed, default_label); the protocol table in ``protocols`` names them.
+# coin_seed, default_label); ``_ENGINES`` keys them by protocol.
 
 
 def _responder_majority(network, points, labels, queries, default_label):
@@ -399,3 +392,12 @@ def batch_regression(network, queries, coin_seed, default_label):
     if not isinstance(network, tuple):
         values, responders = values[0], responders[0]
     return PredictionBatch(values, responders, first.n)
+
+
+_ENGINES = {
+    "cls_abstain": batch_cls_abstain,
+    "cls_noabstain": batch_cls_noabstain,
+    "reg_abstain": batch_regression,
+    "reg_noabstain": batch_regression,
+    "specialists": batch_specialists,
+}

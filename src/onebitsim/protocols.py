@@ -22,8 +22,9 @@ The tie conventions differ on purpose between the >= 1/2 rules and the
 strict > 1/2 rule; tests pin them.
 
 :func:`protocol_spec` looks a protocol up in the one table that defines it:
-its task, whether it abstains, whether its sensors own regions, its
-schedule condition and its batch engine.
+its task, whether it abstains, whether its sensors own regions and its
+schedule condition. ``predict`` keeps each protocol's batch engine, as
+``verify`` keeps its scalar reference.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import predict
 from .scenarios import Example, check_finite, in_ball
 
 COIN_MODES = ("per_sensor", "per_query")
@@ -167,15 +167,13 @@ class ProtocolSpec:
     ``schedule_condition(schedule, beta*d)`` returns why a schedule with a
     shrinking radius falls outside the protocol's sufficient consistency
     conditions, or None when it meets them; a protocol that no schedule
-    makes consistent has none. ``engine(network, queries, coin_seed,
-    default_label)`` answers a batch of queries (see ``predict``).
-    ``regions`` marks the model in which sensors own random regions.
+    makes consistent has none. ``regions`` marks the model in which
+    sensors own random regions.
     """
 
     task: str
     abstains: bool
     schedule_condition: Optional[Callable[[Schedule, float], Optional[str]]]
-    engine: Callable
     regions: bool = False
 
     @property
@@ -184,23 +182,13 @@ class ProtocolSpec:
         return math.log2(3.0) if self.abstains else 1.0
 
 
-# task, abstains, schedule condition, batch engine
+# task, abstains, schedule condition
 _SPECS = {
-    "cls_abstain": ProtocolSpec(
-        "classification", True, _beta_d_below(1, "1"), predict.batch_cls_abstain
-    ),
-    "cls_noabstain": ProtocolSpec(
-        "classification", False, _beta_d_below(0.5, "1/2"),
-        predict.batch_cls_noabstain,
-    ),
-    "reg_abstain": ProtocolSpec(
-        "regression", True, _amplitude_condition, predict.batch_regression
-    ),
-    "reg_noabstain": ProtocolSpec("regression", False, None, predict.batch_regression),
-    "specialists": ProtocolSpec(
-        "classification", True, _beta_d_below(1, "1"), predict.batch_specialists,
-        regions=True,
-    ),
+    "cls_abstain": ProtocolSpec("classification", True, _beta_d_below(1, "1")),
+    "cls_noabstain": ProtocolSpec("classification", False, _beta_d_below(0.5, "1/2")),
+    "reg_abstain": ProtocolSpec("regression", True, _amplitude_condition),
+    "reg_noabstain": ProtocolSpec("regression", False, None),
+    "specialists": ProtocolSpec("classification", True, _beta_d_below(1, "1"), regions=True),
 }
 
 PROTOCOLS = tuple(_SPECS)
@@ -246,6 +234,43 @@ class SensorState:
     datum: Optional[Example]
     region_center: Optional[np.ndarray] = None
     fixed_coin: Optional[int] = None
+
+
+@dataclass(frozen=True)
+class NetworkState:
+    """A trained network: one stored datum per sensor plus schedule values
+    (``c_n`` is both regression rules' amplitude). ``fixed_coins`` is None
+    where a fresh coin answers each query. Treated as immutable after
+    training; answering queries never mutates it, so it is safe to share
+    across evaluation workers.
+    """
+
+    protocol: str
+    n: int
+    r_n: float
+    c_n: float
+    xs: np.ndarray
+    ys: np.ndarray
+    untrainable: np.ndarray
+    fixed_coins: Optional[np.ndarray] = None
+    centers: Optional[np.ndarray] = None
+
+    @property
+    def dimension(self) -> int:
+        return self.xs.shape[1]
+
+    @property
+    def untrainable_count(self) -> int:
+        return int(self.untrainable.sum())
+
+    def sensor(self, i: int) -> SensorState:
+        """Per-sensor view for the scalar protocol operations."""
+        datum = None
+        if not self.untrainable[i]:
+            datum = Example(self.xs[i], float(self.ys[i]))
+        center = None if self.centers is None else self.centers[i]
+        coin = None if self.fixed_coins is None else int(self.fixed_coins[i])
+        return SensorState(datum=datum, region_center=center, fixed_coin=coin)
 
 
 def _require_datum(sensor: SensorState) -> Example:

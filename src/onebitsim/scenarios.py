@@ -121,6 +121,8 @@ class GaussianPairScenario(Scenario):
 
     eta(x) = sigmoid(2 <x, mu> / sigma^2); the optimal rule thresholds the
     projection on mu and errs with probability Phi(-||mu|| / sigma).
+    1e-75 <= sigma <= 1e75 and |mu| <= 1e75 keep sigma^2, ||mu||, the
+    points' squares and <x, mu> / sigma^2 finite floats.
     """
 
     task = "classification"
@@ -128,8 +130,12 @@ class GaussianPairScenario(Scenario):
     def __init__(self, id: str, mu: np.ndarray, sigma: float):
         if sigma <= 0:
             raise ValueError("sigma: must be positive")
+        if not 1e-75 <= sigma <= 1e75:
+            raise ValueError("sigma: must lie in [1e-75, 1e75]")
         self.id = id
         self.mu = np.atleast_1d(np.asarray(mu, dtype=float))
+        if np.any(np.abs(self.mu) > 1e75):
+            raise ValueError("mu: must be at most 1e75 in absolute value")
         self.dimension = self.mu.shape[0]
         self.sigma = float(sigma)
         self._mu_norm = float(np.linalg.norm(self.mu))
@@ -232,6 +238,8 @@ class CityscapeScenario(UniformBoxScenario):
     A Gaussian bump field exp(-||x-center||^2 / (2 spread^2)) marks the
     positive zone where it exceeds ``threshold`` (a disc); labels flip with
     probability ``flip``, so eta is 1-flip inside the disc and flip outside.
+    Center coordinates of at most 1e75 in absolute value keep the squared
+    distances of ``in_ball`` finite floats.
     """
 
     task = "classification"
@@ -246,6 +254,8 @@ class CityscapeScenario(UniformBoxScenario):
     ):
         if np.shape(center) != (2,):
             raise ValueError("center: expected 2 coordinates")
+        if np.any(np.abs(center) > 1e75):
+            raise ValueError("center: coordinates must be at most 1e75 in absolute value")
         if not (0 < threshold < 1):
             raise ValueError("threshold: must lie strictly in (0,1)")
         if spread <= 0:

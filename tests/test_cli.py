@@ -15,7 +15,9 @@ import pytest
 from onebitsim import cli
 from onebitsim import predict
 from onebitsim import protocols
-from onebitsim.harness import ExperimentConfig, default_impossibility_config, usable_cpus
+from onebitsim.harness import (
+    ExperimentConfig, default_impossibility_config, impossibility_demo, usable_cpus,
+)
 from onebitsim.seeding import CoinSource
 
 
@@ -102,6 +104,32 @@ VALUE_CASES = [
             "scenario_params": {"noise": 1e200},
         },
         "scenario.noise: must be at most 1e75",
+    ),
+    (  # sigma**2 overflows in eta
+        {"scenario.sigma": "1e200"}, {"scenario_params": {"sigma": 1e200}},
+        "scenario.sigma: must lie in [1e-75, 1e75]",
+    ),
+    (  # every eta divides by zero
+        {"scenario.sigma": "1e-200"}, {"scenario_params": {"sigma": 1e-200}},
+        "scenario.sigma: must lie in [1e-75, 1e75]",
+    ),
+    (
+        {"scenario": "gauss_mix_2d", "scenario.sigma": "1e160"},
+        {"scenario_id": "gauss_mix_2d", "scenario_params": {"sigma": 1e160}},
+        "scenario.sigma: must lie in [1e-75, 1e75]",
+    ),
+    (  # the norm, eta's matmul and the 1-d ball search overflow
+        {"scenario.mu": "1e160"}, {"scenario_params": {"mu": 1e160}},
+        "scenario.mu: must be at most 1e75 in absolute value",
+    ),
+    (  # in_ball's squared distance overflows
+        {"protocol": "specialists", "scenario": "cityscape_2d",
+         "scenario.center": "1e200, 0.5"},
+        {
+            "protocol": "specialists", "scenario_id": "cityscape_2d",
+            "scenario_params": {"center": (1e200, 0.5)},
+        },
+        "scenario.center: coordinates must be at most 1e75 in absolute value",
     ),
     ({"r0": "-1"}, {"r0": -1.0}, "r0: must be positive"),
     (  # c_n = 10^1000 at n = 10
@@ -346,6 +374,37 @@ def test_demo_rejects_another_protocol_at_config_time(tmp_path, capsys):
     assert cli.main(["demo-impossibility", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error: protocol:")
     assert not (tmp_path / "demo_impossibility.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore::onebitsim.protocols.ScheduleViolationWarning")
+def test_demo_writes_both_arms_and_its_summary(tmp_path, capsys):
+    cfg = write(tmp_path, "[demo-impossibility]\nn_grid = 200, 400\n"
+                          "replications = 2\ntest_points = 50\n")
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert cli.main(["demo-impossibility", "--config", cfg, "--out", str(a)]) == 0
+    out = capsys.readouterr().out
+    rows = read_csv(a / "demo_impossibility.csv")
+    assert rows[0] == list(cli.CSV_COLUMNS)
+    assert [(r[0], r[3]) for r in rows[1:]] == [
+        ("reg_noabstain", "200"), ("reg_noabstain", "400"),
+        ("reg_abstain", "200"), ("reg_abstain", "400"),
+    ]
+    config = dataclasses.replace(
+        default_impossibility_config(), n_grid=(200, 400), replications=2, test_points=50
+    )
+    demo = impossibility_demo(config)
+    names = ("grid_mean_abs_estimate", "terminal_mse", "predicted_plateau_mse",
+             "predicted_excess_plateau", "bayes_risk")
+    manifest = json.loads((a / "demo_impossibility.json").read_text())
+    assert manifest["summary"] == {name: getattr(demo, name) for name in names}
+    assert f"mean |estimate| on query grid at n=400: {demo.grid_mean_abs_estimate:.5f}" in out
+    assert f"terminal one-bit MSE: {demo.terminal_mse:.5f} (predicted plateau" in out
+    excess = demo.abstain_reports[-1].excess_risk
+    assert f"abstention contrast terminal excess: {excess:.5f}" in out
+    argv = ["demo-impossibility", "--config", cfg, "--out", str(b), "--jobs", "2"]
+    assert cli.main(argv) == 0
+    csv_bytes = (a / "demo_impossibility.csv").read_bytes()
+    assert (b / "demo_impossibility.csv").read_bytes() == csv_bytes
 
 
 def test_report_names_missing_column(tmp_path, capsys):

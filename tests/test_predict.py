@@ -383,25 +383,16 @@ def test_multi_chunk_two_arm_values_match_golden_digest():
     assert digest == MULTI_CHUNK_DIGEST
 
 
-def test_two_arm_prediction_memory_is_its_n_tables_and_chunk_buffers():
-    # one call holds at most three n-sized tables at a time (the sort order,
-    # the padded coordinates and np.take's buffer while the runs are found;
-    # then the sort order, which becomes the sensor keys, and one bias row
-    # per arm) and buffers whose size does not grow with n. The peak's slope
-    # over n cancels those buffers: three 8-byte tables and 4 bytes of slack
-    # (the clamp masks take 2) per sensor. A fourth table (keeping the
-    # padded coordinates through the pair pass, or copying the keys) adds 8
-    # and fails the two-arm call; an array over the ~5-20M pairs adds about
-    # 400. The one-arm call is the demo's probe path. The guessers' scipy
-    # import happens before tracing, or the first peak would hold it
-    pd.load_engine("reg_noabstain", 1, "per_sensor")
-    small, large = 100_000, 400_000
-    queries, _ = make_scenario("sine_1d").sample(np.random.default_rng(8), 2_000)
+_SMALL, _LARGE = 100_000, 400_000
+# bytes a sensor that one call's peak may grow by: three 8-byte n-sized
+# tables and 4 bytes of slack
+_MEMORY_SLOPE = 3 * 8 + 4
 
-    def arms_at(n):
-        net, twin = _two_arm_network(n, 0.2, 0.2, seed=7)
-        return tuple(dataclasses.replace(a, r_n=0.0125) for a in (net, twin))
 
+def _peak_slope(networks, queries):
+    """The growth in bytes per sensor of one ``predict_batch`` call's traced
+    peak, from the network at ``_SMALL`` sensors to the one at ``_LARGE``.
+    The slope cancels buffers whose size does not grow with n."""
     def peak(network):
         tracemalloc.start()
         try:
@@ -410,11 +401,53 @@ def test_two_arm_prediction_memory_is_its_n_tables_and_chunk_buffers():
         finally:
             tracemalloc.stop()
 
-    arms = arms_at(small), arms_at(large)
+    low, high = (peak(net) for net in networks)
+    return (high - low) / (_LARGE - _SMALL)
+
+
+def test_two_arm_prediction_memory_is_its_n_tables_and_chunk_buffers():
+    # one call holds at most three n-sized tables at a time (the sort order,
+    # the padded coordinates and np.take's buffer while the runs are found;
+    # then the sort order, which becomes the sensor keys, and one bias row
+    # per arm) and buffers whose size does not grow with n: three 8-byte
+    # tables and 4 bytes of slack (the clamp masks take 2) per sensor. A
+    # fourth table (keeping the padded coordinates through the pair pass,
+    # or copying the keys) adds 8 and fails the two-arm call; an array over
+    # the ~5-20M pairs adds about 400. The one-arm call is the demo's probe
+    # path. The guessers' scipy import happens before tracing, or the first
+    # peak would hold it
+    pd.load_engine("reg_noabstain", 1, "per_sensor")
+    queries, _ = make_scenario("sine_1d").sample(np.random.default_rng(8), 2_000)
+
+    def arms_at(n):
+        net, twin = _two_arm_network(n, 0.2, 0.2, seed=7)
+        return tuple(dataclasses.replace(a, r_n=0.0125) for a in (net, twin))
+
+    arms = arms_at(_SMALL), arms_at(_LARGE)
     assert pd.flag_counts(arms[0][0].xs, 0.0125, queries, [])[0].sum() > 4_000_000
     for pick in (lambda a: a, lambda a: a[0]):
-        low, high = (peak(pick(a)) for a in arms)
-        assert (high - low) / (large - small) <= 3 * 8 + 4
+        assert _peak_slope([pick(a) for a in arms], queries) <= _MEMORY_SLOPE
+
+
+@pytest.mark.parametrize("protocol,mode", [
+    ("cls_abstain", "per_sensor"), ("cls_noabstain", "per_sensor"),
+    ("cls_noabstain", "per_query"),
+])
+def test_1d_classification_memory_is_its_n_tables(protocol, mode):
+    # the 1-d counts hold the same three 8-byte tables while the runs are
+    # found, and one byte per flag (the labels and the fixed coins as bools):
+    # 26 to 27 bytes a sensor. An int64 copy of a flag adds 8 and fails
+    pd.load_engine(protocol, 1, mode)
+    scenario = make_scenario("gauss_mix_1d")
+    queries, _ = scenario.sample(np.random.default_rng(8), 2_000)
+    networks = [
+        dataclasses.replace(
+            train_network(protocol, scenario, n, Schedule(0.2, 0.2), 7, coin_mode=mode),
+            r_n=0.0125,
+        )
+        for n in (_SMALL, _LARGE)
+    ]
+    assert _peak_slope(networks, queries) <= _MEMORY_SLOPE
 
 
 def test_arms_must_share_one_training_set():

@@ -35,6 +35,23 @@ def test_catalog_ids():
         sc.make_scenario("sine_1d", noise=float("nan"))
 
 
+@pytest.mark.parametrize("sid,params", [
+    ("gauss_mix_1d", {"mu": 1e75, "sigma": 1e-75}),
+    ("gauss_mix_1d", {"mu": -1e75, "sigma": 1e75}),
+    ("gauss_mix_2d", {"sigma": 1e-75}),
+    ("gauss_mix_2d", {"sigma": 1e75}),
+    ("cityscape_2d", {"center": (1e75, -1e75)}),
+])
+def test_parameters_at_their_float_bounds_raise_no_warning(sid, params):
+    # every warning is an error under pytest here, so an overflow or a
+    # division by zero at an accepted extreme fails the test
+    scen = sc.make_scenario(sid, **params)
+    xs, ys = scen.sample(np.random.default_rng(3), 200)
+    eta = scen.eta(xs)
+    assert np.all(np.isfinite(xs)) and np.all((0 <= eta) & (eta <= 1))
+    assert 0 <= scen.bayes_risk() <= 0.5
+
+
 @pytest.mark.parametrize("sid", ALL_IDS)
 def test_sample_example_type_contract(sid):
     scen = sc.make_scenario(sid)
