@@ -171,7 +171,6 @@ def train_network(
         )
     return NetworkState(
         protocol=protocol,
-        n=n,
         r_n=r_n,
         c_n=c_n,
         xs=xs,
@@ -354,8 +353,8 @@ def _cell_report(
 def _cell_reports(
     arms: tuple[ExperimentConfig, ...], jobs: int, probe=None
 ) -> tuple[list[list[RiskReport]], Optional[np.ndarray]]:
-    """Run every (n, replication) of ``n_grid`` for all ``arms`` (which must
-    agree on ``shared``) in one pass over ``pool_workers`` processes, and
+    """Run every (n, replication) of ``n_grid`` for all ``arms`` (one config,
+    or ``impossibility_arms``) in one pass over ``pool_workers`` processes, and
     summarise each arm's cells in grid order, charging each arm an equal
     share of a replication's time. Replication 0 at the largest n also
     answers the ``probe`` queries, whose answers come back with the reports
@@ -371,12 +370,6 @@ def _cell_reports(
     Each arm's schedule verdict is decided once, before any task runs: an
     arm outside its conditions warns once, in this process, whatever
     ``jobs`` is, naming the line that called the public entry point."""
-    shared = ("scenario_id", "scenario_params", "seed", "n_grid", "replications",
-              "test_points", "r0", "beta", "coin_mode")
-    fields = [{**vars(arm), **vars(arm.schedule)} for arm in arms]
-    for name in shared:
-        if any(f[name] != fields[0][name] for f in fields):
-            raise ValueError(f"{name}: every arm must share the first arm's value")
     d = arms[0].scenario().dimension
     validity = []
     for arm in arms:

@@ -239,14 +239,14 @@ class SensorState:
 @dataclass(frozen=True)
 class NetworkState:
     """A trained network: one stored datum per sensor plus schedule values
-    (``c_n`` is both regression rules' amplitude). ``fixed_coins`` is None
-    where a fresh coin answers each query. Treated as immutable after
-    training; answering queries never mutates it, so it is safe to share
-    across evaluation workers.
+    (``c_n`` is both regression rules' amplitude). Its size ``n`` is the
+    number of rows of ``xs``. ``fixed_coins`` is None where a fresh coin
+    answers each query. Treated as immutable after training; answering
+    queries never mutates it, so it is safe to share across evaluation
+    workers.
     """
 
     protocol: str
-    n: int
     r_n: float
     c_n: float
     xs: np.ndarray
@@ -254,6 +254,10 @@ class NetworkState:
     untrainable: np.ndarray
     fixed_coins: Optional[np.ndarray] = None
     centers: Optional[np.ndarray] = None
+
+    @property
+    def n(self) -> int:
+        return len(self.xs)
 
     @property
     def dimension(self) -> int:
@@ -425,7 +429,6 @@ def respond_specialist(sensor: SensorState, query_x, r_n: float) -> Response:
     return Response.ABSTAIN
 
 
-def fuse_specialist(responses: Sequence[Response], default_label: int = 0) -> int:
-    """Majority over the responders (ties to 1); no responders falls back
-    to the default label."""
-    return fuse_cls_abstain(responses, default_label)
+# a specialist fusion center takes the abstention rule's majority over the
+# responders (ties to 1; no responders falls back to the default label)
+fuse_specialist = fuse_cls_abstain

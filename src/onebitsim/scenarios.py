@@ -138,9 +138,9 @@ class GaussianPairScenario(Scenario):
             raise ValueError("mu: must be at most 1e75 in absolute value")
         self.dimension = self.mu.shape[0]
         self.sigma = float(sigma)
-        self._mu_norm = float(np.linalg.norm(self.mu))
-        if self._mu_norm <= 0:
+        if not np.any(self.mu != 0):  # exact: a tiny mean's square underflows
             raise ValueError("mu: class means must be separated")
+        self._mu_norm = math.hypot(*self.mu)
 
     def sample_x(self, rng, size):
         labels = rng.random(size) < 0.5
@@ -180,8 +180,7 @@ class UniformBoxScenario(Scenario):
         hi = np.clip(centers + radius, 0.0, 1.0)
         nearest = np.clip(centers, 0.0, 1.0)
         reachable = in_ball(nearest, centers, radius)
-        empty_box = np.any(hi < lo, axis=1)
-        untrainable = ~reachable | empty_box | (radius <= 0)
+        untrainable = ~reachable | (radius <= 0)
         xs = np.full((n, d), np.nan)
         pending = np.flatnonzero(~untrainable)
         while pending.size:

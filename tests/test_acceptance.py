@@ -52,7 +52,7 @@ def test_criterion_1_exact_kernel_equivalence():
         sensors = [pr.SensorState(ex) for ex in train]
         queries = rng.uniform(-1, 1, size=(2, d))
         net = hn.NetworkState(
-            protocol="cls_abstain", n=n, r_n=r, c_n=1.0, xs=xs,
+            protocol="cls_abstain", r_n=r, c_n=1.0, xs=xs,
             ys=ys.astype(float), untrainable=np.zeros(n, dtype=bool),
         )
         batch = predict_batch(net, queries)

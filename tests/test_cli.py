@@ -139,6 +139,35 @@ VALUE_CASES = [
     ),
     ({"coin_mode": "weekly"}, {"coin_mode": "weekly"}, "coin_mode: unknown"),
     ({"replications": "0"}, {"replications": 0}, "replications: must be >= 1"),
+    ({"c0": "0"}, {"c0": 0.0}, "c0: must be positive"),
+    ({"clamp": "-1"}, {"clamp": -1.0}, "clamp: must be positive when set"),
+    ({"test_points": "0"}, {"test_points": 0}, "test_points: must be >= 1"),
+    ({"default_label": "2"}, {"default_label": 2}, "default_label: must be 0 or 1"),
+    (  # the means at +-0 coincide
+        {"scenario.mu": "0"}, {"scenario_params": {"mu": 0}},
+        "scenario.mu: class means must be separated",
+    ),
+    (
+        {"protocol": "reg_abstain", "scenario": "sine_1d", "scenario.noise": "-1"},
+        {
+            "protocol": "reg_abstain", "scenario_id": "sine_1d",
+            "scenario_params": {"noise": -1},
+        },
+        "scenario.noise: must be nonnegative",
+    ),
+] + [
+    (
+        {"scenario": sid, f"scenario.{name}": str(value)},
+        {"scenario_id": sid, "scenario_params": {name: value}},
+        f"scenario.{name}: {reason}",
+    )
+    for sid, name, value, reason in [
+        ("checkerboard_2d", "p_on", 1.5, "posterior level must lie in [0,1]"),
+        ("checkerboard_2d", "p_off", -0.5, "posterior level must lie in [0,1]"),
+        ("cityscape_2d", "threshold", 1, "must lie strictly in (0,1)"),
+        ("cityscape_2d", "spread", 0, "must be positive"),
+        ("cityscape_2d", "flip", 2, "probability must lie in [0,1]"),
+    ]
 ] + [
     (
         {"protocol": "reg_abstain", "scenario": "sine_1d", key: value},
@@ -296,6 +325,7 @@ def test_bad_keys_and_values(tmp_path, capsys):
             "n_grid = 5, 10\nfamily_c = 2.0\n",
             "family_c: unknown key",
         ),
+        ("[sweep\nprotocol = cls_abstain\n", "config: parse failure"),
     ] + [(sweep_ini(keys), message) for keys, _, message in VALUE_CASES]
     for text, message in cases:
         cfg = write(tmp_path, text)
@@ -350,6 +380,17 @@ def test_demo_section_takes_unset_keys_from_the_defaults_and_leaves_them(tmp_pat
     config = cli.build_experiment_config(section, single_n=False, defaults=defaults)
     assert config.scenario_params == {"noise": 0.2}
     assert repr(defaults) == before
+
+
+@pytest.mark.parametrize("command,text,message", [
+    ("simulate", "[simulate]\nprotocol = cls_abstain\nscenario = gauss_mix_1d\n", "n: required"),
+    ("sweep", None, "config: required (--config PATH)"),
+])
+def test_a_command_without_its_required_input_names_it(tmp_path, capsys, command, text, message):
+    argv = [command] + ([] if text is None else ["--config", write(tmp_path, text)])
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_simulate_n_takes_one_integer(tmp_path, capsys):

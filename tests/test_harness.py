@@ -139,6 +139,21 @@ def test_train_network_empty():
     assert net.n == 0 and net.xs.shape == (0, 1)
 
 
+def test_network_size_is_the_number_of_rows():
+    net = hn.train_network(
+        "cls_noabstain", make_scenario("gauss_mix_1d"), 50, Schedule(0.5, 0.3), seed=2
+    )
+    assert net.n == len(net.xs) == 50
+    smaller = dataclasses.replace(
+        net, xs=net.xs[:10], ys=net.ys[:10], untrainable=net.untrainable[:10],
+        fixed_coins=net.fixed_coins[:10],
+    )
+    assert smaller.n == 10
+    assert predict_batch(smaller, np.zeros((3, 1))).responders.tolist() == [10] * 3
+    with pytest.raises(TypeError):  # no field can contradict the data
+        dataclasses.replace(net, n=10)
+
+
 def test_train_network_task_mismatch():
     with pytest.raises(ValueError, match="classification"):
         hn.train_network(
@@ -619,29 +634,16 @@ def test_demo_trains_each_network_once(monkeypatch):
     assert trained == [n for n in config.n_grid for _ in range(config.replications)]
 
 
-@pytest.mark.parametrize(
-    "field,value",
-    [
-        ("scenario_params", {"noise": 0.2}),
-        ("seed", 4),
-        ("n_grid", (200, 3000)),
-        ("replications", 3),
-        ("test_points", 10),
-        ("coin_mode", "per_query"),
-        ("r0", 0.4),
-        ("beta", 0.2),
-    ],
-)
-def test_arms_must_share_training_and_test_draws(field, value):
+def test_impossibility_arms_differ_only_in_protocol_and_amplitude():
+    # both arms train on one network and answer one set of test draws, so
+    # the contrast may change only what the fusion center does with them
     config, contrast = hn.impossibility_arms(demo_config())
-    if field in ("r0", "beta"):
-        other = dataclasses.replace(
-            contrast, schedule=dataclasses.replace(contrast.schedule, **{field: value})
-        )
-    else:
-        other = dataclasses.replace(contrast, **{field: value})
-    with pytest.raises(ValueError, match=f"^{field}: every arm must share"):
-        hn._cell_reports((config, other), 1)
+    assert contrast == dataclasses.replace(
+        config,
+        protocol="reg_abstain",
+        schedule=dataclasses.replace(config.schedule, c0=1.0, gamma=0.1, clamp=None),
+    )
+    assert (contrast.schedule.r0, contrast.schedule.beta) == (0.5, 0.3)
 
 
 @pytest.mark.filterwarnings("ignore::onebitsim.protocols.ScheduleViolationWarning")

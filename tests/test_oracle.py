@@ -76,6 +76,10 @@ def test_vote_distribution_validation():
         oc.VoteDistribution(pmf=np.array([0.5, 0.4]), n=1)
     with pytest.raises(ValueError, match="nonnegative"):
         oc.VoteDistribution(pmf=np.array([1.1, -0.1]), n=1)
+    with pytest.raises(ValueError, match=r"^pmf must have length n\+1"):
+        oc.VoteDistribution(pmf=np.array([1.0]), n=1)
+    with pytest.raises(ValueError, match="^p must be a 1-d sequence"):
+        oc.exact_vote_distribution([[0.5, 0.5]])
 
 
 def _manual_network(protocol, xs, ys, r_n, c_n=1.0, fixed_coins=None):
@@ -84,7 +88,6 @@ def _manual_network(protocol, xs, ys, r_n, c_n=1.0, fixed_coins=None):
         xs = xs[:, None]
     return NetworkState(
         protocol=protocol,
-        n=xs.shape[0],
         r_n=r_n,
         c_n=c_n,
         xs=xs,

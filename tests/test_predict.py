@@ -356,7 +356,7 @@ def test_reg_abstain_labels_on_the_clamp_keep_their_bias():
     for beyond in (2, 3):
         assert 0 < np.count_nonzero(votes[:, beyond] == protocols.Response.VOTE1) < 64
     for y in labels:  # and each label alone, where the estimate is its one vote
-        check(dataclasses.replace(net, n=1, xs=np.full((1, 1), 0.5), ys=np.array([y])))
+        check(dataclasses.replace(net, xs=np.full((1, 1), 0.5), ys=np.array([y])))
 
 
 # sha256 of a two-arm predict_batch's values (both arms, float64 bytes) on
@@ -389,20 +389,25 @@ _SMALL, _LARGE = 100_000, 400_000
 _MEMORY_SLOPE = 3 * 8 + 4
 
 
-def _peak_slope(networks, queries):
-    """The growth in bytes per sensor of one ``predict_batch`` call's traced
-    peak, from the network at ``_SMALL`` sensors to the one at ``_LARGE``.
-    The slope cancels buffers whose size does not grow with n."""
-    def peak(network):
+def _slope(call, inputs):
+    """The growth in bytes per sensor of ``call(input)``'s traced peak, from
+    the input at ``_SMALL`` sensors to the one at ``_LARGE``. The slope
+    cancels buffers whose size does not grow with n."""
+    def peak(x):
         tracemalloc.start()
         try:
-            pd.predict_batch(network, queries, coin_seed=9)
+            call(x)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    low, high = (peak(net) for net in networks)
+    low, high = (peak(x) for x in inputs)
     return (high - low) / (_LARGE - _SMALL)
+
+
+def _peak_slope(networks, queries):
+    """The ``_slope`` of one ``predict_batch`` call over ``networks``."""
+    return _slope(lambda net: pd.predict_batch(net, queries, coin_seed=9), networks)
 
 
 def test_two_arm_prediction_memory_is_its_n_tables_and_chunk_buffers():
@@ -448,6 +453,30 @@ def test_1d_classification_memory_is_its_n_tables(protocol, mode):
         for n in (_SMALL, _LARGE)
     ]
     assert _peak_slope(networks, queries) <= _MEMORY_SLOPE
+
+
+@pytest.mark.parametrize("scenario_id", ["cityscape_2d", "checkerboard_2d"])
+def test_specialists_training_memory_is_its_n_tables(scenario_id):
+    # training keeps 41 bytes a sensor (xs and the centers at 16 each, ys at
+    # 8, the untrainable mask at 1); the unit-box sampler's temporaries
+    # (clipped corners, proposals, squared distances) bring the peak to 163.
+    # Another float64 n-sized array held while the sampler runs adds 8 and fails
+    scenario = make_scenario(scenario_id)
+    slope = _slope(
+        lambda n: train_network("specialists", scenario, n, Schedule(0.5, 0.2), seed=1),
+        (_SMALL, _LARGE),
+    )
+    assert slope <= 163 + 4
+
+
+def test_guesser_crowd_memory_does_not_grow_with_n():
+    # the crowd's binomial quantiles hold query-sized arrays only (about
+    # 150 kB at 2,000 queries, whatever n): half a byte a sensor of slack
+    # fails any n-sized array
+    pd.load_engine("cls_noabstain", 1, "per_query")
+    counts = np.random.default_rng(3).integers(0, 50, 2_000)
+    slope = _slope(lambda n: pd._guesser_votes(CoinSource(9), n, counts), (_SMALL, _LARGE))
+    assert slope <= 0.5
 
 
 def test_arms_must_share_one_training_set():

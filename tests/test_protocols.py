@@ -291,6 +291,10 @@ def test_fuse_specialist():
     assert pr.fuse_specialist([]) == 0
 
 
+def test_specialist_fusion_is_the_abstention_rule():
+    assert pr.fuse_specialist is pr.fuse_cls_abstain
+
+
 def test_draw_specialist_centers():
     rng = np.random.default_rng(4)
     centers = pr.draw_specialist_centers(500, 2, rng)

@@ -116,6 +116,13 @@ def test_bayes_risk_values():
     assert np.all(ys == 1)
 
 
+def test_a_tiny_gaussian_mean_is_still_separated():
+    # mu * mu underflows to 0 below about 1e-162; the means differ all the same
+    gm = sc.make_scenario("gauss_mix_1d", mu=1e-170)
+    assert gm.bayes_risk() == 0.5
+    assert sc.GaussianPairScenario("pair", [1e-170, 1e-170], 1.0)._mu_norm > 0
+
+
 def test_gaussian_eta_is_scipys_expit_to_rounding():
     # eta is expit's own formula, 1 / (1 + exp(-z)), with numpy's exp for
     # libm's: the two differ on about 2 % of arguments, by at most 2 ulp
@@ -187,6 +194,15 @@ def test_conditional_sample_zero_mass_region():
         np.testing.assert_array_equal(untrainable, [False, True])
         assert np.isnan(xs[1]).all() and np.isnan(ys[1])
         assert abs(xs[0, 0] - 0.5) <= 0.1
+
+
+@pytest.mark.parametrize("radius", [0.0, -0.1, -5.0])
+def test_a_nonpositive_radius_leaves_every_region_untrainable(radius):
+    # centers inside, on and outside the unit square
+    centers = np.array([[0.5, 0.5], [0.0, 1.0], [-0.2, 1.3], [3.0, 0.5]])
+    scen = sc.make_scenario("cityscape_2d")
+    xs, untrainable = scen.direct_conditional_x(centers, radius, np.random.default_rng(1))
+    assert untrainable.all() and np.isnan(xs).all()
 
 
 def test_conditional_uniform_is_uniform_on_intersection():
