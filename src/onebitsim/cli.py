@@ -99,26 +99,6 @@ def _environment(config: ExperimentConfig, jobs: int) -> dict:
     }
 
 
-def _manifest(
-    command: str, config: ExperimentConfig, jobs: int, reports, started, finished, extra=None
-):
-    body = {
-        "tool": "onebit-sim",
-        "version": __version__,
-        "command": command,
-        "master_seed": config.seed,
-        "started_at": started,
-        "finished_at": finished,
-        "config": dataclasses.asdict(config),
-        "rows": [report_row(r) for r in reports],
-        "wall_time_s": [r.wall_time_s for r in reports],
-        "environment": _environment(config, jobs),
-    }
-    if extra:
-        body.update(extra)
-    return body
-
-
 def write_json(path: Path, manifest: dict) -> None:
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -311,10 +291,22 @@ def _read_config(args, command: str, single_n: bool, defaults=None) -> Experimen
 
 
 def _emit(args, stem: Path, command: str, config, reports, started, extra=None) -> None:
-    """Write ``<stem>.csv`` and ``<stem>.json`` (``_out_stem``) and print the table."""
-    finished = _now()
+    """Write ``<stem>.csv`` and ``<stem>.json`` (``_out_stem``) and print the table.
+    The manifest's ``extra`` keys join its fixed ones."""
+    manifest = {
+        "tool": "onebit-sim",
+        "version": __version__,
+        "command": command,
+        "master_seed": config.seed,
+        "started_at": started,
+        "finished_at": _now(),
+        "config": dataclasses.asdict(config),
+        "rows": [report_row(r) for r in reports],
+        "wall_time_s": [r.wall_time_s for r in reports],
+        "environment": _environment(config, args.jobs),
+        **(extra or {}),
+    }
     write_csv(Path(f"{stem}.csv"), reports)
-    manifest = _manifest(command, config, args.jobs, reports, started, finished, extra)
     write_json(Path(f"{stem}.json"), manifest)
     _print_table(reports)
 

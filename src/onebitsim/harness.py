@@ -35,7 +35,6 @@ from .protocols import (
 from .scenarios import (
     Scenario,
     check_finite,
-    in_ball,
     make_scenario,
     sample_conditional_batch,
     scenario_parameters,
@@ -158,10 +157,6 @@ def train_network(
     if spec.regions:
         centers = draw_specialist_centers(n, d, derived_rng(seed, _STREAM_REGIONS))
         xs, ys, untrainable = sample_conditional_batch(scenario, centers, r_n, data_rng)
-        trained = ~untrainable
-        if trained.any():
-            inside = in_ball(xs[trained], centers[trained], r_n)
-            assert inside.all(), "trained datum escaped its region"
     else:
         xs, ys = scenario.sample(data_rng, n)
     fixed_coins = None
@@ -234,15 +229,12 @@ class RiskReport:
     test_points: int
     risk_mean: float
     risk_se: float
-    ci_low: float
-    ci_high: float
     bayes_risk: float
     excess_risk: float
     bits_per_query: float
     abstain_rate: float
     all_abstain_frac: float
     seed: int
-    se_degenerate: bool
     wall_time_s: float
 
 
@@ -289,16 +281,14 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def pool_workers(jobs: int, tasks: int, cpus: Optional[int] = None) -> int:
+def pool_workers(jobs: int, tasks: int) -> int:
     """Processes that run ``tasks`` replications: ``jobs`` clamped to the
-    task count and the CPU count (``usable_cpus()`` unless given), this
-    process included. One means the replications run serially here, with
-    no pool; more means this process and a pool of one fewer."""
+    task count and ``usable_cpus()``, this process included. One means the
+    replications run serially here, with no pool; more means this process
+    and a pool of one fewer."""
     if jobs < 1:
         raise ValueError(f"jobs: must be >= 1, got {jobs}")
-    if cpus is None:
-        cpus = usable_cpus()
-    return max(1, min(jobs, tasks, cpus))
+    return max(1, min(jobs, tasks, usable_cpus()))
 
 
 def _cell_report(
@@ -308,17 +298,13 @@ def _cell_report(
     risks = [s.risk for s in samples]
     r = len(risks)
     mean = math.fsum(risks) / r
+    se = 0.0  # one replication has no spread, and skips the check below
     if r >= 2:
-        var = math.fsum((x - mean) ** 2 for x in risks) / (r - 1)
-        se = math.sqrt(var / r)
-        degenerate = False
-    else:
-        se = 0.0
-        degenerate = True
+        se = math.sqrt(math.fsum((x - mean) ** 2 for x in risks) / (r - 1) / r)
     scenario = config.scenario()
     lstar = scenario.bayes_risk()
     excess = mean - lstar
-    if not degenerate and se > 0 and excess < -3.0 * se:
+    if se > 0 and excess < -3.0 * se:
         raise RuntimeError(
             f"excess risk {excess:.6g} is below -3*SE ({se:.6g}); "
             "the estimator appears to beat the optimal rule, which points "
@@ -337,15 +323,12 @@ def _cell_report(
         test_points=config.test_points,
         risk_mean=mean,
         risk_se=se,
-        ci_low=mean - 1.96 * se,
-        ci_high=mean + 1.96 * se,
         bayes_risk=lstar,
         excess_risk=excess,
         bits_per_query=protocol_spec(config.protocol).bits_per_query,
         abstain_rate=math.fsum(s.abstain_rate for s in samples) / r,
         all_abstain_frac=math.fsum(s.all_abstain_frac for s in samples) / r,
         seed=config.seed,
-        se_degenerate=degenerate,
         wall_time_s=math.fsum(seconds for _, seconds in timed),
     )
 

@@ -263,10 +263,6 @@ class NetworkState:
     def dimension(self) -> int:
         return self.xs.shape[1]
 
-    @property
-    def untrainable_count(self) -> int:
-        return int(self.untrainable.sum())
-
     def sensor(self, i: int) -> SensorState:
         """Per-sensor view for the scalar protocol operations."""
         datum = None

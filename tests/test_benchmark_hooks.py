@@ -3,6 +3,7 @@ renamed helper fails here instead of silently dropping the benchmark's
 per-layer metrics or failing its set-up."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -87,6 +88,11 @@ def test_every_benchmark_hook_installs_and_records():
             "predict.binom", "predict.kdtree_build", "predict.kdtree_query",
             "scenarios.sample", "seeding.coins",
         } <= recorded
+        # a traced run's result line carries every layer metric, and strict
+        # JSON takes it: no metric is NaN or infinite
+        metrics = spans.layer_metrics(tracer, hooks.absent)
+        assert set(metrics) == set(spans.LAYER_METRICS)
+        json.dumps(metrics, allow_nan=False)
     finally:
         hooks.remove()
 

@@ -185,7 +185,7 @@ def test_train_network_fixed_coins_only_when_needed():
 def test_specialists_training_is_in_region():
     scen = make_scenario("cityscape_2d")
     net = hn.train_network("specialists", scen, 10**4, Schedule(0.5, 0.2), seed=5)
-    assert net.untrainable_count == 0
+    assert not net.untrainable.any()
     assert np.all(in_ball(net.xs, net.centers, net.r_n))
 
 
@@ -251,17 +251,15 @@ def test_one_cell_report_fields():
     assert report.n == 200
     assert report.replications == 3
     assert report.excess_risk == pytest.approx(report.risk_mean - report.bayes_risk)
-    assert report.ci_low == pytest.approx(report.risk_mean - 1.96 * report.risk_se)
-    assert report.ci_high == pytest.approx(report.risk_mean + 1.96 * report.risk_se)
     assert report.bits_per_query == pytest.approx(math.log2(3))
     assert 0.0 <= report.abstain_rate <= 1.0
-    assert not report.se_degenerate
+    assert report.risk_se > 0
     assert report.schedule_validity == "satisfies"
 
 
 def test_one_cell_single_replication_flagged():
     [report] = hn.run_sweep(small_config(replications=1, n_grid=(50,)))
-    assert report.se_degenerate
+    assert report.replications == 1
     assert report.risk_se == 0.0
 
 
@@ -668,16 +666,17 @@ def test_abstention_telemetry_flows_into_report():
     assert report.all_abstain_frac > 0.0
 
 
-def test_pool_workers_clamps_to_tasks_and_cpus():
-    assert hn.pool_workers(1, 20, cpus=8) == 1
-    assert hn.pool_workers(2, 4, cpus=2) == 2
-    assert hn.pool_workers(10**9, 4, cpus=2) == 2
-    assert hn.pool_workers(10**9, 3, cpus=64) == 3
-    assert hn.pool_workers(4, 1, cpus=8) == 1
+def test_pool_workers_clamps_to_tasks_and_cpus(monkeypatch):
     assert hn.pool_workers(10**9, 10**9) == hn.usable_cpus()
+    for jobs, tasks, cpus, workers in (
+        (1, 20, 8, 1), (2, 4, 2, 2), (10**9, 4, 2, 2), (10**9, 3, 64, 3), (4, 1, 8, 1)
+    ):
+        monkeypatch.setattr(hn, "usable_cpus", lambda cpus=cpus: cpus)
+        assert hn.pool_workers(jobs, tasks) == workers
+    monkeypatch.setattr(hn, "usable_cpus", lambda: 2)
     for jobs in (0, -1):
         with pytest.raises(ValueError, match=f"^jobs: must be >= 1, got {jobs}$"):
-            hn.pool_workers(jobs, 4, cpus=2)
+            hn.pool_workers(jobs, 4)
 
 
 def test_usable_cpus_is_the_affinity_mask_else_the_cpu_count(monkeypatch):

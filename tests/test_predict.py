@@ -410,6 +410,19 @@ def _peak_slope(networks, queries):
     return _slope(lambda net: pd.predict_batch(net, queries, coin_seed=9), networks)
 
 
+def _two_arm_memory_inputs():
+    """The two-arm guard's queries and its arm pairs at ``_SMALL`` and
+    ``_LARGE`` sensors, on a radius whose balls hold over 4M pairs."""
+    pd.load_engine("reg_noabstain", 1, "per_sensor")
+    queries, _ = make_scenario("sine_1d").sample(np.random.default_rng(8), 2_000)
+
+    def arms_at(n):
+        net, twin = _two_arm_network(n, 0.2, 0.2, seed=7)
+        return tuple(dataclasses.replace(a, r_n=0.0125) for a in (net, twin))
+
+    return (arms_at(_SMALL), arms_at(_LARGE)), queries
+
+
 def test_two_arm_prediction_memory_is_its_n_tables_and_chunk_buffers():
     # one call holds at most three n-sized tables at a time (the sort order,
     # the padded coordinates and np.take's buffer while the runs are found;
@@ -421,27 +434,21 @@ def test_two_arm_prediction_memory_is_its_n_tables_and_chunk_buffers():
     # the ~5-20M pairs adds about 400. The one-arm call is the demo's probe
     # path. The guessers' scipy import happens before tracing, or the first
     # peak would hold it
-    pd.load_engine("reg_noabstain", 1, "per_sensor")
-    queries, _ = make_scenario("sine_1d").sample(np.random.default_rng(8), 2_000)
-
-    def arms_at(n):
-        net, twin = _two_arm_network(n, 0.2, 0.2, seed=7)
-        return tuple(dataclasses.replace(a, r_n=0.0125) for a in (net, twin))
-
-    arms = arms_at(_SMALL), arms_at(_LARGE)
+    arms, queries = _two_arm_memory_inputs()
     assert pd.flag_counts(arms[0][0].xs, 0.0125, queries, [])[0].sum() > 4_000_000
     for pick in (lambda a: a, lambda a: a[0]):
         assert _peak_slope([pick(a) for a in arms], queries) <= _MEMORY_SLOPE
 
 
-@pytest.mark.parametrize("protocol,mode", [
+_1D_CLASSIFICATION = [
     ("cls_abstain", "per_sensor"), ("cls_noabstain", "per_sensor"),
     ("cls_noabstain", "per_query"),
-])
-def test_1d_classification_memory_is_its_n_tables(protocol, mode):
-    # the 1-d counts hold the same three 8-byte tables while the runs are
-    # found, and one byte per flag (the labels and the fixed coins as bools):
-    # 26 to 27 bytes a sensor. An int64 copy of a flag adds 8 and fails
+]
+
+
+def _1d_classification_memory_inputs(protocol, mode):
+    """The 1-d classification guard's networks at ``_SMALL`` and
+    ``_LARGE`` sensors and its queries."""
     pd.load_engine(protocol, 1, mode)
     scenario = make_scenario("gauss_mix_1d")
     queries, _ = scenario.sample(np.random.default_rng(8), 2_000)
@@ -452,31 +459,52 @@ def test_1d_classification_memory_is_its_n_tables(protocol, mode):
         )
         for n in (_SMALL, _LARGE)
     ]
-    assert _peak_slope(networks, queries) <= _MEMORY_SLOPE
+    return networks, queries
 
 
-@pytest.mark.parametrize("scenario_id", ["cityscape_2d", "checkerboard_2d"])
+@pytest.mark.parametrize("protocol,mode", _1D_CLASSIFICATION)
+def test_1d_classification_memory_is_its_n_tables(protocol, mode):
+    # the 1-d counts hold the same three 8-byte tables while the runs are
+    # found, and one byte per flag (the labels and the fixed coins as bools):
+    # 26 to 27 bytes a sensor. An int64 copy of a flag adds 8 and fails
+    assert _peak_slope(*_1d_classification_memory_inputs(protocol, mode)) <= _MEMORY_SLOPE
+
+
+_SPECIALISTS = ["cityscape_2d", "checkerboard_2d"]
+_SPECIALISTS_SLOPE = 163 + 4
+
+
+def _specialists_training_slope(scenario_id):
+    scenario = make_scenario(scenario_id)
+    return _slope(
+        lambda n: train_network("specialists", scenario, n, Schedule(0.5, 0.2), seed=1),
+        (_SMALL, _LARGE),
+    )
+
+
+@pytest.mark.parametrize("scenario_id", _SPECIALISTS)
 def test_specialists_training_memory_is_its_n_tables(scenario_id):
     # training keeps 41 bytes a sensor (xs and the centers at 16 each, ys at
     # 8, the untrainable mask at 1); the unit-box sampler's temporaries
     # (clipped corners, proposals, squared distances) bring the peak to 163.
     # Another float64 n-sized array held while the sampler runs adds 8 and fails
-    scenario = make_scenario(scenario_id)
-    slope = _slope(
-        lambda n: train_network("specialists", scenario, n, Schedule(0.5, 0.2), seed=1),
-        (_SMALL, _LARGE),
-    )
-    assert slope <= 163 + 4
+    assert _specialists_training_slope(scenario_id) <= _SPECIALISTS_SLOPE
+
+
+_GUESSER_SLOPE = 0.5
+
+
+def _guesser_crowd_slope():
+    pd.load_engine("cls_noabstain", 1, "per_query")
+    counts = np.random.default_rng(3).integers(0, 50, 2_000)
+    return _slope(lambda n: pd._guesser_votes(CoinSource(9), n, counts), (_SMALL, _LARGE))
 
 
 def test_guesser_crowd_memory_does_not_grow_with_n():
     # the crowd's binomial quantiles hold query-sized arrays only (about
     # 150 kB at 2,000 queries, whatever n): half a byte a sensor of slack
     # fails any n-sized array
-    pd.load_engine("cls_noabstain", 1, "per_query")
-    counts = np.random.default_rng(3).integers(0, 50, 2_000)
-    slope = _slope(lambda n: pd._guesser_votes(CoinSource(9), n, counts), (_SMALL, _LARGE))
-    assert slope <= 0.5
+    assert _guesser_crowd_slope() <= _GUESSER_SLOPE
 
 
 def test_arms_must_share_one_training_set():
