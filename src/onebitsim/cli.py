@@ -86,19 +86,6 @@ def write_csv(path: Path, reports: list[RiskReport]) -> None:
             writer.writerow([_fmt(row[col]) for col in CSV_COLUMNS])
 
 
-def _environment(config: ExperimentConfig, jobs: int) -> dict:
-    """Interpreter, library and machine facts, plus the number of
-    processes (this one included) that run each sweep's tasks for ``jobs``."""
-    return {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "cpu_count": usable_cpus(),
-        "jobs": jobs,
-        "workers": pool_workers(jobs, len(config.n_grid) * config.replications),
-    }
-
-
 def write_json(path: Path, manifest: dict) -> None:
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -292,7 +279,9 @@ def _read_config(args, command: str, single_n: bool, defaults=None) -> Experimen
 
 def _emit(args, stem: Path, command: str, config, reports, started, extra=None) -> None:
     """Write ``<stem>.csv`` and ``<stem>.json`` (``_out_stem``) and print the table.
-    The manifest's ``extra`` keys join its fixed ones."""
+    The manifest's ``extra`` keys join its fixed ones. Its ``environment``
+    holds interpreter, library and machine facts, plus the number of
+    processes (this one included) that run each sweep's tasks."""
     manifest = {
         "tool": "onebit-sim",
         "version": __version__,
@@ -303,7 +292,14 @@ def _emit(args, stem: Path, command: str, config, reports, started, extra=None) 
         "config": dataclasses.asdict(config),
         "rows": [report_row(r) for r in reports],
         "wall_time_s": [r.wall_time_s for r in reports],
-        "environment": _environment(config, args.jobs),
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "cpu_count": usable_cpus(),
+            "jobs": args.jobs,
+            "workers": pool_workers(args.jobs, len(config.n_grid) * config.replications),
+        },
         **(extra or {}),
     }
     write_csv(Path(f"{stem}.csv"), reports)

@@ -27,7 +27,6 @@ from .protocols import (
     Schedule,
     ScheduleViolationWarning,
     check_coin_mode,
-    draw_specialist_centers,
     protocol_spec,
     schedule_eval,
     validate_schedule,
@@ -137,8 +136,8 @@ def train_network(
     """Distribute one training datum to each of n sensors.
 
     Specialist sensors first receive uniform random regions and then train
-    on data conditioned to fall inside them; a region that carries no
-    probability mass leaves its sensor untrainable (it will abstain
+    on data conditioned to fall inside them; a radius that is not positive
+    (r_n underflowing to 0) leaves every sensor untrainable (they abstain
     forever), which is telemetry rather than an error. Every schedule
     trains, including one outside the sufficient consistency conditions:
     violating runs are legitimate experiment subjects. Runs warn about
@@ -155,7 +154,8 @@ def train_network(
     centers = None
     untrainable = np.zeros(n, dtype=bool)
     if spec.regions:
-        centers = draw_specialist_centers(n, d, derived_rng(seed, _STREAM_REGIONS))
+        # region centers i.i.d. uniform on the unit box [0,1]^d
+        centers = derived_rng(seed, _STREAM_REGIONS).random((n, d))
         xs, ys, untrainable = sample_conditional_batch(scenario, centers, r_n, data_rng)
     else:
         xs, ys = scenario.sample(data_rng, n)
@@ -414,7 +414,7 @@ class ImpossibilityReport:
     bayes_risk: float
 
 
-def default_impossibility_config(seed: int = 0) -> ExperimentConfig:
+def default_impossibility_config() -> ExperimentConfig:
     return ExperimentConfig(
         protocol="reg_noabstain",
         scenario_id="sine_1d",
@@ -423,7 +423,6 @@ def default_impossibility_config(seed: int = 0) -> ExperimentConfig:
         n_grid=(10**4, 10**5, 10**6),
         replications=3,
         test_points=2000,
-        seed=seed,
     )
 
 
@@ -438,9 +437,7 @@ def impossibility_arms(config: ExperimentConfig) -> tuple[ExperimentConfig, ...]
     return config, replace(config, protocol="reg_abstain", schedule=schedule)
 
 
-def impossibility_demo(
-    config: Optional[ExperimentConfig] = None, jobs: int = 1
-) -> ImpossibilityReport:
+def impossibility_demo(config: ExperimentConfig, jobs: int = 1) -> ImpossibilityReport:
     """Contrast the fixed-amplitude no-abstention estimator against the
     abstention protocol on the same scenario and radius schedule.
 
@@ -450,8 +447,6 @@ def impossibility_demo(
     Both arms run in one pass: each replication trains once for the two,
     and replication 0 at the largest n answers the query grid too.
     """
-    if config is None:
-        config = default_impossibility_config()
     arms = impossibility_arms(config)
     scenario = config.scenario()
     lo, hi = scenario.support_box

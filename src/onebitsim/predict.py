@@ -258,9 +258,14 @@ def predict_batch(
     ``coin_seed`` addresses all fresh response randomness; identical
     (network, queries, coin_seed) triples give identical output no matter
     how the work is chunked or parallelized. A tuple of regression arms
-    gives ``values`` and ``responders`` a leading arm axis.
+    gives ``values`` and ``responders`` a leading arm axis. ``queries``
+    must have the network's dimension as its columns (a 1-d array is one
+    query), else ``ValueError("queries: ...")``.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
+    d = (network[0] if isinstance(network, tuple) else network).dimension
+    if queries.ndim != 2 or queries.shape[1] != d:
+        raise ValueError(f"queries: expected a (k, {d}) array, got shape {queries.shape}")
     if isinstance(network, tuple):  # regression arms share one engine
         return batch_regression(network, queries, coin_seed, default_label)
     protocol_spec(network.protocol)  # an unknown protocol is a ValueError

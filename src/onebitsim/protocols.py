@@ -354,14 +354,12 @@ def respond_reg_abstain(
     return Response.VOTE1 if coin < bias else Response.VOTE0
 
 
-def fuse_reg_abstain(
-    responses: Sequence[Response], c_n: float, default_value: float = 0.0
-) -> float:
+def fuse_reg_abstain(responses: Sequence[Response], c_n: float) -> float:
     """Decode the vote fraction back into label units:
-    2 c_n (vote fraction - 1/2). All-abstain yields the default value."""
+    2 c_n (vote fraction - 1/2). All-abstain yields 0.0."""
     votes = [r.vote for r in responses if r.is_vote]
     if not votes:
-        return default_value
+        return 0.0
     return 2.0 * c_n * (sum(votes) / len(votes) - 0.5)
 
 
@@ -405,11 +403,6 @@ def fuse_reg_noabstain_scaledmean(responses: Sequence[Response], c: float) -> fl
 
 # ---------------------------------------------------------------------------
 # specialists
-
-
-def draw_specialist_centers(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    """n region centers i.i.d. uniform on the unit box [0,1]^d."""
-    return rng.random((n, d))
 
 
 def respond_specialist(sensor: SensorState, query_x, r_n: float) -> Response:

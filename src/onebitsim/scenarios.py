@@ -170,17 +170,19 @@ class UniformBoxScenario(Scenario):
 
     def direct_conditional_x(self, centers, radius, rng):
         """One X per row of ``centers`` from P_X given X in the ball, and
-        the mask of balls that hold no mass (their rows NaN)."""
+        the mask of balls that hold no mass (their rows NaN): every row for
+        a radius that is not positive, else none. Centers must lie in the
+        closed unit box, else ``ValueError("centers: ...")``."""
         # Uniform X conditioned on a ball is uniform on ball-intersect-box:
         # propose uniformly in the clipped bounding box, accept inside the
-        # ball. Acceptance is bounded below (~pi/4 in 2-d), so a handful of
-        # rounds settles every row.
+        # ball. A center in the box keeps acceptance bounded below (~pi/4
+        # in 2-d), so a handful of rounds settles every row.
         n, d = centers.shape
+        if not (centers.min(initial=0.0) >= 0.0 and centers.max(initial=1.0) <= 1.0):
+            raise ValueError("centers: must lie in the closed unit box [0, 1]^d")
         lo = np.clip(centers - radius, 0.0, 1.0)
         hi = np.clip(centers + radius, 0.0, 1.0)
-        nearest = np.clip(centers, 0.0, 1.0)
-        reachable = in_ball(nearest, centers, radius)
-        untrainable = ~reachable | (radius <= 0)
+        untrainable = np.full(n, not radius > 0)  # a NaN radius trains none too
         xs = np.full((n, d), np.nan)
         pending = np.flatnonzero(~untrainable)
         while pending.size:

@@ -213,7 +213,7 @@ def test_criterion_6_impossibility_demonstration():
     """One-bit regression without abstention collapses: the estimate
     shrinks toward 0 everywhere and the MSE plateaus at E[Y^2] = 0.51,
     while the abstention twin on the same radius schedule converges."""
-    demo = hn.impossibility_demo(hn.default_impossibility_config(seed=0))
+    demo = hn.impossibility_demo(hn.default_impossibility_config())
     collapse = demo.grid_mean_abs_estimate <= 0.05
     plateau = abs(demo.terminal_mse - demo.predicted_plateau_mse) <= 0.05
     contrast = demo.abstain_reports[-1].excess_risk <= 0.05

@@ -471,7 +471,7 @@ def test_1d_classification_memory_is_its_n_tables(protocol, mode):
 
 
 _SPECIALISTS = ["cityscape_2d", "checkerboard_2d"]
-_SPECIALISTS_SLOPE = 163 + 4
+_SPECIALISTS_SLOPE = 146 + 4
 
 
 def _specialists_training_slope(scenario_id):
@@ -486,7 +486,7 @@ def _specialists_training_slope(scenario_id):
 def test_specialists_training_memory_is_its_n_tables(scenario_id):
     # training keeps 41 bytes a sensor (xs and the centers at 16 each, ys at
     # 8, the untrainable mask at 1); the unit-box sampler's temporaries
-    # (clipped corners, proposals, squared distances) bring the peak to 163.
+    # (clipped corners, proposals, squared distances) bring the peak to 146.
     # Another float64 n-sized array held while the sampler runs adds 8 and fails
     assert _specialists_training_slope(scenario_id) <= _SPECIALISTS_SLOPE
 
@@ -529,6 +529,22 @@ def test_regression_engines_refuse_a_network_above_one_dimension():
     for network in (flat, (flat, dataclasses.replace(flat, protocol="reg_noabstain"))):
         with pytest.raises(ValueError, match="^network: the regression engines run in one"):
             pd.predict_batch(network, np.array([[0.5, 0.5]]), coin_seed=1)
+
+
+def test_queries_must_have_the_network_dimension():
+    net = train_network(
+        "cls_abstain", make_scenario("gauss_mix_1d"), 30, Schedule(0.2, 0.2), seed=6
+    )
+    reg = train_network(
+        "reg_abstain", make_scenario("sine_1d"), 30, Schedule(0.2, 0.2, 1.0, 0.1), seed=6
+    )
+    arms = (reg, dataclasses.replace(reg, protocol="reg_noabstain"))
+    for network in (net, reg, arms):
+        # three points as one flat array, and two-column rows
+        for queries in (np.array([-2.0, 0.0, 2.0]), np.zeros((4, 2))):
+            with pytest.raises(ValueError, match=r"^queries: expected a \(k, 1\) array"):
+                pd.predict_batch(network, queries, coin_seed=1)
+        assert pd.predict_batch(network, np.zeros((4, 1)), coin_seed=1).values.shape[-1] == 4
 
 
 def test_untrainable_specialists_are_silent():

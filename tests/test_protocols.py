@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from onebitsim import protocols as pr
-from onebitsim.scenarios import Example
+from onebitsim.harness import train_network
+from onebitsim.scenarios import Example, make_scenario
 from onebitsim.seeding import CoinSource
 
 R = pr.Response
@@ -296,13 +297,13 @@ def test_specialist_fusion_is_the_abstention_rule():
 
 
 def test_draw_specialist_centers():
-    rng = np.random.default_rng(4)
-    centers = pr.draw_specialist_centers(500, 2, rng)
-    assert centers.shape == (500, 2)
-    assert np.all((centers >= 0) & (centers <= 1))
-    # center mean over 1e5 draws in d=1: 3 sigma = 3/(sqrt(12)*sqrt(1e5))
-    big = pr.draw_specialist_centers(10**5, 1, rng)
-    assert abs(big.mean() - 0.5) <= 0.003
+    scenario = make_scenario("cityscape_2d")
+    net = train_network("specialists", scenario, 500, pr.Schedule(0.5, 0.2), seed=4)
+    assert net.centers.shape == (500, 2)
+    assert np.all((net.centers >= 0) & (net.centers <= 1))
+    # each coordinate's mean over 1e5 centers: 3 sigma = 3/(sqrt(12)*sqrt(1e5))
+    big = train_network("specialists", scenario, 10**5, pr.Schedule(0.5, 0.2), seed=5)
+    assert np.all(np.abs(big.centers.mean(axis=0) - 0.5) <= 0.003)
 
 
 # ---------------------------------------------------------------------------

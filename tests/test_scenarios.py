@@ -186,23 +186,40 @@ def test_conditional_sample_stays_in_region():
 
 def test_conditional_sample_zero_mass_region():
     rng = np.random.default_rng(5)
+    # the direct sampler takes centers in the unit box only; (1.5, 0.5) at
+    # r = 0.5 is a ball tangent to the square, whose mass is one point
+    scen = sc.make_scenario("cityscape_2d")
+    for center, radius in (([1.5, 0.5], 0.5), ([-0.1, 0.5], 0.1), ([np.nan, 0.5], 0.1)):
+        centers = np.array([[0.5, 0.5], center])
+        with pytest.raises(ValueError, match="^centers: "):
+            sc.sample_conditional_batch(scen, centers, radius, rng)
+    # the generic rejection reference marks the far ball untrainable
     centers = np.array([[0.5], [5.0]])  # the far ball misses [0, 1]
-    scen = sc.make_scenario("sine_1d")
     rejection = functools.partial(ref.rejection_conditional_batch, max_rejects=1000)
-    for sample in (sc.sample_conditional_batch, rejection):
-        xs, ys, untrainable = sample(scen, centers, 0.1, rng)
-        np.testing.assert_array_equal(untrainable, [False, True])
-        assert np.isnan(xs[1]).all() and np.isnan(ys[1])
-        assert abs(xs[0, 0] - 0.5) <= 0.1
+    xs, ys, untrainable = rejection(sc.make_scenario("sine_1d"), centers, 0.1, rng)
+    np.testing.assert_array_equal(untrainable, [False, True])
+    assert np.isnan(xs[1]).all() and np.isnan(ys[1])
+    assert abs(xs[0, 0] - 0.5) <= 0.1
 
 
 @pytest.mark.parametrize("radius", [0.0, -0.1, -5.0])
 def test_a_nonpositive_radius_leaves_every_region_untrainable(radius):
-    # centers inside, on and outside the unit square
-    centers = np.array([[0.5, 0.5], [0.0, 1.0], [-0.2, 1.3], [3.0, 0.5]])
+    # centers inside the unit square, on a face and on a corner
+    centers = np.array([[0.5, 0.5], [0.0, 0.3], [0.0, 1.0]])
     scen = sc.make_scenario("cityscape_2d")
     xs, untrainable = scen.direct_conditional_x(centers, radius, np.random.default_rng(1))
     assert untrainable.all() and np.isnan(xs).all()
+
+
+def test_regions_centered_on_faces_and_corners_train_inside_them():
+    corners = [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
+    faces = [[0.0, 0.5], [1.0, 0.5], [0.5, 0.0], [0.5, 1.0]]
+    centers = np.repeat(np.array(corners + faces), 500, axis=0)
+    scen = sc.make_scenario("checkerboard_2d")
+    xs, untrainable = scen.direct_conditional_x(centers, 0.1, np.random.default_rng(2))
+    assert not untrainable.any()
+    assert np.all(sc.in_ball(xs, centers, 0.1))
+    assert np.all((xs >= 0.0) & (xs <= 1.0))
 
 
 def test_conditional_uniform_is_uniform_on_intersection():
