@@ -33,6 +33,7 @@ from .protocols import (
 )
 from .scenarios import (
     Scenario,
+    UniformBoxScenario,
     check_finite,
     make_scenario,
     sample_conditional_batch,
@@ -118,10 +119,8 @@ def check_compatible(protocol: str, scenario: Scenario) -> None:
     spec = protocol_spec(protocol)
     if scenario.task != spec.task:
         raise ValueError(f"{protocol} needs a {spec.task} scenario")
-    if spec.regions:
-        box = scenario.support_box
-        if box is None or not (np.all(box[0] == 0.0) and np.all(box[1] == 1.0)):
-            raise ValueError("specialists need X supported on the unit box")
+    if spec.regions and not isinstance(scenario, UniformBoxScenario):
+        raise ValueError("specialists need X supported on the unit box")
 
 
 def train_network(
@@ -449,8 +448,7 @@ def impossibility_demo(config: ExperimentConfig, jobs: int = 1) -> Impossibility
     """
     arms = impossibility_arms(config)
     scenario = config.scenario()
-    lo, hi = scenario.support_box
-    grid = np.linspace(lo[0], hi[0], 101)[:, None]
+    grid = np.linspace(0.0, 1.0, 101)[:, None]  # sine_1d's support
     reports, values = _cell_reports(arms, jobs, probe=grid)
     noabstain_reports, abstain_reports = map(tuple, reports)
     lstar = scenario.bayes_risk()

@@ -43,10 +43,10 @@ class VoteDistribution:
     def __post_init__(self):
         if self.pmf.shape != (self.n + 1,):
             raise ValueError("pmf must have length n+1")
-        if np.any(self.pmf < 0):
+        if not np.all(self.pmf >= 0):  # NaN fails too
             raise ValueError("pmf entries must be nonnegative")
         total = math.fsum(self.pmf.tolist())
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"pmf sums to {total!r}, expected 1 within 1e-12")
 
     def prob_majority(self) -> float:
@@ -65,7 +65,7 @@ def exact_vote_distribution(p: Sequence[float]) -> VoteDistribution:
     p = np.asarray(p, dtype=float)
     if p.ndim != 1:
         raise ValueError("p must be a 1-d sequence of probabilities")
-    if np.any((p < 0) | (p > 1)):
+    if not np.all((p >= 0) & (p <= 1)):  # NaN fails too
         raise ValueError("vote probabilities must lie in [0,1]")
     pmf = np.zeros(p.size + 1)
     pmf[0] = 1.0

@@ -257,11 +257,14 @@ def predict_batch(
 
     ``coin_seed`` addresses all fresh response randomness; identical
     (network, queries, coin_seed) triples give identical output no matter
-    how the work is chunked or parallelized. A tuple of regression arms
-    gives ``values`` and ``responders`` a leading arm axis. ``queries``
+    how the work is chunked or parallelized. A nonempty tuple of regression
+    arms (an empty one is a ``ValueError("network: ...")``) gives
+    ``values`` and ``responders`` a leading arm axis. ``queries``
     must have the network's dimension as its columns (a 1-d array is one
     query), else ``ValueError("queries: ...")``.
     """
+    if network == ():
+        raise ValueError("network: expected a network or a nonempty tuple of arms")
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     d = (network[0] if isinstance(network, tuple) else network).dimension
     if queries.ndim != 2 or queries.shape[1] != d:

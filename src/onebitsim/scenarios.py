@@ -24,7 +24,6 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -75,9 +74,6 @@ class Scenario:
     id: str
     dimension: int
     task: str  # "classification" | "regression"
-
-    #: (lo, hi) corner arrays of an axis-aligned support box, or None.
-    support_box: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     # -- sampling ---------------------------------------------------------
 
@@ -161,10 +157,6 @@ class GaussianPairScenario(Scenario):
 class UniformBoxScenario(Scenario):
     """Common machinery for X uniform on the unit box [0,1]^d."""
 
-    def __init__(self):
-        d = self.dimension
-        self.support_box = (np.zeros(d), np.ones(d))
-
     def sample_x(self, rng, size):
         return rng.random((size, self.dimension))
 
@@ -218,7 +210,6 @@ class CheckerboardScenario(UniformBoxScenario):
         self.k = int(k)
         self.p_on = float(p_on)
         self.p_off = float(p_off)
-        super().__init__()
 
     def eta(self, xs):
         cells = np.clip((xs * self.k).astype(np.int64), 0, self.k - 1)
@@ -269,7 +260,6 @@ class CityscapeScenario(UniformBoxScenario):
         self.threshold = float(threshold)
         self.flip = float(flip)
         self.zone_radius = self.spread * math.sqrt(2.0 * math.log(1.0 / self.threshold))
-        super().__init__()
 
     def eta(self, xs):
         inside = in_ball(xs, self.center, self.zone_radius)
@@ -293,7 +283,6 @@ class SineScenario(UniformBoxScenario):
             raise ValueError("noise: must be at most 1e75")
         self.id = "sine_1d"
         self.noise = float(noise)
-        super().__init__()
 
     def sample_y_given_x(self, xs, rng):
         return self.eta(xs) + self.noise * rng.standard_normal(xs.shape[0])
@@ -376,14 +365,14 @@ def sample_conditional_batch(
     """Per-row conditional draws: one (X, Y) per center, shared radius,
     from the unit-box scenario's ``direct_conditional_x``.
 
-    Returns (xs, ys, untrainable_mask); untrainable rows hold NaN.
+    Returns (xs, ys, untrainable_mask) with float labels. The sampler
+    trains every row or, for a radius that is not positive, none: then
+    every row holds NaN and no label is drawn.
     """
     xs, untrainable = scenario.direct_conditional_x(centers, radius, rng)
-    ys = np.full(len(xs), np.nan)
-    trained = ~untrainable
-    if trained.any():
-        ys[trained] = scenario.sample_y_given_x(xs[trained], rng)
-    return xs, ys, untrainable
+    if untrainable.all():
+        return xs, np.full(len(xs), np.nan), untrainable
+    return xs, scenario.sample_y_given_x(xs, rng).astype(float, copy=False), untrainable
 
 
 def regression_function(scenario: Scenario, x) -> float:

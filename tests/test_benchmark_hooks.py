@@ -97,6 +97,48 @@ def test_every_benchmark_hook_installs_and_records():
         hooks.remove()
 
 
+# the span each benchmark hook records, one name per layer metric's source
+SPAN_NAMES = {
+    "seeding.coins", "scenarios.sample", "scenarios.cond_sample", "predict",
+    "predict.kdtree_build", "predict.kdtree_query", "predict.binom",
+    "harness.train", "harness.eval", "harness.replication", "harness.pool",
+    "cli.config", "cli.write",
+}
+
+_CLI_RUNS = (
+    # the demo's two-arm predict_batch call, whose output the predict hook reads
+    ("demo-impossibility", "n_grid = 200, 400\nreplications = 2\ntest_points = 50\n", 1),
+    # the specialists sampler, whose untrainable mask the hook reads
+    ("sweep", "protocol = specialists\nscenario = cityscape_2d\nn_grid = 100, 200\n", 1),
+    # the pool around the replications
+    ("sweep", "protocol = cls_abstain\nscenario = gauss_mix_1d\nn_grid = 100, 200\n", 2),
+)
+
+
+@pytest.mark.filterwarnings("ignore::onebitsim.protocols.ScheduleViolationWarning")
+def test_every_benchmark_hook_records_through_the_cli(tmp_path, monkeypatch):
+    # the CLI paths the benchmark's workloads trace: each hook records its
+    # span and the result line's metrics are strict JSON
+    monkeypatch.setattr(hn, "usable_cpus", lambda: 2)  # --jobs 2 starts a pool
+    spans = _load("spans")
+    tracer = spans.Tracer()
+    hooks = spans.install(tracer)
+    try:
+        assert hooks.absent == []
+        for i, (command, keys, jobs) in enumerate(_CLI_RUNS):
+            config = tmp_path / f"run{i}.ini"
+            config.write_text(f"[{command}]\n{keys}")
+            out = tmp_path / f"out{i}"
+            argv = [command, "--config", str(config), "--out", str(out), "--jobs", str(jobs)]
+            assert cli.main(argv) == 0
+        assert {span.name for span in tracer.spans} == SPAN_NAMES
+        metrics = spans.layer_metrics(tracer, hooks.absent)
+        assert set(metrics) == set(spans.LAYER_METRICS)
+        json.dumps(metrics, allow_nan=False)
+    finally:
+        hooks.remove()
+
+
 def test_installing_the_hooks_loads_no_scipy_submodule():
     # a traced run (``--trace 1``) measures the program that an untraced one
     # runs: the KD-tree hook wraps predict.cKDTree without importing

@@ -82,6 +82,16 @@ def test_vote_distribution_validation():
         oc.exact_vote_distribution([[0.5, 0.5]])
 
 
+def test_vote_distribution_rejects_nan():
+    # each check is written so that NaN fails it, not passes it
+    for p in ([float("nan")], [0.5, float("nan")]):
+        with pytest.raises(ValueError, match="lie in"):
+            oc.exact_vote_distribution(p)
+    for pmf in ([np.nan, 1.0], [np.nan, np.nan]):
+        with pytest.raises(ValueError, match="nonnegative"):
+            oc.VoteDistribution(pmf=np.array(pmf), n=1)
+
+
 def _manual_network(protocol, xs, ys, r_n, c_n=1.0, fixed_coins=None):
     xs = np.asarray(xs, dtype=float)
     if xs.ndim == 1:

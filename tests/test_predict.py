@@ -545,6 +545,8 @@ def test_queries_must_have_the_network_dimension():
             with pytest.raises(ValueError, match=r"^queries: expected a \(k, 1\) array"):
                 pd.predict_batch(network, queries, coin_seed=1)
         assert pd.predict_batch(network, np.zeros((4, 1)), coin_seed=1).values.shape[-1] == 4
+    with pytest.raises(ValueError, match="^network: "):
+        pd.predict_batch((), np.zeros((2, 1)), coin_seed=1)
 
 
 def test_untrainable_specialists_are_silent():

@@ -60,9 +60,8 @@ def test_sample_example_type_contract(sid):
     assert np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))
     if scen.task == "classification":
         assert set(np.unique(ys)) <= {0, 1}
-    if scen.support_box is not None:
-        lo, hi = scen.support_box
-        assert np.all(xs >= lo) and np.all(xs <= hi)
+    if isinstance(scen, sc.UniformBoxScenario):
+        assert np.all(xs >= 0.0) and np.all(xs <= 1.0)
 
 
 def test_sampling_deterministic_given_seed():
@@ -209,6 +208,27 @@ def test_a_nonpositive_radius_leaves_every_region_untrainable(radius):
     scen = sc.make_scenario("cityscape_2d")
     xs, untrainable = scen.direct_conditional_x(centers, radius, np.random.default_rng(1))
     assert untrainable.all() and np.isnan(xs).all()
+
+
+@pytest.mark.parametrize("sid", ["checkerboard_2d", "sine_1d"])
+def test_conditional_batch_draws_labels_for_every_row_or_none(sid):
+    scen = sc.make_scenario(sid)
+    centers = np.full((50, scen.dimension), 0.5)
+    for radius in (0.0, np.nan):
+        rng = np.random.default_rng(9)
+        state = rng.bit_generator.state
+        _, ys, untrainable = sc.sample_conditional_batch(scen, centers, radius, rng)
+        assert rng.bit_generator.state == state  # nothing is drawn
+        assert untrainable.all() and ys.dtype == np.float64 and np.isnan(ys).all()
+    # at r = 0.1 every row trains; its labels are the ones sample_y_given_x
+    # draws for its xs on the generator that sampled them
+    rng = np.random.default_rng(9)
+    xs, ys, untrainable = sc.sample_conditional_batch(scen, centers, 0.1, rng)
+    replay = np.random.default_rng(9)
+    xs_again, _ = scen.direct_conditional_x(centers, 0.1, replay)
+    np.testing.assert_array_equal(xs, xs_again)
+    assert not untrainable.any() and ys.dtype == np.float64
+    np.testing.assert_array_equal(ys, scen.sample_y_given_x(xs, replay))
 
 
 def test_regions_centered_on_faces_and_corners_train_inside_them():
