@@ -13,8 +13,9 @@ exactly the right distribution and keeps million-sensor networks
 tractable.
 
 Every engine uses the closed ball of ``scenarios.in_ball``: a sorted-array
-search in one dimension, and above it a KD-tree, which applies the same
-squared-distance test. The regression engine runs in one dimension (the
+search in one dimension, and above it a strip index on the first two
+coordinates whose candidates meet ``in_ball``'s own squared-distance test.
+The regression engine runs in one dimension (the
 one regression scenario, ``sine_1d``, has one) and lists in-ball (sensor,
 query) pairs in one place, ``_in_ball_votes``, in chunks of about
 ``_PAIR_BLOCK`` pairs, so peak memory stays bounded regardless of how many
@@ -37,20 +38,19 @@ The classification rules (``cls_abstain``, ``specialists`` and
 ``cls_noabstain``, whose fixed coins or guesser crowd answer outside the
 ball) need only counts of in-ball 0/1 flags (``flag_counts``), so they
 enumerate no pairs. In one dimension they take integer prefix sums over
-the runs of ``_runs``; above it, the points are split by flag pattern
-into one KD-tree per class, and each tree answers one length query
-(``query_ball_point(..., return_length=True)``) for the whole batch.
+the runs of ``_runs``; above it, the runs of ``_runs`` on each of the
+first two coordinates bound each ball, and ``flag_counts`` tests only the
+points of both windows, strip by strip.
 
 Coins are hashed with the key/counter split of ``seeding``: one sensor key
 per sensor and one query key per query per call, then one mix per pair,
 bit for bit the scalar ``CoinSource.uniform`` at the pair's address.
 
-Importing this module loads no scipy submodule. ``scipy.spatial`` (the
-KD-trees, through the module-level ``cKDTree``) and ``scipy.special``
-(``binom``) load where they are first called, and ``load_engine`` loads
-what one run's engine needs while its config is built. So ``cls_abstain``
-and fixed-coin ``cls_noabstain`` in one dimension, and ``reg_abstain``,
-run without either.
+Importing this module loads no scipy submodule. ``scipy.special``
+(``binom``) loads where it is first called, and ``load_engine`` loads it
+while the config of a run that needs it is built. So ``cls_abstain``,
+``specialists``, fixed-coin ``cls_noabstain`` and ``reg_abstain`` run
+without it, in every dimension, and no engine loads ``scipy.spatial``.
 """
 
 from __future__ import annotations
@@ -63,6 +63,7 @@ from .protocols import NetworkState, protocol_spec
 from .seeding import CoinSource, query_keys, run_bits
 
 _PAIR_BLOCK = 1 << 15  # pairs per chunk: every per-pair array stays in cache
+_CANDIDATE_BLOCK = 1 << 14  # strip candidates per slice: their ~50 bytes each stay in cache
 _TINY = np.finfo(float).tiny
 
 
@@ -97,8 +98,9 @@ binom = _FairBinomial()
 
 
 def cKDTree(points):
-    """``scipy.spatial.cKDTree(points)``. A module-level name, called as a
-    plain global, as perfbench's ``predict.kdtree`` hook wraps it."""
+    """``scipy.spatial.cKDTree(points)``, which no engine calls: kept only
+    because perfbench's ``predict.kdtree`` hook installs on this name, and
+    without it every traced run would lose the hook's metrics."""
     from scipy.spatial import cKDTree as tree
 
     return tree(points)
@@ -178,7 +180,23 @@ def flag_counts(points: np.ndarray, radius: float, queries: np.ndarray, flags: l
     """Per-query count of the ``points`` within ``radius`` of each query
     and, for each 0/1 vector in ``flags``, of those whose flag is set (all
     int64): prefix sums over the runs of ``_runs`` in one dimension, and
-    above it one KD-tree per flag pattern."""
+    above it a strip index over the runs on the first two coordinates.
+
+    The strip index. ``_runs`` on coordinate 0 and on coordinate 1 gives
+    each query's exact window on each axis, the points with fl(d*d) <= r*r
+    there. The two windows hold the ball: rounding is monotone, so a sum of
+    nonnegative squares that passes ``in_ball``'s test is at least each of
+    its terms. The points are cut into strips of ``w`` consecutive x-ranks
+    and stored by (strip, y-rank), so each strip that a query's x-window
+    touches holds its y-window as one run, found by bisecting the sorted
+    int64 keys strip * n + y-rank. ``w`` is a quarter of the mean x-window
+    (at least 1), so a batch of t queries has at most 10 t runs however
+    the windows spread. The runs' points are the candidates. They are
+    tested in slices of ``_CANDIDATE_BLOCK``, whatever the radius, with
+    ``in_ball``'s own arithmetic over every coordinate (the squared
+    differences summed in coordinate order, then ``<= r*r``). Each count
+    and flag sum of a slice is a difference of the hits' ranks at its
+    query boundaries."""
     flags = [np.asarray(f) != 0 for f in flags]
     if points.shape[1] == 1:
         order, lo, hi = _runs(points[:, 0], radius, queries)
@@ -188,23 +206,66 @@ def flag_counts(points: np.ndarray, radius: float, queries: np.ndarray, flags: l
             np.cumsum(f[order], out=pref[1:])
             sums.append(pref[hi] - pref[lo])
         return hi - lo, sums
-    # one tree per flag pattern: every point is in exactly one class, so a
-    # query's count is the sum over classes and a flag's count the sum over
-    # the classes that set it
-    pattern = np.zeros(len(points), dtype=np.int64)
-    for bit, f in enumerate(flags):
-        pattern |= f.astype(np.int64) << bit
-    counts = np.zeros(len(queries), dtype=np.int64)
-    sums = [np.zeros(len(queries), dtype=np.int64) for _ in flags]
-    for cls in np.unique(pattern):
-        tree = cKDTree(points[pattern == cls])
-        got = tree.query_ball_point(queries, radius, return_length=True)
-        got = np.asarray(got, dtype=np.int64)
-        counts += got
-        for bit, out in enumerate(sums):
-            if cls >> bit & 1:
-                out += got
-    return counts, sums
+    n, t = len(points), len(queries)
+    totals = np.zeros((1 + len(flags), t), dtype=np.int64)  # counts, then sums
+    if n == 0 or t == 0:
+        return totals[0], list(totals[1:])
+    order, lo, hi = _runs(points[:, 0], radius, queries)
+    xrank = np.empty(n, dtype=np.int64)
+    xrank[order] = np.arange(n)
+    del order
+    w = max(1, int((hi - lo).mean()) // 4)
+    order, ylo, yhi = _runs(points[:, 1], radius, queries[:, 1:])
+    key = xrank.take(order)  # in y order: the x-rank, then strip * n + y-rank
+    del xrank
+    key //= w
+    key *= n
+    key += np.arange(n)
+    key.sort()
+    index = order.take(key % n)  # the point at each key
+    del order
+    # the points' coordinates in key order, one column at a time
+    columns = [points[:, k].take(index) for k in range(points.shape[1])]
+    table = np.ones((1 + len(flags), n), dtype=bool)  # a count row, then the flags
+    for row, f in zip(table[1:], flags):
+        f.take(index, out=row)
+    del index
+    # one run per (query, strip): the strips from lo // w to (hi - 1) // w
+    strips = np.where(hi > lo, (hi - 1) // w - lo // w + 1, 0)
+    owner = np.repeat(np.arange(t), strips)
+    strip = np.arange(len(owner)) - np.repeat(np.cumsum(strips) - strips - lo // w, strips)
+    strip *= n
+    start = np.searchsorted(key, strip + ylo[owner])
+    length = np.searchsorted(key, strip + yhi[owner]) - start
+    ends = np.cumsum(length)  # in the candidate sequence, run by run
+    shift = start - (ends - length)  # a candidate's key position minus its index
+    bounds = np.concatenate(([0], ends))[np.concatenate(([0], np.cumsum(strips)))]
+    centers = [queries[:, k].take(owner) for k in range(points.shape[1])]  # run by run
+    ramp = np.arange(_CANDIDATE_BLOCK)
+    rr = radius * radius
+    for c0 in range(0, int(bounds[-1]), _CANDIDATE_BLOCK):
+        c1 = min(c0 + _CANDIDATE_BLOCK, int(bounds[-1]))
+        j0 = int(np.searchsorted(ends, c0, side="right"))
+        j1 = int(np.searchsorted(ends, c1, side="left")) + 1
+        lens = length[j0:j1].copy()
+        lens[0] -= c0 - (ends[j0] - length[j0])
+        lens[-1] -= ends[j1 - 1] - c1
+        at = np.repeat(shift[j0:j1], lens)
+        at += ramp[:c1 - c0]
+        at += c0
+        total = np.zeros(c1 - c0)  # 0 + s is s: the squares add in in_ball's order
+        for column, center in zip(columns, centers):
+            diff = column.take(at)
+            diff -= np.repeat(center[j0:j1], lens)
+            diff *= diff
+            total += diff
+        hits = table.take(at, axis=1)
+        hits &= total <= rr
+        q0, q1 = int(owner[j0]), int(owner[j1 - 1]) + 1
+        edges = np.clip(bounds[q0:q1 + 1], c0, c1) - c0
+        for row, out in zip(hits, totals):
+            out[q0:q1] += np.diff(np.flatnonzero(row).searchsorted(edges))
+    return totals[0], list(totals[1:])
 
 
 def _in_ball_votes(keys, lo, hi, scaled):
@@ -276,16 +337,14 @@ def predict_batch(
 
 
 def load_engine(protocol: str, d: int, coin_mode: str) -> None:
-    """Import the scipy modules that ``protocol``'s engine calls in ``d``
-    dimensions with ``coin_mode``: ``scipy.spatial`` for the KD-trees of a
-    classification rule above one dimension, ``scipy.special`` for the
-    guesser crowd's ``binom`` (``reg_noabstain``, and ``cls_noabstain``
-    with per-query coins). Building an ``ExperimentConfig`` calls it, so
-    the import lands in set-up, not in a timed task, and forked pool
-    workers inherit the modules. The other engines need neither."""
+    """Import the scipy module that ``protocol``'s engine calls in ``d``
+    dimensions with ``coin_mode``: ``scipy.special`` for the guesser
+    crowd's ``binom`` (``reg_noabstain``, and ``cls_noabstain`` with
+    per-query coins), in any dimension. Building an ``ExperimentConfig``
+    calls it, so the import lands in set-up, not in a timed task, and
+    forked pool workers inherit the module. The other engines need none:
+    every ball count is numpy's, above one dimension too."""
     spec = protocol_spec(protocol)
-    if spec.task == "classification" and d > 1:
-        import scipy.spatial
     if not spec.abstains and (spec.task == "regression" or coin_mode == "per_query"):
         import scipy.special
 

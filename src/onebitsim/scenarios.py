@@ -44,8 +44,10 @@ def check_finite(name: str, value, integer: bool = False) -> None:
 
 def in_ball(points, center, radius: float):
     """Closed Euclidean ball membership over the last axis:
-    ``sum((x - c)**2) <= r*r``, the test ``cKDTree.query_ball_point``
-    applies. Every ball in the simulator is this one, so engines and
+    ``sum((x - c)**2) <= r*r``, the squares summed in coordinate order
+    (numpy's reduce over a last axis of under 8 adds in order). Every ball
+    in the simulator is this one: above one dimension ``predict.flag_counts``
+    applies the same arithmetic to its candidates, so engines and
     references agree bit for bit where a point lies on a sphere."""
     diff = np.subtract(points, center, dtype=float)
     return np.add.reduce(diff * diff, axis=-1) <= radius * radius

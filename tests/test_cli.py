@@ -236,8 +236,8 @@ def _fresh_python(probe: str, *args: str) -> str:
 def test_startup_leaves_scipy_stats_and_integrate_unloaded():
     # every command pays for what importing the CLI loads; the library
     # imports neither scipy.stats nor scipy.integrate, which only the tests'
-    # references use, and a config loads scipy.special and scipy.spatial
-    # only for an engine that calls them
+    # references use, nor scipy.spatial, which no engine calls, and a config
+    # loads scipy.special only for an engine with a guesser crowd
     probe = (
         "import sys, onebitsim.cli; print(sorted(m for m in ('scipy.stats', "
         "'scipy.integrate', 'scipy.special', 'scipy.spatial') if m in sys.modules))"
@@ -245,17 +245,25 @@ def test_startup_leaves_scipy_stats_and_integrate_unloaded():
     assert _fresh_python(probe).strip() == "[]"
 
 
-def test_one_dimensional_sweeps_without_guessers_run_without_scipy(tmp_path):
-    # cls_abstain and fixed-coin cls_noabstain in one dimension, and
-    # reg_abstain, call neither scipy.special nor scipy.spatial, serial or
-    # pooled
+def test_sweeps_without_guessers_run_without_scipy(tmp_path):
+    # cls_abstain, specialists and fixed-coin cls_noabstain, in one
+    # dimension and in two, and reg_abstain call neither scipy.special nor
+    # scipy.spatial, serial or pooled; per-query cls_noabstain in two
+    # dimensions loads scipy.special, for its guesser crowd, and no more
+    two_d = SWEEP_INI.replace("gauss_mix_1d", "gauss_mix_2d")
+    noabstain = two_d.replace("cls_abstain", "cls_noabstain")
     configs = [
         write(tmp_path, SWEEP_INI, "abstain.ini"),
         write(tmp_path, SWEEP_INI.replace("cls_abstain", "cls_noabstain")
               + "coin_mode = per_sensor\n", "fixed_coins.ini"),
         write(tmp_path, SWEEP_INI.replace("cls_abstain", "reg_abstain")
               .replace("gauss_mix_1d", "sine_1d") + "gamma = 0.1\n", "regression.ini"),
+        write(tmp_path, two_d.replace("cls_abstain", "specialists")
+              .replace("gauss_mix_2d", "cityscape_2d"), "specialists_2d.ini"),
+        write(tmp_path, two_d, "abstain_2d.ini"),
+        write(tmp_path, noabstain + "coin_mode = per_sensor\n", "fixed_coins_2d.ini"),
     ]
+    guessers = write(tmp_path, noabstain + "coin_mode = per_query\n", "guessers_2d.ini")
     probe = """\
 import sys
 from onebitsim import cli
@@ -266,9 +274,11 @@ for config in sys.argv[1:]:
         loaded = [m for m in ("scipy.special", "scipy.spatial") if m in sys.modules]
         print("ran:", code, jobs, config, *loaded)
 """
-    lines = [line for line in _fresh_python(probe, *configs).splitlines()
+    lines = [line for line in _fresh_python(probe, *configs, guessers).splitlines()
              if line.startswith("ran:")]
-    assert lines == [f"ran: 0 {jobs} {config}" for config in configs for jobs in ("1", "2")]
+    assert lines == [
+        f"ran: 0 {jobs} {config}" for config in configs for jobs in ("1", "2")
+    ] + [f"ran: 0 {jobs} {guessers} scipy.special" for jobs in ("1", "2")]
 
 
 def test_jobs_flag_does_not_change_results(tmp_path):

@@ -9,6 +9,7 @@ from onebitsim import predict as pd
 from onebitsim.scenarios import UniformBoxScenario
 from test_predict import (
     _1D_CLASSIFICATION,
+    _2D_COUNTS_SLOPE,
     _GUESSER_SLOPE,
     _MEMORY_SLOPE,
     _SPECIALISTS,
@@ -48,6 +49,15 @@ def test_a_table_planted_in_the_run_search_fails_the_1d_classification_guard(
     networks, queries = _1d_classification_memory_inputs(protocol, mode)
     _plant(monkeypatch, pd, "_runs", lambda flat, *_: len(flat))
     assert _peak_slope(networks, queries) > _MEMORY_SLOPE
+
+
+@pytest.mark.parametrize("protocol,mode", _1D_CLASSIFICATION)
+def test_a_table_planted_in_the_strip_index_fails_the_2d_counts_guard(
+    protocol, mode, monkeypatch
+):
+    networks, queries = _1d_classification_memory_inputs(protocol, mode, "gauss_mix_2d")
+    _plant(monkeypatch, pd, "flag_counts", lambda points, *_: len(points))
+    assert _peak_slope(networks, queries) > _2D_COUNTS_SLOPE
 
 
 @pytest.mark.parametrize("scenario_id", _SPECIALISTS)

@@ -7,7 +7,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.spatial import cKDTree
 from scipy.stats import binom
 
 from onebitsim import predict as pd
@@ -133,19 +132,62 @@ def test_1d_balls_on_boundaries_and_ties(protocol, sid, mode):
         )
 
 
-def test_kdtree_applies_the_in_ball_test():
-    # the engines count balls above one dimension with scipy's KD-tree; the
-    # bit-for-bit claim holds only while its rounding is in_ball's
+# 3-d grids: a binary one where (1, 2, 2) offsets land exactly on the
+# sphere, and decimal ones where three squares summed in another order
+# round some pairs to the other side of r*r
+BOUNDARY_GRIDS_3D = [(1 / 16, 3 / 16), (0.1, 0.3), (0.1, 0.7)]
+
+
+def test_strip_index_applies_the_in_ball_test():
+    # the engines count balls above one dimension with flag_counts' strip
+    # index; the bit-for-bit claim holds only while its test is in_ball's,
+    # with the squares summed in in_ball's order
     rng, flag_rng = np.random.default_rng(23), np.random.default_rng(24)
-    for step, r in BOUNDARY_GRIDS:
-        cells = round(1 / step)
-        points = rng.integers(0, cells + 1, size=(200, 2)) * step
-        queries = rng.integers(0, cells + 1, size=(200, 2)) * step
-        got = cKDTree(points).query_ball_point(queries, r, return_length=True)
-        np.testing.assert_array_equal(got, _in_ball_counts(points, queries, r))
-        # and the library's per-flag sums, from one tree per flag pattern
-        flags = flag_rng.integers(0, 2, size=(2, 200))
-        assert np.unique(flags[0] + 2 * flags[1]).size == 4
+    for d, grids in ((2, BOUNDARY_GRIDS), (3, BOUNDARY_GRIDS_3D)):
+        for step, r in grids:
+            cells = round(1 / step)
+            points = rng.integers(0, cells + 1, size=(200, d)) * step
+            queries = rng.integers(0, cells + 1, size=(200, d)) * step
+            if d == 3 and step == 0.1:
+                sq = (points[None, :, :] - queries[:, None, :]) ** 2
+                reordered = sq[..., 2] + sq[..., 1] + sq[..., 0] <= r * r
+                assert np.any(reordered != in_ball(points[None, :, :], queries[:, None, :], r))
+            # the per-flag sums, with all four flag patterns present
+            flags = flag_rng.integers(0, 2, size=(2, 200))
+            assert np.unique(flags[0] + 2 * flags[1]).size == 4
+            _check_flag_counts(points, queries, r, flags)
+
+
+def _strip_edge_cases(d):
+    """(points, queries, radius) cases at the strip index's edges in ``d``
+    dimensions: ``r*r`` zero, underflowing and overflowing; no points; no
+    queries; every point on one x; coordinates near 1e150; and queries
+    outside the data throughout."""
+    rng = np.random.default_rng(31 + d)
+    points = rng.integers(0, 11, size=(150, d)) * 0.1
+    queries = rng.integers(-5, 16, size=(60, d)) * 0.1
+    shared = points.copy()
+    shared[:, 0] = 0.5
+    near = queries.copy()
+    near[::3, 0] = 0.5
+    cases = [(points, queries, r) for r in (0.0, 1e-300, 1e200, 0.3)]
+    cases += [
+        (np.empty((0, d)), queries, 0.3),
+        (points, np.empty((0, d)), 0.3),
+        (shared, near, 0.2),
+        (1e150 * (1 + points), 1e150 * (1 + queries), 1e149),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("block", [1 << 14, 5])
+def test_strip_index_counts_exactly_at_its_edges(d, block, monkeypatch):
+    # a block of 5 splits runs and queries across slices
+    monkeypatch.setattr(pd, "_CANDIDATE_BLOCK", block)
+    flag_rng = np.random.default_rng(40 + d)
+    for points, queries, r in _strip_edge_cases(d):
+        flags = flag_rng.integers(0, 2, size=(2, len(points)))
         _check_flag_counts(points, queries, r, flags)
 
 
@@ -446,11 +488,11 @@ _1D_CLASSIFICATION = [
 ]
 
 
-def _1d_classification_memory_inputs(protocol, mode):
+def _1d_classification_memory_inputs(protocol, mode, scenario_id="gauss_mix_1d"):
     """The 1-d classification guard's networks at ``_SMALL`` and
-    ``_LARGE`` sensors and its queries."""
-    pd.load_engine(protocol, 1, mode)
-    scenario = make_scenario("gauss_mix_1d")
+    ``_LARGE`` sensors and its queries, or the same on ``scenario_id``."""
+    scenario = make_scenario(scenario_id)
+    pd.load_engine(protocol, scenario.dimension, mode)
     queries, _ = scenario.sample(np.random.default_rng(8), 2_000)
     networks = [
         dataclasses.replace(
@@ -468,6 +510,23 @@ def test_1d_classification_memory_is_its_n_tables(protocol, mode):
     # found, and one byte per flag (the labels and the fixed coins as bools):
     # 26 to 27 bytes a sensor. An int64 copy of a flag adds 8 and fails
     assert _peak_slope(*_1d_classification_memory_inputs(protocol, mode)) <= _MEMORY_SLOPE
+
+
+# bytes a sensor that one d >= 2 call's peak may grow by: the 41 measured
+# for one flag, 42 for two, and 4 bytes of slack
+_2D_COUNTS_SLOPE = 42 + 4
+
+
+@pytest.mark.parametrize("protocol,mode", _1D_CLASSIFICATION)
+def test_2d_counts_memory_is_its_n_tables(protocol, mode):
+    # the strip index peaks while the runs on the second coordinate are
+    # found: the first one's x-ranks, the sort order, the padded
+    # coordinates, np.take's buffer and the strided column's contiguous
+    # copy (8 bytes each), and one byte per flag. Held through the queries
+    # are the keys, the points in key order and the flag table (27 to 28
+    # bytes). Another 8-byte n-sized table held through the call fails
+    networks, queries = _1d_classification_memory_inputs(protocol, mode, "gauss_mix_2d")
+    assert _peak_slope(networks, queries) <= _2D_COUNTS_SLOPE
 
 
 _SPECIALISTS = ["cityscape_2d", "checkerboard_2d"]
