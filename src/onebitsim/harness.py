@@ -135,13 +135,13 @@ def train_network(
     """Distribute one training datum to each of n sensors.
 
     Specialist sensors first receive uniform random regions and then train
-    on data conditioned to fall inside them; a radius that is not positive
-    (r_n underflowing to 0) leaves every sensor untrainable (they abstain
-    forever), which is telemetry rather than an error. Every schedule
-    trains, including one outside the sufficient consistency conditions:
-    violating runs are legitimate experiment subjects. Runs warn about
-    such a schedule; ``validate_schedule`` gives its verdict directly. Both
-    regression rules answer at the schedule's c_n.
+    on data conditioned to fall inside them, all or none: a radius that is
+    not positive (r_n underflowing to 0) leaves the network untrained, its
+    sensors abstaining forever, which is telemetry rather than an error.
+    Every schedule trains, including one outside the sufficient consistency
+    conditions: violating runs are legitimate experiment subjects. Runs
+    warn about such a schedule; ``validate_schedule`` gives its verdict
+    directly. Both regression rules answer at the schedule's c_n.
     """
     check_coin_mode(coin_mode)
     spec = protocol_spec(protocol)
@@ -151,11 +151,10 @@ def train_network(
     r_n, c_n = schedule_eval(schedule, n) if n else (math.nan, math.nan)
     data_rng = derived_rng(seed, _STREAM_TRAIN)
     centers = None
-    untrainable = np.zeros(n, dtype=bool)
     if spec.regions:
         # region centers i.i.d. uniform on the unit box [0,1]^d
         centers = derived_rng(seed, _STREAM_REGIONS).random((n, d))
-        xs, ys, untrainable = sample_conditional_batch(scenario, centers, r_n, data_rng)
+        xs, ys, _ = sample_conditional_batch(scenario, centers, r_n, data_rng)
     else:
         xs, ys = scenario.sample(data_rng, n)
     fixed_coins = None
@@ -169,7 +168,6 @@ def train_network(
         c_n=c_n,
         xs=xs,
         ys=np.asarray(ys, dtype=float),
-        untrainable=untrainable,
         fixed_coins=fixed_coins,
         centers=centers,
     )

@@ -366,10 +366,10 @@ def batch_cls_abstain(network, queries, coin_seed, default_label):
 
 
 def batch_specialists(network, queries, coin_seed, default_label):
-    trained = ~network.untrainable
-    return _responder_majority(
-        network, network.centers[trained], network.ys[trained], queries, default_label
-    )
+    if network.trained:
+        return _responder_majority(network, network.centers, network.ys, queries, default_label)
+    none = np.zeros(len(queries), dtype=np.int64)  # no counts: a NaN radius admits every point
+    return PredictionBatch(none + default_label, none, network.n)
 
 
 def _guesser_votes(coin, n, counts):

@@ -241,9 +241,9 @@ class NetworkState:
     """A trained network: one stored datum per sensor plus schedule values
     (``c_n`` is both regression rules' amplitude). Its size ``n`` is the
     number of rows of ``xs``. ``fixed_coins`` is None where a fresh coin
-    answers each query. Treated as immutable after training; answering
-    queries never mutates it, so it is safe to share across evaluation
-    workers.
+    answers each query, and ``centers`` for every protocol but specialists.
+    Treated as immutable after training; answering queries never mutates
+    it, so it is safe to share across evaluation workers.
     """
 
     protocol: str
@@ -251,7 +251,6 @@ class NetworkState:
     c_n: float
     xs: np.ndarray
     ys: np.ndarray
-    untrainable: np.ndarray
     fixed_coins: Optional[np.ndarray] = None
     centers: Optional[np.ndarray] = None
 
@@ -263,11 +262,15 @@ class NetworkState:
     def dimension(self) -> int:
         return self.xs.shape[1]
 
+    @property
+    def trained(self) -> bool:
+        """False only for specialists at a radius that is not positive: every
+        center lies in the unit box, so each region holds mass iff r_n > 0."""
+        return self.centers is None or self.r_n > 0
+
     def sensor(self, i: int) -> SensorState:
         """Per-sensor view for the scalar protocol operations."""
-        datum = None
-        if not self.untrainable[i]:
-            datum = Example(self.xs[i], float(self.ys[i]))
+        datum = Example(self.xs[i], float(self.ys[i])) if self.trained else None
         center = None if self.centers is None else self.centers[i]
         coin = None if self.fixed_coins is None else int(self.fixed_coins[i])
         return SensorState(datum=datum, region_center=center, fixed_coin=coin)
@@ -411,9 +414,7 @@ def respond_specialist(sensor: SensorState, query_x, r_n: float) -> Response:
     whose region could not be trained abstain permanently."""
     if sensor.region_center is None:
         raise ValueError("specialist sensor has no region center")
-    if sensor.datum is None:
-        return Response.ABSTAIN
-    if in_ball(query_x, sensor.region_center, r_n):
+    if sensor.datum is not None and in_ball(query_x, sensor.region_center, r_n):
         return vote_response(sensor.datum.y)
     return Response.ABSTAIN
 

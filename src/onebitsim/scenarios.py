@@ -163,10 +163,9 @@ class UniformBoxScenario(Scenario):
         return rng.random((size, self.dimension))
 
     def direct_conditional_x(self, centers, radius, rng):
-        """One X per row of ``centers`` from P_X given X in the ball, and
-        the mask of balls that hold no mass (their rows NaN): every row for
-        a radius that is not positive, else none. Centers must lie in the
-        closed unit box, else ``ValueError("centers: ...")``."""
+        """One X per row of ``centers`` from P_X given X in the ball, or NaN
+        rows and no draw at a radius that is not positive. Centers must lie
+        in the closed unit box, else ``ValueError("centers: ...")``."""
         # Uniform X conditioned on a ball is uniform on ball-intersect-box:
         # propose uniformly in the clipped bounding box, accept inside the
         # ball. A center in the box keeps acceptance bounded below (~pi/4
@@ -174,19 +173,18 @@ class UniformBoxScenario(Scenario):
         n, d = centers.shape
         if not (centers.min(initial=0.0) >= 0.0 and centers.max(initial=1.0) <= 1.0):
             raise ValueError("centers: must lie in the closed unit box [0, 1]^d")
+        if not radius > 0:  # a NaN radius trains none too
+            return np.full((n, d), np.nan)
         lo = np.clip(centers - radius, 0.0, 1.0)
-        hi = np.clip(centers + radius, 0.0, 1.0)
-        untrainable = np.full(n, not radius > 0)  # a NaN radius trains none too
-        xs = np.full((n, d), np.nan)
-        pending = np.flatnonzero(~untrainable)
+        span = np.clip(centers + radius, 0.0, 1.0) - lo
+        xs = lo + rng.random((n, d)) * span  # round one: every row, no gathers
+        pending = np.flatnonzero(~in_ball(xs, centers, radius))
         while pending.size:
-            prop = lo[pending] + rng.random((pending.size, d)) * (
-                hi[pending] - lo[pending]
-            )
+            prop = lo[pending] + rng.random((pending.size, d)) * span[pending]
             ok = in_ball(prop, centers[pending], radius)
             xs[pending[ok]] = prop[ok]
             pending = pending[~ok]
-        return xs, untrainable
+        return xs
 
 
 class CheckerboardScenario(UniformBoxScenario):
@@ -371,7 +369,8 @@ def sample_conditional_batch(
     trains every row or, for a radius that is not positive, none: then
     every row holds NaN and no label is drawn.
     """
-    xs, untrainable = scenario.direct_conditional_x(centers, radius, rng)
+    xs = scenario.direct_conditional_x(centers, radius, rng)
+    untrainable = np.full(len(xs), not radius > 0)  # the radius alone decides
     if untrainable.all():
         return xs, np.full(len(xs), np.nan), untrainable
     return xs, scenario.sample_y_given_x(xs, rng).astype(float, copy=False), untrainable

@@ -52,8 +52,7 @@ def test_criterion_1_exact_kernel_equivalence():
         sensors = [pr.SensorState(ex) for ex in train]
         queries = rng.uniform(-1, 1, size=(2, d))
         net = hn.NetworkState(
-            protocol="cls_abstain", r_n=r, c_n=1.0, xs=xs,
-            ys=ys.astype(float), untrainable=np.zeros(n, dtype=bool),
+            protocol="cls_abstain", r_n=r, c_n=1.0, xs=xs, ys=ys.astype(float),
         )
         batch = predict_batch(net, queries)
         for k, x in enumerate(queries):
@@ -250,12 +249,13 @@ def test_criterion_7_specialists_consistency_trend():
     in_region = np.all(in_ball(net.xs, net.centers, net.r_n))
     decreasing = _strictly_decreasing(excess)
     terminal = excess[-1] <= 0.05
-    ok = decreasing and terminal and in_region and not net.untrainable.any()
+    labeled = np.isfinite(net.ys).all()  # every sensor drew a label
+    ok = decreasing and terminal and in_region and labeled
     _report(
         "criterion 7 (specialists consistency)",
         ok,
         f"excess={['%.5f' % e for e in excess]}, terminal <= 0.05: {terminal}, "
-        f"untrainable={int(net.untrainable.sum())}, all in-region: {bool(in_region)}",
+        f"all labeled: {bool(labeled)}, all in-region: {bool(in_region)}",
     )
 
 

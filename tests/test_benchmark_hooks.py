@@ -155,3 +155,28 @@ def test_installing_the_hooks_loads_no_scipy_submodule():
         timeout=120, check=True,
     )
     assert done.stdout.strip() == "[]"
+
+
+def _refuse_constant(name):
+    raise ValueError(f"bare {name} in a result line")
+
+
+def test_the_traced_runner_ends_each_workload_in_a_strict_result_line():
+    # one short traced run of every workload through the benchmark's own
+    # runner: each workload's last line is its result, strict JSON with
+    # every per-layer metric that BENCHMARK.json declares
+    root = PERFBENCH.parent
+    declared = {m["name"] for m in json.loads((root / "BENCHMARK.json").read_text())["per_layer"]}
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "all", "--seconds", "1", "--trace", "1"],
+        cwd=root, capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert not [line for line in lines if line.startswith("absent layer hooks")]
+    starts = [i for i, line in enumerate(lines) if line.startswith("workload ")]
+    assert [lines[i].split()[1].rstrip(":") for i in starts] == list(WORKLOADS)
+    for end in starts[1:] + [len(lines)]:
+        result = json.loads(lines[end - 1], parse_constant=_refuse_constant)
+        assert result["correct"] is True and result["failed"] == 0, done.stdout
+        assert set(result["metrics"]) == declared

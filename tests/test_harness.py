@@ -145,8 +145,7 @@ def test_network_size_is_the_number_of_rows():
     )
     assert net.n == len(net.xs) == 50
     smaller = dataclasses.replace(
-        net, xs=net.xs[:10], ys=net.ys[:10], untrainable=net.untrainable[:10],
-        fixed_coins=net.fixed_coins[:10],
+        net, xs=net.xs[:10], ys=net.ys[:10], fixed_coins=net.fixed_coins[:10],
     )
     assert smaller.n == 10
     assert predict_batch(smaller, np.zeros((3, 1))).responders.tolist() == [10] * 3
@@ -185,7 +184,7 @@ def test_train_network_fixed_coins_only_when_needed():
 def test_specialists_training_is_in_region():
     scen = make_scenario("cityscape_2d")
     net = hn.train_network("specialists", scen, 10**4, Schedule(0.5, 0.2), seed=5)
-    assert not net.untrainable.any()
+    assert net.trained and np.isfinite(net.ys).all()
     assert np.all(in_ball(net.xs, net.centers, net.r_n))
 
 

@@ -17,6 +17,7 @@ from test_predict import (
     _1d_classification_memory_inputs,
     _guesser_crowd_slope,
     _peak_slope,
+    _specialists_prediction_inputs,
     _specialists_training_slope,
     _two_arm_memory_inputs,
 )
@@ -67,6 +68,15 @@ def test_a_table_planted_in_the_sampler_fails_the_specialists_guard(
     _plant(monkeypatch, UniformBoxScenario, "direct_conditional_x",
            lambda self, centers, *_: len(centers))
     assert _specialists_training_slope(scenario_id) > _SPECIALISTS_SLOPE
+
+
+@pytest.mark.parametrize("scenario_id", _SPECIALISTS)
+def test_a_table_planted_in_the_counts_fails_the_specialists_prediction_guard(
+    scenario_id, monkeypatch
+):
+    networks, queries = _specialists_prediction_inputs(scenario_id)
+    _plant(monkeypatch, pd, "flag_counts", lambda points, *_: len(points))
+    assert _peak_slope(networks, queries) > _2D_COUNTS_SLOPE
 
 
 def test_a_table_planted_in_the_quantiles_fails_the_guesser_crowd_guard(monkeypatch):

@@ -102,7 +102,6 @@ def _manual_network(protocol, xs, ys, r_n, c_n=1.0, fixed_coins=None):
         c_n=c_n,
         xs=xs,
         ys=np.asarray(ys, dtype=float),
-        untrainable=np.zeros(xs.shape[0], dtype=bool),
         fixed_coins=fixed_coins,
     )
 

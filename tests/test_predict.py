@@ -530,7 +530,7 @@ def test_2d_counts_memory_is_its_n_tables(protocol, mode):
 
 
 _SPECIALISTS = ["cityscape_2d", "checkerboard_2d"]
-_SPECIALISTS_SLOPE = 146 + 4
+_SPECIALISTS_SLOPE = 104 + 4
 
 
 def _specialists_training_slope(scenario_id):
@@ -543,11 +543,36 @@ def _specialists_training_slope(scenario_id):
 
 @pytest.mark.parametrize("scenario_id", _SPECIALISTS)
 def test_specialists_training_memory_is_its_n_tables(scenario_id):
-    # training keeps 41 bytes a sensor (xs and the centers at 16 each, ys at
-    # 8, the untrainable mask at 1); the unit-box sampler's temporaries
-    # (clipped corners, proposals, squared distances) bring the peak to 146.
-    # Another float64 n-sized array held while the sampler runs adds 8 and fails
+    # training keeps 40 bytes a sensor (xs and the centers at 16 each, ys at
+    # 8). The unit-box sampler peaks in its first round's in-ball test, with
+    # the centers, the clipped corner, the box's span, the proposals, their
+    # differences to the centers and those squared (16 each) and the summed
+    # squares (8): 104. Another float64 n-sized array held while the
+    # sampler runs adds 8 and fails
     assert _specialists_training_slope(scenario_id) <= _SPECIALISTS_SLOPE
+
+
+def _specialists_prediction_inputs(scenario_id):
+    """The specialists networks at ``_SMALL`` and ``_LARGE`` sensors, at
+    the other guards' radius, and 2,000 queries."""
+    scenario = make_scenario(scenario_id)
+    queries, _ = scenario.sample(np.random.default_rng(8), 2_000)
+    networks = [
+        dataclasses.replace(
+            train_network("specialists", scenario, n, Schedule(0.5, 0.2), seed=1),
+            r_n=0.0125,
+        )
+        for n in (_SMALL, _LARGE)
+    ]
+    return networks, queries
+
+
+@pytest.mark.parametrize("scenario_id", _SPECIALISTS)
+def test_specialists_prediction_memory_is_its_n_tables(scenario_id):
+    # a specialists network answers through the d >= 2 counts on its
+    # centers and labels as they are stored: no copy of either, so the
+    # peak is the strip index's 41 bytes a sensor for one flag
+    assert _peak_slope(*_specialists_prediction_inputs(scenario_id)) <= _2D_COUNTS_SLOPE
 
 
 _GUESSER_SLOPE = 0.5
@@ -611,15 +636,19 @@ def test_queries_must_have_the_network_dimension():
 def test_untrainable_specialists_are_silent():
     scen = make_scenario("cityscape_2d")
     net = train_network("specialists", scen, 40, Schedule(0.3, 0.2), seed=3)
-    flagged = dataclasses.replace(net, untrainable=np.ones(40, dtype=bool))
-    batch = pd.predict_batch(flagged, np.array([[0.5, 0.5], [0.2, 0.9]]), coin_seed=1)
-    assert batch.all_abstain_frac == 1.0
-    assert batch.abstain_rate == 1.0
-    np.testing.assert_array_equal(batch.values, [0, 0])
-    labeled = pd.predict_batch(
-        flagged, np.array([[0.5, 0.5]]), coin_seed=1, default_label=1
-    )
-    np.testing.assert_array_equal(labeled.values, [1])
+    assert net.trained
+    # a NaN radius too: its balls would admit every point as a candidate
+    for flagged in (dataclasses.replace(net, r_n=0.0), dataclasses.replace(net, r_n=np.nan)):
+        assert not flagged.trained and flagged.sensor(0).datum is None
+        batch = pd.predict_batch(flagged, np.array([[0.5, 0.5], [0.2, 0.9]]), coin_seed=1)
+        assert batch.all_abstain_frac == 1.0
+        assert batch.abstain_rate == 1.0
+        np.testing.assert_array_equal(batch.values, [0, 0])
+        np.testing.assert_array_equal(batch.responders, [0, 0])
+        labeled = pd.predict_batch(
+            flagged, np.array([[0.5, 0.5]]), coin_seed=1, default_label=1
+        )
+        np.testing.assert_array_equal(labeled.values, [1])
 
 
 def test_abstention_telemetry():

@@ -76,12 +76,15 @@ def test_flag_counts_equal_brute_force_in_ball_counts(case):
 @given(_inputs())
 def test_label_count_engines_equal_brute_force_majorities(case):
     points, queries, radius, flags, _ = case
-    labels, untrainable = flags[0], flags[1] != 0
+    labels = flags[0]
+    shared = dict(r_n=radius, c_n=1.0, xs=points, ys=labels)
     networks = [
-        NetworkState("cls_abstain", radius, 1.0, points, labels, np.zeros(len(points), bool)),
-        NetworkState("specialists", radius, 1.0, points, labels, untrainable, centers=points),
+        NetworkState(protocol="cls_abstain", **shared),
+        NetworkState(protocol="specialists", centers=points, **shared),
     ]
-    for network, counted in zip(networks, (np.ones(len(points), bool), ~untrainable)):
+    # specialists train as a whole: every point counts at a positive radius,
+    # none at a radius that is not positive
+    for network, counted in zip(networks, (True, radius > 0)):
         inside = _brute(points, queries, radius) & counted
         m, votes = inside.sum(axis=1), (inside & (labels != 0)).sum(axis=1)
         batch = pd.predict_batch(network, queries, coin_seed=1, default_label=1)
