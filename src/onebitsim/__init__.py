@@ -41,8 +41,6 @@ from .scenarios import (
     SCENARIO_IDS,
     Example,
     Scenario,
-    bayes_classifier,
     make_scenario,
-    regression_function,
 )
 from .seeding import CoinSource, derive_seed, derived_rng

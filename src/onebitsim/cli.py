@@ -16,7 +16,6 @@ import csv
 import dataclasses
 import datetime
 import json
-import os
 import platform
 import sys
 from pathlib import Path
@@ -222,9 +221,9 @@ def build_experiment_config(
 
 
 def _out_dir(args) -> Path:
-    """The output directory (``ONEBIT_SIM_OUT``, else ``--out``), created
-    if missing; one that cannot be is an ``out:`` error."""
-    path = Path(os.environ.get("ONEBIT_SIM_OUT") or args.out)
+    """The ``--out`` directory, created if missing; one that cannot be is
+    an ``out:`` error."""
+    path = Path(args.out)
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .protocols import NetworkState
-from .scenarios import Example, Scenario, in_ball, regression_function
+from .scenarios import Example, Scenario, in_ball
 
 
 def naive_kernel_classify(train: Sequence[Example], x, r: float, default_label: int = 0) -> int:
@@ -49,11 +49,6 @@ class VoteDistribution:
         if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"pmf sums to {total!r}, expected 1 within 1e-12")
 
-    def prob_majority(self) -> float:
-        """P(count > n/2), the strict-majority event."""
-        first = self.n // 2 + 1
-        return float(math.fsum(self.pmf[first:].tolist()))
-
 
 def exact_vote_distribution(p: Sequence[float]) -> VoteDistribution:
     """Poisson-binomial pmf of a sum of independent Bernoulli votes.
@@ -82,10 +77,12 @@ def exact_conditional_error_at_x(network: NetworkState, scenario: Scenario, x) -
     For classification without abstention (fresh coins per query) this is
     the misclassification probability; for the regression protocols it is
     the conditional mean squared error, both computed from the exact vote
-    distribution rather than simulation.
+    distribution rather than simulation. ``x`` is one point; it is read as
+    a ``(1, d)`` row for the scenario's ``eta`` and ``noise_variance``.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    eta = regression_function(scenario, x)
+    row = x[None, :]
+    eta = float(scenario.eta(row)[0])
     inside = in_ball(network.xs, x, network.r_n)
     if network.protocol == "cls_noabstain":
         if network.fixed_coins is not None:
@@ -94,7 +91,7 @@ def exact_conditional_error_at_x(network: NetworkState, scenario: Scenario, x) -
             )
         p = np.where(inside, network.ys.astype(float), 0.5)
         dist = exact_vote_distribution(p)
-        p_vote1 = dist.prob_majority()
+        p_vote1 = math.fsum(dist.pmf[dist.n // 2 + 1 :].tolist())  # P(count > n/2)
         return p_vote1 * (1.0 - eta) + (1.0 - p_vote1) * eta
 
     # the regression rules differ only in who votes and with what bias
@@ -106,7 +103,7 @@ def exact_conditional_error_at_x(network: NetworkState, scenario: Scenario, x) -
         p = np.where(inside, np.clip(network.ys / (2.0 * c) + 0.5, 0.0, 1.0), 0.5)
     else:
         raise ValueError(f"exact conditional error is not defined for {network.protocol!r}")
-    m2 = float(scenario.conditional_second_moment(x[None, :])[0])
+    m2 = eta * eta + float(scenario.noise_variance(row)[0])  # E[Y^2 | X=x]
     if p.size == 0:
         return m2  # no sensor votes: the estimate is the default 0
     dist = exact_vote_distribution(p)

@@ -399,7 +399,8 @@ def _reg_abstain_rule(network, row):
     c = network.c_n  # biases ys / 2c + 1/2 inside the clamp, 1/2 outside
     outside = row > c  # |y| > c for finite y, without an n-sized |row|
     outside |= row < -c
-    row /= 2.0 * c
+    with np.errstate(over="ignore"):  # a tiny c sends rows outside it to +-inf, masked below
+        row /= 2.0 * c
     row += 0.5
     row[outside] = 0.5
 
@@ -412,7 +413,8 @@ def _reg_abstain_rule(network, row):
 
 def _reg_noabstain_rule(network, row):
     c, n = network.c_n, network.n
-    row /= 2.0 * c
+    with np.errstate(over="ignore"):  # a tiny c sends far rows to +-inf, clipped below
+        row /= 2.0 * c
     row += 0.5
     np.clip(row, 0.0, 1.0, out=row)
 

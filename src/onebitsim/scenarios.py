@@ -50,7 +50,8 @@ def in_ball(points, center, radius: float):
     applies the same arithmetic to its candidates, so engines and
     references agree bit for bit where a point lies on a sphere."""
     diff = np.subtract(points, center, dtype=float)
-    return np.add.reduce(diff * diff, axis=-1) <= radius * radius
+    diff *= diff  # squared in place: the same multiply, and no second array
+    return np.add.reduce(diff, axis=-1) <= radius * radius
 
 
 @dataclass(frozen=True)
@@ -104,10 +105,6 @@ class Scenario:
     def noise_variance(self, xs: np.ndarray) -> np.ndarray:
         """Var(Y | X=x); defined for regression scenarios."""
         raise NotImplementedError(f"{self.id} is not a regression scenario")
-
-    def conditional_second_moment(self, xs: np.ndarray) -> np.ndarray:
-        """E[Y^2 | X=x] for regression scenarios."""
-        return self.eta(xs) ** 2 + self.noise_variance(xs)
 
     def second_moment(self) -> float:
         """E[Y^2]; available for regression scenarios."""
@@ -374,16 +371,3 @@ def sample_conditional_batch(
     if untrainable.all():
         return xs, np.full(len(xs), np.nan), untrainable
     return xs, scenario.sample_y_given_x(xs, rng).astype(float, copy=False), untrainable
-
-
-def regression_function(scenario: Scenario, x) -> float:
-    """eta(x) = E[Y | X=x] in closed form."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return float(scenario.eta(x[None, :])[0])
-
-
-def bayes_classifier(scenario: Scenario, x) -> int:
-    """Optimal label: 1 iff eta(x) >= 1/2 (ties resolve to 1)."""
-    if scenario.task != "classification":
-        raise ValueError(f"{scenario.id} is not a classification scenario")
-    return int(regression_function(scenario, x) >= 0.5)

@@ -120,19 +120,16 @@ class CoinSource:
     def uniform(self, sensor: int, query: int) -> float:
         return (derive_seed(self.seed, sensor, query) >> 11) * 2.0**-53  # exact: < 2^53
 
-    def sensor_keys(self, sensors) -> np.ndarray:
-        """Per-sensor keys ``K[s] = _mix(_mix(seed) ^ _mix(s))``, mixed in
-        place on a fresh copy, so the caller's array is left as it was."""
-        return self.sensor_keys_in_place(np.array(sensors, dtype=np.uint64))
-
     def sensor_keys_in_place(self, sensors: np.ndarray) -> np.ndarray:
-        """``sensor_keys`` written over the contiguous uint64 array
-        ``sensors``, which is returned: the keys cost no array of their own."""
+        """Per-sensor keys ``K[s] = _mix(_mix(seed) ^ _mix(s))``, written
+        over the contiguous uint64 array ``sensors``, which is returned: the
+        keys cost no array of their own."""
         _mix_inplace(sensors)
         np.bitwise_xor(sensors, _U64(_mix(int(self.seed) & _MASK)), out=sensors)
         return _mix_inplace(sensors)
 
     def uniform_array(self, sensors, queries) -> np.ndarray:
         """Vectorized lookup; ``sensors`` and ``queries`` broadcast together."""
-        bits = np.asarray(np.bitwise_xor(self.sensor_keys(sensors), query_keys(queries)))
+        keys = self.sensor_keys_in_place(np.array(sensors, dtype=np.uint64))
+        bits = np.asarray(np.bitwise_xor(keys, query_keys(queries)))
         return (_mix_inplace(bits) >> _U64(11)).astype(np.float64) * 2.0**-53

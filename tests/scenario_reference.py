@@ -48,7 +48,7 @@ def integrate_mean(scenario, f, tol):
 def numerical_bayes_risk(scenario, tol=1e-6):
     """Optimal risk by quadrature: E[min(eta, 1-eta)] or E[Var(Y|X)]."""
     if scenario.task == "classification":
-        eta = lambda x: sc.regression_function(scenario, x)
+        eta = lambda x: float(scenario.eta(x[None, :])[0])
         f = lambda x: min(eta(x), 1 - eta(x))
     else:
         f = lambda x: float(scenario.noise_variance(x[None, :])[0])
@@ -56,11 +56,11 @@ def numerical_bayes_risk(scenario, tol=1e-6):
 
 
 def numerical_classifier_risk(scenario, tol=1e-5):
-    """Zero-one risk of the bayes_classifier code path, by quadrature."""
+    """Zero-one risk of the Bayes rule eta >= 1/2 (ties to 1), by quadrature."""
 
     def f(x):
-        e = sc.regression_function(scenario, x)
-        return 1.0 - e if sc.bayes_classifier(scenario, x) == 1 else e
+        e = float(scenario.eta(x[None, :])[0])
+        return 1.0 - e if e >= 0.5 else e
 
     return integrate_mean(scenario, f, tol)
 

@@ -20,7 +20,7 @@ from onebitsim import predict
 from onebitsim.oracle import exact_conditional_error_at_x
 from onebitsim.predict import PredictionBatch, predict_batch
 from onebitsim.protocols import COIN_MODES, PROTOCOLS, Schedule, ScheduleViolationWarning
-from onebitsim.scenarios import SCENARIO_IDS, bayes_classifier, in_ball, make_scenario
+from onebitsim.scenarios import SCENARIO_IDS, in_ball, make_scenario
 from onebitsim.seeding import derive_seed, derived_rng
 
 PHI_MINUS_1 = 0.15865525393145707
@@ -204,7 +204,7 @@ def test_evaluate_risk_of_bayes_predictor(monkeypatch):
     net = hn.train_network("cls_abstain", scen, 10, Schedule(0.5, 0.3), seed=1)
 
     def bayes_batch(network, xs, coin_seed, default_label):
-        values = np.array([bayes_classifier(scen, x) for x in xs])
+        values = (scen.eta(xs) >= 0.5).astype(np.int64)
         return PredictionBatch(values, np.ones(len(xs)), 1)
 
     monkeypatch.setattr(hn, "predict_batch", bayes_batch)

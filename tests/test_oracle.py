@@ -187,7 +187,7 @@ def test_exact_error_reg_noabstain_empty_network_returns_prior_mse():
     net = train_network("reg_noabstain", scen, 0, pr.Schedule(0.5, 0.3), seed=1)
     x = np.array([0.25])
     assert predict_batch(net, x[None, :]).values.tolist() == [0.0]
-    m2 = float(scen.conditional_second_moment(x[None, :])[0])
+    m2 = float(scen.eta(x[None, :])[0] ** 2 + scen.noise_variance(x[None, :])[0])
     assert oc.exact_conditional_error_at_x(net, scen, x) == pytest.approx(m2)
 
 
@@ -195,5 +195,5 @@ def test_exact_error_reg_abstain_all_abstain_returns_prior_mse():
     scen = make_scenario("sine_1d", noise=0.1)
     net = _manual_network("reg_abstain", [5.0], [0.3], r_n=0.1, c_n=2.0)
     x = np.array([0.25])
-    m2 = float(scen.conditional_second_moment(x[None, :])[0])
+    m2 = float(scen.eta(x[None, :])[0] ** 2 + scen.noise_variance(x[None, :])[0])
     assert oc.exact_conditional_error_at_x(net, scen, x) == pytest.approx(m2)

@@ -81,25 +81,16 @@ def test_gauss_mix_prior_law_of_large_numbers():
 
 def test_regression_function_values():
     sine = sc.make_scenario("sine_1d")
-    assert sc.regression_function(sine, 0.25) == pytest.approx(1.0, abs=1e-15)
+    assert sine.eta(np.array([[0.25]]))[0] == pytest.approx(1.0, abs=1e-15)
     gm = sc.make_scenario("gauss_mix_1d")
-    assert sc.regression_function(gm, 0.0) == 0.5
+    at_zero, at_one = gm.eta(np.array([[0.0], [1.0]]))
+    assert at_zero == 0.5
     # posterior at x=1 from the two class densities (independent oracle)
     dens1 = norm.pdf(1.0 - 1.0)
     dens0 = norm.pdf(1.0 + 1.0)
     oracle = 0.5 * dens1 / (0.5 * dens1 + 0.5 * dens0)
-    assert sc.regression_function(gm, 1.0) == pytest.approx(oracle, abs=1e-12)
-    assert sc.regression_function(gm, 1.0) == pytest.approx(0.8807970779778823, abs=1e-12)
-
-
-def test_bayes_classifier_values_and_tie():
-    gm = sc.make_scenario("gauss_mix_1d")
-    assert sc.bayes_classifier(gm, 2.0) == 1
-    assert sc.bayes_classifier(gm, -2.0) == 0
-    # eta(0) = 1/2 exactly: the tie resolves to label 1
-    assert sc.bayes_classifier(gm, 0.0) == 1
-    with pytest.raises(ValueError, match="not a classification"):
-        sc.bayes_classifier(sc.make_scenario("sine_1d"), 0.5)
+    assert at_one == pytest.approx(oracle, abs=1e-12)
+    assert at_one == pytest.approx(0.8807970779778823, abs=1e-12)
 
 
 def test_bayes_risk_values():
@@ -156,7 +147,8 @@ def test_closed_form_matches_quadrature(sid):
 
 @pytest.mark.parametrize("sid", CLS_IDS)
 def test_bayes_classifier_risk_matches_bayes_risk(sid):
-    # the integrated risk of the implemented classifier, not of the formula
+    # the integrated risk of the rule eta >= 1/2 on the implemented eta,
+    # not of the closed-form risk
     scen = sc.make_scenario(sid)
     assert abs(ref.numerical_classifier_risk(scen) - scen.bayes_risk()) <= 1e-5
 

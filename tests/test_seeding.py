@@ -159,7 +159,7 @@ def test_key_arrays_are_the_integer_mix():
     assert qkeys.dtype == np.uint64
     assert [int(k) for k in qkeys] == [_mix(int(i)) for i in ids]
     for seed in (0, -1, 2**63 + 7):
-        skeys = CoinSource(seed).sensor_keys(ids)
+        skeys = CoinSource(seed).sensor_keys_in_place(np.array(ids, dtype=np.uint64))
         state = _mix(seed & _MASK)
         assert [int(k) for k in skeys] == [_mix(state ^ _mix(int(i))) for i in ids]
     np.testing.assert_array_equal(ids, before)
