@@ -156,9 +156,8 @@ _CONFIG_DEFAULTS = {
 _KEYS = {
     "protocol": ("protocol", str), "scenario": ("scenario_id", str),
     "r0": ("r0", float), "beta": ("beta", float), "c0": ("c0", float),
-    "gamma": ("gamma", float), "clamp": ("clamp", float),
-    "replications": ("replications", int), "test_points": ("test_points", int),
-    "seed": ("seed", int), "default_label": ("default_label", int),
+    "gamma": ("gamma", float), "replications": ("replications", int),
+    "test_points": ("test_points", int), "seed": ("seed", int),
     "coin_mode": ("coin_mode", str),
 }
 _KIND_NAMES = {str: "text", int: "an integer", float: "a number"}
@@ -213,7 +212,9 @@ def build_experiment_config(
         schedule = Schedule(**{name: values.pop(name) for name in vars(schedule)})
         return ExperimentConfig(schedule=schedule, **values)
     except ValueError as exc:
-        raise _config_error(exc) from None
+        error = str(_config_error(exc))
+        one_n = single_n and error.startswith("n_grid:")  # a one-n config's grid is its n
+        raise ConfigError("n" + error[6:] if one_n else error) from None
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,6 @@ class ExperimentConfig:
     test_points: int = 2000
     seed: int = 0
     coin_mode: str = "per_sensor"
-    default_label: int = 0
 
     def __post_init__(self):
         for name, kind, what in (
@@ -88,8 +87,6 @@ class ExperimentConfig:
             raise ValueError("n_grid: must hold positive integers")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("n_grid: must be strictly increasing")
-        if self.default_label not in (0, 1):
-            raise ValueError("default_label: must be 0 or 1")
         try:  # c_n grows with n, so the largest n decides
             c_max = schedule_eval(self.schedule, grid[-1])[1]
         except OverflowError:
@@ -187,8 +184,6 @@ def evaluate_conditional_risk(
     scenario: Scenario,
     test_points: int,
     rng: np.random.Generator,
-    *,
-    default_label: int = 0,
 ) -> RiskSample:
     """Estimate the trained network's conditional risk on fresh draws.
 
@@ -200,7 +195,7 @@ def evaluate_conditional_risk(
         raise ValueError("test_points: must be >= 1")
     xs, ys = scenario.sample(rng, test_points)
     coin_seed = int(rng.integers(2**63))
-    batch = predict_batch(network, xs, coin_seed, default_label)
+    batch = predict_batch(network, xs, coin_seed)
     samples = []
     for b in batch.arms() if isinstance(network, tuple) else [batch]:
         if scenario.task == "classification":
@@ -252,12 +247,12 @@ def _replication_sample(arms: tuple, n: int, rep: int, probe=None) -> tuple:
         networks += (replace(network, protocol=arm.protocol, c_n=c_n),)
     rng = derived_rng(first.seed, n, rep, _STREAM_EVAL)
     samples = evaluate_conditional_risk(networks if arms[1:] else network, scenario,
-                                        first.test_points, rng, default_label=first.default_label)
+                                        first.test_points, rng)
     samples = samples if arms[1:] else (samples,)
     if probe is None:
         return samples
     coin_seed = derive_seed(first.seed, n, rep, _STREAM_COINS)
-    return samples + (predict_batch(network, probe, coin_seed, first.default_label).values,)
+    return samples + (predict_batch(network, probe, coin_seed).values,)
 
 
 def _timed_chunk(tasks: list) -> list[tuple[tuple, float]]:
@@ -430,7 +425,7 @@ def impossibility_arms(config: ExperimentConfig) -> tuple[ExperimentConfig, ...]
         raise ValueError("protocol: the demo runs reg_noabstain")
     if config.scenario().dimension != 1:
         raise ValueError(f"scenario_id: {config.scenario_id} is not one-dimensional")
-    schedule = replace(config.schedule, c0=1.0, gamma=0.1, clamp=None)
+    schedule = replace(config.schedule, c0=1.0, gamma=0.1)
     return config, replace(config, protocol="reg_abstain", schedule=schedule)
 
 

@@ -19,9 +19,9 @@ from .protocols import NetworkState
 from .scenarios import Example, Scenario, in_ball
 
 
-def naive_kernel_classify(train: Sequence[Example], x, r: float, default_label: int = 0) -> int:
+def naive_kernel_classify(train: Sequence[Example], x, r: float) -> int:
     """Plug-in rule with the indicator kernel: majority label (ties to 1)
-    among training points within r of x; an empty ball yields the default."""
+    among training points within r of x; an empty ball yields 0."""
     votes = 0
     total = 0
     for ex in train:
@@ -29,7 +29,7 @@ def naive_kernel_classify(train: Sequence[Example], x, r: float, default_label: 
             total += 1
             votes += int(ex.y)
     if total == 0:
-        return default_label
+        return 0
     return 1 if 2 * votes >= total else 0
 
 

@@ -55,6 +55,7 @@ without it, in every dimension, and no engine loads ``scipy.spatial``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,40 +135,52 @@ class PredictionBatch:
         return [PredictionBatch(*arm, self.n_sensors) for arm in zip(self.values, self.responders)]
 
 
+def _reach(radius: float) -> float:
+    """The largest float e with fl(e * e) <= fl(r * r): rounding is monotone,
+    so ``in_ball``'s 1-d test holds exactly when |x - q| <= e. It is inf when
+    r * r overflows and NaN for a NaN radius. From sqrt(r * r), or from
+    sqrt(k + 1/2) * 2^-537 for r * r = k * 2^-1074 below the normal floats,
+    it settles in ``nextafter`` steps."""
+    rr = float(radius) * float(radius)
+    if not math.isfinite(rr):
+        return rr
+    e = math.sqrt(rr) if rr >= _TINY else math.sqrt(math.ldexp(rr, 1074) + 0.5) * 2.0**-537
+    while e * e > rr:
+        e = math.nextafter(e, 0.0)
+    while (up := math.nextafter(e, math.inf)) * up <= rr:
+        e = up
+    return e
+
+
 def _runs(flat: np.ndarray, radius: float, queries: np.ndarray):
     """1-d: the sort order of the coordinates ``flat`` (it maps each
     storage position to its original index) and each query's in-ball run
-    [lo, hi) of storage positions: exactly the points ``in_ball`` admits.
-    Bisection on q - r and q + r is the first guess; then each end steps
-    across one group of tied coordinates at a time, outward while the
-    point just outside the run is in the ball, inward while the point just
-    inside it is out on that end's side of q.
+    [lo, hi) of storage positions: exactly the points ``in_ball`` admits,
+    those with |x - q| <= e = ``_reach(radius)``. Bisection on q - e and
+    q + e is the first guess, exact unless their rounding moves an end;
+    then each end steps across one group of tied coordinates at a time,
+    outward while the point just outside the run is in the ball, inward
+    while the point just inside it is out on that end's side of q.
 
-    The test is ``in_ball``'s, on signed squares s = d * |d| of
-    d = x - q (exactly +-d*d), without its reduce over a trailing axis.
-    The outer point stays on its end's side of q, so s >= -r*r (left)
-    and s <= r*r (right) put it in the ball; s < -r*r and s > r*r put
-    an inner point out of it on its own side. NaN sentinels past the
-    ends fail every comparison, so they never move."""
+    The ends never cross q's place in the order, so x - q >= -e (left) and
+    x - q <= e (right) put the outer point in the ball, and x - q < -e and
+    x - q > e put an inner point out of it. No difference is squared, so
+    none overflows. NaN sentinels past the ends fail every comparison."""
     order = np.argsort(flat)
-    # the sorted coordinates between NaN sentinels, which no ball holds
-    # even once r * r overflows, so a run's neighbors exist; they live
-    # only until the runs are found
+    # the sorted coordinates between NaN sentinels, which no ball holds,
+    # so a run's neighbors exist; they live only until the runs are found
     pad = np.full(len(flat) + 2, np.nan)
     x = np.take(flat, order, out=pad[1:-1])
-    r, q = radius, queries[:, 0]
-    lo = np.searchsorted(x, q - r, side="left")
-    hi = np.searchsorted(x, q + r, side="right")
-    t, rr = len(q), r * r
-    qq = np.concatenate((q, q))
+    e, q = _reach(radius), queries[:, 0]
+    lo = np.searchsorted(x, q - e, side="left")
+    hi = np.searchsorted(x, q + e, side="right")
+    t, qq = len(q), np.concatenate((q, q))
     while True:
         ends = np.concatenate((lo, hi))
         before = pad.take(ends)     # the points at lo - 1 and hi - 1
         after = pad[1:].take(ends)  # at lo and hi
         a, b = before - qq, after - qq
-        a *= np.abs(a)
-        b *= np.abs(b)
-        moves = (a[:t] >= -rr, b[:t] < -rr, a[t:] > rr, b[t:] <= rr)
+        moves = (a[:t] >= -e, b[:t] < -e, a[t:] > e, b[t:] <= e)
         if not any(map(np.count_nonzero, moves)):
             return order, lo, hi
         lo = np.where(moves[0], np.searchsorted(x, before[:t], side="left"), lo)
@@ -312,7 +325,6 @@ def predict_batch(
     network: NetworkState,
     queries: np.ndarray,
     coin_seed: int = 0,
-    default_label: int = 0,
 ) -> PredictionBatch:
     """Fused network output for each row of ``queries``.
 
@@ -331,9 +343,9 @@ def predict_batch(
     if queries.ndim != 2 or queries.shape[1] != d:
         raise ValueError(f"queries: expected a (k, {d}) array, got shape {queries.shape}")
     if isinstance(network, tuple):  # regression arms share one engine
-        return batch_regression(network, queries, coin_seed, default_label)
+        return batch_regression(network, queries, coin_seed)
     protocol_spec(network.protocol)  # an unknown protocol is a ValueError
-    return _ENGINES[network.protocol](network, queries, coin_seed, default_label)
+    return _ENGINES[network.protocol](network, queries, coin_seed)
 
 
 def load_engine(protocol: str, d: int, coin_mode: str) -> None:
@@ -350,26 +362,26 @@ def load_engine(protocol: str, d: int, coin_mode: str) -> None:
 
 
 # The batch engines, one per protocol, all called as (network, queries,
-# coin_seed, default_label); ``_ENGINES`` keys them by protocol.
+# coin_seed); ``_ENGINES`` keys them by protocol.
 
 
-def _responder_majority(network, points, labels, queries, default_label):
+def _responder_majority(network, points, labels, queries):
     """Majority of the labels stored at ``points`` within r_n of each query
-    (ties to 1); a query with no responders gets the default label."""
+    (ties to 1); a query with no responders gets 0."""
     counts, (votes,) = flag_counts(points, network.r_n, queries, [labels])
-    preds = np.where(counts > 0, (2 * votes >= counts).astype(np.int64), default_label)
+    preds = np.where(counts > 0, (2 * votes >= counts).astype(np.int64), 0)
     return PredictionBatch(preds, counts, network.n)
 
 
-def batch_cls_abstain(network, queries, coin_seed, default_label):
-    return _responder_majority(network, network.xs, network.ys, queries, default_label)
+def batch_cls_abstain(network, queries, coin_seed):
+    return _responder_majority(network, network.xs, network.ys, queries)
 
 
-def batch_specialists(network, queries, coin_seed, default_label):
+def batch_specialists(network, queries, coin_seed):
     if network.trained:
-        return _responder_majority(network, network.centers, network.ys, queries, default_label)
+        return _responder_majority(network, network.centers, network.ys, queries)
     none = np.zeros(len(queries), dtype=np.int64)  # no counts: a NaN radius admits every point
-    return PredictionBatch(none + default_label, none, network.n)
+    return PredictionBatch(none, none, network.n)
 
 
 def _guesser_votes(coin, n, counts):
@@ -380,7 +392,7 @@ def _guesser_votes(coin, n, counts):
     return binom.ppf(np.clip(u, _TINY, None), n - counts)
 
 
-def batch_cls_noabstain(network, queries, coin_seed, default_label):
+def batch_cls_noabstain(network, queries, coin_seed):
     # in-ball sensors vote their label; the rest vote their fixed coin, or
     # with per-query coins guess as one crowd
     n, xs, r = network.n, network.xs, network.r_n
@@ -396,7 +408,7 @@ def batch_cls_noabstain(network, queries, coin_seed, default_label):
 
 
 def _reg_abstain_rule(network, row):
-    c = network.c_n  # biases ys / 2c + 1/2 inside the clamp, 1/2 outside
+    c = network.c_n  # biases ys / 2c + 1/2 for |ys| <= c, 1/2 beyond it
     outside = row > c  # |y| > c for finite y, without an n-sized |row|
     outside |= row < -c
     with np.errstate(over="ignore"):  # a tiny c sends rows outside it to +-inf, masked below
@@ -431,7 +443,7 @@ def _reg_noabstain_rule(network, row):
 _REGRESSION_RULES = {"reg_abstain": _reg_abstain_rule, "reg_noabstain": _reg_noabstain_rule}
 
 
-def batch_regression(network, queries, coin_seed, default_label):
+def batch_regression(network, queries, coin_seed):
     """Both regression rules, for one network or a tuple of arms that share
     one training set and radius (the result then has a leading arm axis).
     The networks must be one-dimensional."""

@@ -4,15 +4,16 @@ Five protocols, identified by the strings in :data:`PROTOCOLS`:
 
 * ``cls_abstain``    -- vote the stored label when the query falls in the
   sensor's ball, otherwise abstain; fusion is the vote-fraction >= 1/2
-  majority (ties go to 1).
+  majority (ties go to 1), and a query no sensor answers gets 0.
 * ``cls_noabstain``  -- same informative branch, but silent sensors must
   guess with a fair coin fixed at training time; fusion is the strict
   majority over all n votes (ties go to 0).
 * ``reg_abstain``    -- in-ball sensors encode their real label in a coin
   bias (y / 2c + 1/2, censored to a fair coin when |y| > c); fusion shifts
-  and scales the vote fraction back into label units.
+  and scales the vote fraction back into label units, and a query no
+  sensor answers gets 0.0.
 * ``reg_noabstain``  -- in-ball sensors vote with the clipped bias
-  clip(y / 2c + 1/2) at the fixed amplitude c = c_n (gamma = 0 or a clamp),
+  clip(y / 2c + 1/2) at the fixed amplitude c = c_n (gamma = 0),
   the rest guess with a fair coin; the scaled-mean fusion rule is
   permutation invariant and 2c-Lipschitz in the average Hamming distance.
 * ``specialists``    -- sensors own a random region, train on data
@@ -83,21 +84,18 @@ class Schedule:
     """Power-law bandwidth and amplitude sequences.
 
     r_n = r0 * n^(-beta) shrinks the ball radius; c_n = c0 * n^gamma grows
-    the label amplitude bound, unless ``clamp`` pins c_n to a constant
-    (valid when |Y| is known to be bounded by it). Both regression rules
-    encode at c_n; gamma = 0 or a clamp gives ``reg_noabstain`` a fixed c.
+    the label amplitude bound. Both regression rules encode at c_n;
+    gamma = 0 gives ``reg_noabstain`` the fixed c = c0.
     """
 
     r0: float
     beta: float
     c0: float = 1.0
     gamma: float = 0.0
-    clamp: Optional[float] = None
 
     def __post_init__(self):
-        for name in ("r0", "beta", "c0", "gamma", "clamp"):
-            if getattr(self, name) is not None:  # only clamp may be unset
-                check_finite(name, getattr(self, name))
+        for name in ("r0", "beta", "c0", "gamma"):
+            check_finite(name, getattr(self, name))
         if self.r0 <= 0:
             raise ValueError("r0: must be positive")
         if self.beta < 0:
@@ -106,8 +104,6 @@ class Schedule:
             raise ValueError("c0: must be positive")
         if self.gamma < 0:
             raise ValueError("gamma: must be >= 0 (c_n may not shrink)")
-        if self.clamp is not None and self.clamp <= 0:
-            raise ValueError("clamp: must be positive when set")
 
 
 def schedule_eval(schedule: Schedule, n: int) -> tuple[float, float]:
@@ -115,11 +111,7 @@ def schedule_eval(schedule: Schedule, n: int) -> tuple[float, float]:
     if n < 1:
         raise ValueError("schedule is defined for n >= 1")
     r_n = schedule.r0 * float(n) ** -schedule.beta
-    if schedule.clamp is not None:
-        c_n = schedule.clamp
-    else:
-        c_n = schedule.c0 * float(n) ** schedule.gamma
-    return r_n, c_n
+    return r_n, schedule.c0 * float(n) ** schedule.gamma
 
 
 SATISFIES = "satisfies"
@@ -150,11 +142,11 @@ def _beta_d_below(limit: float, text: str):
 
 
 def _amplitude_condition(schedule: Schedule, bd: float) -> Optional[str]:
-    """c_n diverges (or is clamped) and 2*gamma + beta*d < 1."""
-    if schedule.clamp is None and schedule.gamma <= 0:
-        return "c_n must diverge (gamma > 0) unless clamp bounds |Y|"
-    eff_gamma = 0.0 if schedule.clamp is not None else schedule.gamma
-    total = 2 * eff_gamma + bd
+    """c_n diverges (no constant bounds the labels of a Gaussian-noise
+    scenario) and 2*gamma + beta*d < 1."""
+    if schedule.gamma <= 0:
+        return "c_n must diverge (gamma > 0)"
+    total = 2 * schedule.gamma + bd
     if total >= 1:
         return f"2*gamma + beta*d = {total:g} >= 1"
     return None
@@ -295,12 +287,12 @@ def respond_cls_abstain(sensor: SensorState, query_x, r_n: float) -> Response:
     return Response.ABSTAIN
 
 
-def fuse_cls_abstain(responses: Sequence[Response], default_label: int = 0) -> int:
+def fuse_cls_abstain(responses: Sequence[Response]) -> int:
     """Majority over the non-abstaining votes; a vote-1 fraction of exactly
-    1/2 resolves to 1. All-abstain falls back to the default label."""
+    1/2 resolves to 1. All-abstain yields 0."""
     votes = [r.vote for r in responses if r.is_vote]
     if not votes:
-        return default_label
+        return 0
     return 1 if 2 * sum(votes) >= len(votes) else 0
 
 
@@ -420,5 +412,5 @@ def respond_specialist(sensor: SensorState, query_x, r_n: float) -> Response:
 
 
 # a specialist fusion center takes the abstention rule's majority over the
-# responders (ties to 1; no responders falls back to the default label)
+# responders (ties to 1; no responders yields 0)
 fuse_specialist = fuse_cls_abstain

@@ -142,31 +142,31 @@ def _suite_fusion_properties() -> SuiteResult:
 _SCALAR_RULES = {
     "cls_abstain": (
         lambda s, x, net, u: protocols.respond_cls_abstain(s, x, net.r_n),
-        lambda resp, net, default: protocols.fuse_cls_abstain(resp, default),
+        lambda resp, net: protocols.fuse_cls_abstain(resp),
     ),
     "cls_noabstain": (
         lambda s, x, net, u: protocols.respond_cls_noabstain(s, x, net.r_n)
         if net.fixed_coins is not None or protocols.in_ball(s.datum.x, x, net.r_n)
         else None,
-        lambda resp, net, default: protocols.fuse_cls_noabstain(resp),
+        lambda resp, net: protocols.fuse_cls_noabstain(resp),
     ),
     "reg_abstain": (
         lambda s, x, net, u: protocols.respond_reg_abstain(s, x, net.r_n, net.c_n, u),
-        lambda resp, net, default: protocols.fuse_reg_abstain(resp, net.c_n),
+        lambda resp, net: protocols.fuse_reg_abstain(resp, net.c_n),
     ),
     "reg_noabstain": (
         lambda s, x, net, u: protocols.respond_reg_noabstain(s, x, net.r_n, net.c_n, u)
         if protocols.in_ball(s.datum.x, x, net.r_n) else None,
-        lambda resp, net, default: protocols.fuse_reg_noabstain_scaledmean(resp, net.c_n),
+        lambda resp, net: protocols.fuse_reg_noabstain_scaledmean(resp, net.c_n),
     ),
     "specialists": (
         lambda s, x, net, u: protocols.respond_specialist(s, x, net.r_n),
-        lambda resp, net, default: protocols.fuse_specialist(resp, default),
+        lambda resp, net: protocols.fuse_specialist(resp),
     ),
 }
 
 
-def scalar_predict(net, queries, coin_seed, default_label=0) -> np.ndarray:
+def scalar_predict(net, queries, coin_seed) -> np.ndarray:
     """Reference path: one scalar respond call per sensor per query, then
     the scalar fusion rule. The m fresh guessers of a query q vote as one
     crowd: k of them vote 1, where k is the first index at which the exact
@@ -184,7 +184,7 @@ def scalar_predict(net, queries, coin_seed, default_label=0) -> np.ndarray:
             k = min(int(np.searchsorted(cdf, u)), m)
             responses = [r for r in responses if r is not None]
             responses += [Response.VOTE1] * k + [Response.VOTE0] * (m - k)
-        out.append(fuse(responses, net, default_label))
+        out.append(fuse(responses, net))
     return np.asarray(out, dtype=float)
 
 
@@ -220,9 +220,8 @@ def _suite_batch_engine() -> SuiteResult:
             net = replace(net, xs=np.round(net.xs, 1), centers=centers, r_n=0.5)
             queries = np.round(queries, 1)
         case = f"{protocol} on {sid}, {mode}, n={n}"
-        default_label = int(rng.integers(2))
-        batch = predict.predict_batch(net, queries, coin_seed, default_label)
-        reference = scalar_predict(net, queries, coin_seed, default_label)
+        batch = predict.predict_batch(net, queries, coin_seed)
+        reference = scalar_predict(net, queries, coin_seed)
         if not np.array_equal(batch.values, reference):
             return SuiteResult("batch_engine", False, f"{case}: batch differs from scalar")
         if protocol == "reg_abstain":  # both regression rules in one call

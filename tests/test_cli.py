@@ -140,9 +140,7 @@ VALUE_CASES = [
     ({"coin_mode": "weekly"}, {"coin_mode": "weekly"}, "coin_mode: unknown"),
     ({"replications": "0"}, {"replications": 0}, "replications: must be >= 1"),
     ({"c0": "0"}, {"c0": 0.0}, "c0: must be positive"),
-    ({"clamp": "-1"}, {"clamp": -1.0}, "clamp: must be positive when set"),
     ({"test_points": "0"}, {"test_points": 0}, "test_points: must be >= 1"),
-    ({"default_label": "2"}, {"default_label": 2}, "default_label: must be 0 or 1"),
     (  # the means at +-0 coincide
         {"scenario.mu": "0"}, {"scenario_params": {"mu": 0}},
         "scenario.mu: class means must be separated",
@@ -174,7 +172,7 @@ VALUE_CASES = [
         {"protocol": "reg_abstain", "scenario_id": "sine_1d", key: float(value)},
         f"{key}: expected a finite number",
     )
-    for key in ("r0", "beta", "c0", "gamma", "clamp")
+    for key in ("r0", "beta", "c0", "gamma")
     for value in ("nan", "inf", "-inf")
 ]
 
@@ -335,6 +333,16 @@ def test_bad_keys_and_values(tmp_path, capsys):
             "n_grid = 5, 10\nfamily_c = 2.0\n",
             "family_c: unknown key",
         ),
+        (
+            "[sweep]\nprotocol = reg_abstain\nscenario = sine_1d\n"
+            "n_grid = 5, 10\nclamp = 2\n",
+            "clamp: unknown key",
+        ),
+        (
+            "[sweep]\nprotocol = cls_abstain\nscenario = gauss_mix_1d\n"
+            "n_grid = 5, 10\ndefault_label = 0\n",
+            "default_label: unknown key",
+        ),
         ("[sweep\nprotocol = cls_abstain\n", "config: parse failure"),
     ] + [(sweep_ini(keys), message) for keys, _, message in VALUE_CASES]
     for text, message in cases:
@@ -355,7 +363,7 @@ def test_library_names_the_bad_value_as_the_cli_does(keys, fields, message):
     fields = {**SWEEP_FIELDS, **fields}
     with pytest.raises(ValueError) as caught:
         schedule = protocols.Schedule(
-            **{name: fields.pop(name) for name in ("r0", "beta", "c0", "gamma", "clamp")
+            **{name: fields.pop(name) for name in ("r0", "beta", "c0", "gamma")
                if name in fields}
         )
         ExperimentConfig(schedule=schedule, **fields)
@@ -365,18 +373,25 @@ def test_library_names_the_bad_value_as_the_cli_does(keys, fields, message):
 def test_every_key_reads_into_the_field_the_library_takes(tmp_path):
     text = (
         "[sweep]\nprotocol = reg_abstain\nscenario = sine_1d\nscenario.noise = 0.2\n"
-        "n_grid = 10, 20\nr0 = 0.7\nbeta = 0.25\nc0 = 1.5\ngamma = 0.1\nclamp = 2.5\n"
-        "replications = 4\ntest_points = 30\nseed = 5\ndefault_label = 1\n"
-        "coin_mode = per_query\n"
+        "n_grid = 10, 20\nr0 = 0.7\nbeta = 0.25\nc0 = 1.5\ngamma = 0.1\n"
+        "replications = 4\ntest_points = 30\nseed = 5\ncoin_mode = per_query\n"
     )
     section = cli.load_config_section(write(tmp_path, text), "sweep")
     assert set(section) == set(cli._KEYS) | {"scenario.noise", "n_grid"}
     assert cli.build_experiment_config(section, single_n=False) == ExperimentConfig(
         protocol="reg_abstain", scenario_id="sine_1d", scenario_params={"noise": 0.2},
-        schedule=protocols.Schedule(0.7, 0.25, c0=1.5, gamma=0.1, clamp=2.5),
-        n_grid=(10, 20), replications=4, test_points=30, seed=5, default_label=1,
-        coin_mode="per_query",
+        schedule=protocols.Schedule(0.7, 0.25, c0=1.5, gamma=0.1),
+        n_grid=(10, 20), replications=4, test_points=30, seed=5, coin_mode="per_query",
     )
+
+
+def test_readme_config_example_builds_and_sets_every_key(tmp_path):
+    # the README's [sweep] example is the one place that lists every key
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n[sweep]\n", 1)[1].split("```", 1)[0]
+    section = cli.load_config_section(write(tmp_path, "[sweep]\n" + block), "sweep")
+    assert set(cli._KEYS) <= set(section)
+    assert isinstance(cli.build_experiment_config(section, single_n=False), ExperimentConfig)
 
 
 def test_demo_section_takes_unset_keys_from_the_defaults_and_leaves_them(tmp_path):
@@ -621,11 +636,11 @@ def test_verify_catches_corrupted_tie_break(monkeypatch, capsys):
     # must fail and be named
     healthy = protocols.fuse_cls_abstain
 
-    def corrupted(responses, default_label=0):
+    def corrupted(responses):
         votes = [r.vote for r in responses if r.is_vote]
         if votes and 2 * sum(votes) == len(votes):
             return 0  # wrong direction on ties
-        return healthy(responses, default_label)
+        return healthy(responses)
 
     monkeypatch.setattr(protocols, "fuse_cls_abstain", corrupted)
     assert cli.main(["verify"]) == 1
@@ -637,8 +652,8 @@ def test_verify_catches_corrupted_batch_engine(monkeypatch, capsys):
     # negative control: flip one output of the engine every sweep uses
     healthy = predict.predict_batch
 
-    def corrupted(network, queries, coin_seed=0, default_label=0):
-        batch = healthy(network, queries, coin_seed, default_label)
+    def corrupted(network, queries, coin_seed=0):
+        batch = healthy(network, queries, coin_seed)
         values = batch.values.copy()
         values[-1] = 1 - values[-1]
         return dataclasses.replace(batch, values=values)

@@ -85,8 +85,7 @@ def test_config_validation():
 
 @pytest.mark.parametrize(
     "field,value",
-    [("r0", math.nan), ("beta", math.inf), ("c0", -math.inf), ("gamma", math.nan),
-     ("clamp", math.inf)],
+    [("r0", math.nan), ("beta", math.inf), ("c0", -math.inf), ("gamma", math.nan)],
 )
 def test_schedule_rejects_non_finite_numbers(field, value):
     # a sweep with r0 = nan once ran to the end with every sensor abstaining
@@ -203,7 +202,7 @@ def test_evaluate_risk_of_bayes_predictor(monkeypatch):
     scen = make_scenario("gauss_mix_1d")
     net = hn.train_network("cls_abstain", scen, 10, Schedule(0.5, 0.3), seed=1)
 
-    def bayes_batch(network, xs, coin_seed, default_label):
+    def bayes_batch(network, xs, coin_seed):
         values = (scen.eta(xs) >= 0.5).astype(np.int64)
         return PredictionBatch(values, np.ones(len(xs)), 1)
 
@@ -489,10 +488,9 @@ def test_reg_noabstain_amplitude_follows_the_schedule():
     def sweep(**amplitude):
         return hn.run_sweep(demo_config(schedule=Schedule(0.5, 0.3, **amplitude)))
 
-    one, two, clamped = sweep(c0=1.0), sweep(c0=2.0), sweep(clamp=2.0)
-    assert [r.c_n for r in one + two + clamped] == [1.0] * 2 + [2.0] * 4
+    one, two = sweep(c0=1.0), sweep(c0=2.0)
+    assert [r.c_n for r in one + two] == [1.0] * 2 + [2.0] * 2
     assert all(a.risk_mean != b.risk_mean for a, b in zip(one, two))
-    assert [r.risk_mean for r in clamped] == [r.risk_mean for r in two]
     defaults = dataclasses.replace(
         hn.default_impossibility_config(), n_grid=(200, 2000), replications=2, test_points=400
     )
@@ -638,7 +636,7 @@ def test_impossibility_arms_differ_only_in_protocol_and_amplitude():
     assert contrast == dataclasses.replace(
         config,
         protocol="reg_abstain",
-        schedule=dataclasses.replace(config.schedule, c0=1.0, gamma=0.1, clamp=None),
+        schedule=dataclasses.replace(config.schedule, c0=1.0, gamma=0.1),
     )
     assert (contrast.schedule.r0, contrast.schedule.beta) == (0.5, 0.3)
 

@@ -117,7 +117,7 @@ def test_1d_balls_on_boundaries_and_ties(protocol, sid, mode):
     # is inf and every ball holds every sensor
     scen = make_scenario(sid)
     net = train_network(
-        protocol, scen, 70, Schedule(0.4, 0.2, clamp=0.5), seed=13, coin_mode=mode
+        protocol, scen, 70, Schedule(0.4, 0.2, c0=0.5), seed=13, coin_mode=mode
     )
     rng, flag_rng = np.random.default_rng(19), np.random.default_rng(20)
     for r in (0.1, 0.3, 0.5, 0.7, 1e200):
@@ -130,6 +130,66 @@ def test_1d_balls_on_boundaries_and_ties(protocol, sid, mode):
         np.testing.assert_array_equal(
             batch.values.astype(float), scalar_predict(network, queries, 5)
         )
+
+
+def _extreme_reach_runs():
+    """(points, radius, queries) in one dimension where the ball's reach
+    along the axis is far from r: r * r overflows, so every ball holds
+    every point; r * r underflows to 0, yet points 1e-170 apart all lie in
+    the ball at 0; and coordinates of +-1e300, whose differences from a
+    query overflow once squared."""
+    rng = np.random.default_rng(41)
+    n = 2_000
+    far = rng.choice([-1e300, 1e300, 0.0, 0.5], size=n)
+    return [
+        (rng.random(n), 1e200, np.array([[1e300]])),
+        (np.arange(n) * 1e-170, 1e-170, np.array([[0.0]])),
+        (far, 0.3, np.array([[1e300], [-1e300], [0.4], [1e154]])),
+    ]
+
+
+def test_reach_is_the_largest_difference_that_in_ball_admits():
+    for r in (0.0, 5e-324, 1e-170, 1e-162, 2.0**-537, 0.1, 0.3, 1.0, 1e154, 1.3e154):
+        e = pd._reach(r)
+        up = math.nextafter(e, math.inf)
+        assert e * e <= r * r < up * up
+    assert pd._reach(1e200) == math.inf and math.isnan(pd._reach(math.nan))
+
+
+def test_1d_runs_at_extreme_reaches_are_in_balls_runs():
+    # a squared difference that overflows would warn, and warnings are errors
+    for points, r, queries in _extreme_reach_runs():
+        order, lo, hi = pd._runs(points, r, queries)
+        for q, a, b in zip(queries, lo, hi):
+            with np.errstate(over="ignore"):
+                inside = np.flatnonzero(in_ball(points[:, None], q, r))
+            np.testing.assert_array_equal(np.sort(order[a:b]), inside)
+
+
+class _CountingNumpy:
+    """numpy, with its ``searchsorted`` calls counted."""
+
+    def __init__(self):
+        self.searches = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def searchsorted(self, *args, **kwargs):
+        self.searches += 1
+        return np.searchsorted(*args, **kwargs)
+
+
+def test_1d_runs_guess_from_the_reach_needs_no_round(monkeypatch):
+    # bisection on q -+ r took a round per sensor on both inputs, as the
+    # run's ends crossed one coordinate at a time; q -+ reach is exact
+    counting = _CountingNumpy()
+    monkeypatch.setattr(pd, "np", counting)
+    for points, r, queries in _extreme_reach_runs()[:2]:
+        counting.searches = 0
+        order, lo, hi = pd._runs(points, r, queries)
+        assert (lo.tolist(), hi.tolist()) == ([0], [len(points)])
+        assert counting.searches == 2  # the guess's two bisections
 
 
 # 3-d grids: a binary one where (1, 2, 2) offsets land exactly on the
@@ -257,9 +317,9 @@ RUN_QUERIES = np.array([-0.035, 0.2, 0.3, 0.42, 0.705, 0.545, 5.0, 1.035, -5.0, 
 
 def _run_network(protocol, sid, mode):
     scen = make_scenario(sid)
-    # clamp c_n to 0.5 so that some reg_abstain labels fall outside it
+    # a constant c_n = 0.5 so that some reg_abstain labels fall outside it
     net = train_network(
-        protocol, scen, len(RUN_SENSORS), Schedule(0.4, 0.2, clamp=0.5), seed=3,
+        protocol, scen, len(RUN_SENSORS), Schedule(0.4, 0.2, c0=0.5), seed=3,
         coin_mode=mode,
     )
     order = np.random.default_rng(4).permutation(len(RUN_SENSORS))  # unsorted storage
@@ -305,7 +365,7 @@ def test_two_arm_bias_table_matches_one_row_calls(monkeypatch):
     monkeypatch.setattr(pd, "_PAIR_BLOCK", 17)
     rng = np.random.default_rng(8)
     net = train_network(
-        "reg_abstain", make_scenario("sine_1d"), 80, Schedule(0.2, 0.2, clamp=0.5), seed=6
+        "reg_abstain", make_scenario("sine_1d"), 80, Schedule(0.2, 0.2, c0=0.5), seed=6
     )
     net = dataclasses.replace(net, xs=rng.random((80, 1)))
     # the last two queries lie far outside the unit box: their balls are empty
@@ -367,7 +427,7 @@ def test_reg_abstain_labels_on_the_clamp_keep_their_bias():
     # votes the same bit on every query; one float beyond the clamp, the
     # label is censored to a fair coin and its votes differ across queries
     net = train_network(
-        "reg_abstain", make_scenario("sine_1d"), 4, Schedule(0.4, 0.2, clamp=0.5), seed=3
+        "reg_abstain", make_scenario("sine_1d"), 4, Schedule(0.4, 0.2, c0=0.5), seed=3
     )
     c = net.c_n
     labels = np.array([c, -c, np.nextafter(c, np.inf), np.nextafter(-c, -np.inf)])
@@ -418,14 +478,14 @@ def test_a_tiny_amplitude_answers_without_a_warning(protocol):
 # sha256 of a two-arm predict_batch's values (both arms, float64 bytes) on
 # 200,000 sensors, pinned from the engine that concatenated each chunk's
 # pairs: the ~335k in-ball pairs span about ten _PAIR_BLOCK chunks, and at
-# the clamp c_n = 0.5 most labels lie outside it, where reg_abstain's bias
+# the constant c_n = 0.5 most labels lie outside it, where reg_abstain's bias
 # is 1/2 and reg_noabstain's is clipped to 0 or 1
 MULTI_CHUNK_DIGEST = "13367dc1b19568ed5686ebc4c76c09c9544c4d7b709b7497e28cdc6b95e7c37b"
 
 
 def _two_arm_network(n, r0, beta, seed):
     net = train_network(
-        "reg_noabstain", make_scenario("sine_1d"), n, Schedule(r0, beta, clamp=0.5), seed
+        "reg_noabstain", make_scenario("sine_1d"), n, Schedule(r0, beta, c0=0.5), seed
     )
     return net, dataclasses.replace(net, protocol="reg_abstain")
 
@@ -659,10 +719,6 @@ def test_untrainable_specialists_are_silent():
         assert batch.abstain_rate == 1.0
         np.testing.assert_array_equal(batch.values, [0, 0])
         np.testing.assert_array_equal(batch.responders, [0, 0])
-        labeled = pd.predict_batch(
-            flagged, np.array([[0.5, 0.5]]), coin_seed=1, default_label=1
-        )
-        np.testing.assert_array_equal(labeled.values, [1])
 
 
 def test_abstention_telemetry():

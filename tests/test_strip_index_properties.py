@@ -87,6 +87,6 @@ def test_label_count_engines_equal_brute_force_majorities(case):
     for network, counted in zip(networks, (True, radius > 0)):
         inside = _brute(points, queries, radius) & counted
         m, votes = inside.sum(axis=1), (inside & (labels != 0)).sum(axis=1)
-        batch = pd.predict_batch(network, queries, coin_seed=1, default_label=1)
+        batch = pd.predict_batch(network, queries, coin_seed=1)
         np.testing.assert_array_equal(batch.responders, m)
-        np.testing.assert_array_equal(batch.values, np.where(m > 0, 2 * votes >= m, 1))
+        np.testing.assert_array_equal(batch.values, np.where(m > 0, 2 * votes >= m, 0))
